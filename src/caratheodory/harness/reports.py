@@ -1,10 +1,11 @@
 """Verification suites behind the CLI.
 
 Each verify_* routine runs one experiment end to end: build a grid with
-interior clearance, pick the metric authority per domain (closed form,
-Szego solve, or certified LP), evaluate the inequality under test, and
-return a small report object with the numbers and a pass flag.  Nothing
-here plots; the CLI dumps reports as CSV/SVG.
+interior clearance, pick the metric authority per domain (the closed form
+where one exists, the Szego solve everywhere else, unless a method is
+forced), evaluate the inequality under test, and return a small report
+object with the numbers and a pass flag.  Nothing here plots; the CLI
+dumps reports as CSV/SVG.
 """
 
 import logging
@@ -17,7 +18,6 @@ from ..errors import ExtremalError, GeometryError, SolveError
 from ..geometry import boolean_intersect, boolean_union, grid_sample, thicken
 from ..kernels import disc_metric, evaluator_for
 from ..kernels.closed_forms import SectorPullback
-from ..kernels.evaluators import SzegoEvaluator
 from .fixtures import disc
 
 log = logging.getLogger(__name__)
@@ -308,12 +308,7 @@ def converge_thickening(U, p, eps_list):
     limit = float(evaluator_for(U).value(p))
     vals = []
     for e in eps:
-        grown = thicken(U, e)
-        # offset boundaries with corner caps route to the LP; its K=64
-        # certification haircut (~0.4%) is the same size as the last
-        # convergence step, so spend a denser angle grid here
-        ev = evaluator_for(grown, angle_count=128)
-        vals.append(float(ev.value(p)))
+        vals.append(float(evaluator_for(thicken(U, e)).value(p)))
     monotone = all(vals[i + 1] > vals[i] for i in range(len(vals) - 1))
     gap = (limit - vals[-1]) / limit
     return ConvergenceReport(
@@ -367,14 +362,7 @@ def localization_experiment(domain, boundary_param, neighborhood_radius,
             "no single piece of the cutoff neighborhood holds every "
             "evaluation point; shrink the radius")
 
-    if comp.primitive and comp.primitive[0] == "lens":
-        ev_num = evaluator_for(comp)
-    else:
-        # the crossing corners here are convex and the graded Nystrom
-        # solve keeps near-spectral accuracy on them (mesh-doubling
-        # agreement ~1e-12 measured); the fixed-degree LP cannot track
-        # the 1/d blow-up this close to the boundary, so force Szego
-        ev_num = SzegoEvaluator(comp)
+    ev_num = evaluator_for(comp)
     ev_den = evaluator_for(domain)
     ratios = np.asarray(ev_num.values(zs), float) / \
         np.asarray(ev_den.values(zs), float)

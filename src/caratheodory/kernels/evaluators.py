@@ -4,11 +4,12 @@ Every evaluator exposes value(z) -> float and values(zs) -> array for one
 fixed domain, so curvature stencils and harness sweeps don't care which
 authority (closed form, Szego solve, LP certificate) produced the number.
 
-Batch calls on the Szego evaluator share a single mesh chosen from the
-shallowest point of the batch.  That matters for finite differences: the
-solver error is a smooth function of the base point on a FIXED mesh and
-cancels in the stencil, while re-picking the mesh per point would inject
-O(tol/h^2) noise into curvature estimates.
+Batch calls on the Szego evaluator share a single mesh pair chosen from
+the shallowest point of the batch.  That matters for finite differences:
+the solver error is a smooth function of the base point on a FIXED mesh
+and cancels in the stencil, while re-picking the mesh per point would
+inject O(tol/h^2) noise into curvature estimates.  For the same reason a
+doubling failure at any point moves the whole batch up the ladder.
 """
 
 from __future__ import annotations
@@ -95,7 +96,11 @@ class SzegoEvaluator(_EvaluatorBase):
 
     Meshes and LU factorizations are cached per node count, and each
     value is accepted only after a mesh-doubling agreement check
-    (1e-8 relative on smooth boundaries, 1e-5 with corners).
+    (1e-8 relative on smooth boundaries, 1e-5 with corners) between the
+    batch's mesh pair (n, 2n).  When any point fails it, the whole batch
+    climbs one rung to (2n, 4n) and is evaluated again, up to a finer
+    mesh of _CAP nodes per curve; SolveError is raised only when the
+    check fails there, or at once when the caller pinned n.
     """
 
     kind = "szego"
@@ -137,28 +142,32 @@ class SzegoEvaluator(_EvaluatorBase):
         zs = np.asarray(zs, dtype=complex).ravel()
         dists = np.array([self.domain.dist_to_boundary(z) for z in zs])
         n1 = self._pick_n(float(np.min(dists)))
-        n2 = min(2 * n1, self._CAP)
         guard = 3.0 * self._mesh(n1).h_max
-        out = np.empty(zs.size)
-        for i, (z, d) in enumerate(zip(zs, dists)):
+        for z, d in zip(zs, dists):
             if d <= guard:
                 raise GeometryError(
                     "point %s is %.3g from the boundary, need > %.3g "
                     "at n=%d" % (z, d, guard, n1))
-            key = (complex(z), n1)
-            if key in self._value_cache:
+        while True:
+            n2 = min(2 * n1, self._CAP)
+            out = np.empty(zs.size)
+            for i, z in enumerate(zs):
+                key = (complex(z), n1, n2)
+                if key not in self._value_cache:
+                    v1 = 2.0 * np.pi * self._solver(n1).solve(z).diag_value
+                    v2 = 2.0 * np.pi * self._solver(n2).solve(z).diag_value
+                    rel = abs(v2 - v1) / abs(v2)
+                    if rel > self.tol:
+                        break  # the whole batch climbs, see the docstring
+                    self._value_cache[key] = v2
                 out[i] = self._value_cache[key]
-                continue
-            v1 = 2.0 * np.pi * self._solver(n1).solve(z).diag_value
-            v2 = 2.0 * np.pi * self._solver(n2).solve(z).diag_value
-            rel = abs(v2 - v1) / abs(v2)
-            if rel > self.tol:
+            else:
+                return out
+            if self.n_override or 2 * n2 > self._CAP:
                 raise SolveError(
                     "szego value did not settle at %s: n=%d vs %d changed "
                     "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
-            self._value_cache[key] = v2
-            out[i] = v2
-        return out
+            n1 = n2
 
     def solution(self, a):
         """Kernel solution at the base point, for Ahlfors map work."""
@@ -171,11 +180,13 @@ class SzegoEvaluator(_EvaluatorBase):
 
 
 class LPEvaluator(_EvaluatorBase):
-    """Certified LP lower bounds used as metric values.
+    """On-demand LP certificates: certified lower bounds on the metric.
 
-    Estimates sit ~0.1-0.5% below the truth (polyhedral deflation plus
-    the sup rescale), which is why curvature assertions treat this kind
-    more loosely than the solver-backed ones.
+    Never chosen by auto routing; ask for it with method="lp" to check a
+    closed-form or Szego value from below.  Certificates sit ~0.1-0.5%
+    below the truth (polyhedral deflation plus the sup rescale), which is
+    why curvature assertions treat this kind more loosely than the
+    solver-backed ones.
     """
 
     kind = "lp"
@@ -204,31 +215,24 @@ class LPEvaluator(_EvaluatorBase):
 def evaluator_for(domain, method="auto", **params):
     """Route a domain to its metric authority.
 
-    auto: tagged discs and two-disc booleans get closed forms; boundaries
-    made of pieced-together arcs (boolean results, offsets) get the LP,
-    whose certificates don't care about corners or curvature jumps; fully
-    smooth interpolated boundaries get the Szego solver.  method="szego"
-    or "lp" forces that backend.
+    auto: tagged discs and two-disc lenses and unions get their closed
+    forms; every other domain, smooth or cornered (boolean results,
+    offsets, annuli), gets the Szego solver, which grades its mesh at
+    corners and climbs its mesh ladder where the doubling check asks for
+    it.  The LP is never picked here: method="lp" asks for certificates,
+    and method="szego" forces the solver even where a closed form exists.
     """
-    if method == "szego":
-        return SzegoEvaluator(domain, n=params.get("n"),
-                              grading_exponent=params.get("grading_exponent", 3.0))
     if method == "lp":
         return LPEvaluator(domain,
                            degree=params.get("degree", 24),
                            samples_per_curve=params.get("samples_per_curve", 512),
                            angle_count=params.get("angle_count", 64))
-    if method != "auto":
+    if method not in ("auto", "szego"):
         raise GeometryError("unknown method %r" % (method,))
     tag = domain.primitive[0] if domain.primitive else None
-    if tag == "disc":
+    if method == "auto" and tag == "disc":
         return ClosedFormDiscEvaluator(domain)
-    if tag in ("lens", "two_disc_union"):
+    if method == "auto" and tag in ("lens", "two_disc_union"):
         return SectorPullbackEvaluator(domain)
-    if any(not isinstance(c, TrigCurve) for c in domain.curves):
-        return LPEvaluator(domain,
-                           degree=params.get("degree", 24),
-                           samples_per_curve=params.get("samples_per_curve", 512),
-                           angle_count=params.get("angle_count", 64))
     return SzegoEvaluator(domain, n=params.get("n"),
                           grading_exponent=params.get("grading_exponent", 3.0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caratheodory.errors import GeometryError
+from caratheodory.errors import GeometryError, SolveError
 from caratheodory.geometry import Domain, boolean_intersect, boolean_union, curve_eval, curve_from_samples, thicken
 from caratheodory.kernels import (
     AnnulusPoincareEvaluator,
@@ -15,7 +15,15 @@ from caratheodory.kernels import (
     evaluator_for,
     poincare_annulus,
 )
-from caratheodory.harness import annulus, disc, ellipse, fourier_blob, two_disc_pair, unit_disc
+from caratheodory.harness import (
+    annulus,
+    blob_disc_pair,
+    disc,
+    ellipse,
+    fourier_blob,
+    two_disc_pair,
+    unit_disc,
+)
 
 
 def test_auto_routing_picks_the_right_backend():
@@ -27,8 +35,12 @@ def test_auto_routing_picks_the_right_backend():
     # a plain annulus has no closed Caratheodory form, so it goes to the solver
     assert evaluator_for(annulus()).kind == "szego"
     assert evaluator_for(fourier_blob()).kind == "szego"
-    # offset boundaries are only piecewise smooth; certificates don't mind
-    assert evaluator_for(thicken(lens, 0.1)).kind == "lp"
+    # piecewise boundaries with no closed form (offsets, booleans of
+    # interpolated curves) go to the graded Szego solve, never to the LP
+    assert evaluator_for(thicken(lens, 0.1)).kind == "szego"
+    blob, dsc = blob_disc_pair()
+    assert evaluator_for(boolean_intersect(blob, dsc)[0]).kind == "szego"
+    assert evaluator_for(boolean_union(blob, dsc)).kind == "szego"
 
 
 def test_method_argument_forces_a_backend():
@@ -60,6 +72,23 @@ def test_value_and_values_agree_and_are_positive():
 def test_szego_evaluator_rejects_points_hugging_the_boundary():
     with pytest.raises(GeometryError, match="need >"):
         SzegoEvaluator(ellipse()).value(0.99j)
+
+
+def test_szego_evaluator_climbs_the_mesh_ladder():
+    # the thickened lens has C1 cap joins: 256 -> 512 moves the value by
+    # 1.66e-5 against the 1e-5 tolerance, 512 -> 1024 by 7.4e-6
+    grown = thicken(boolean_intersect(*two_disc_pair("symmetric"))[0], 0.01)
+    ev = SzegoEvaluator(grown)
+    got = ev.value(0.0)
+    assert got == pytest.approx(1.7000316, rel=1e-7)
+    assert list(ev._value_cache) == [(0j, 512, 1024)]
+    assert got == pytest.approx(SzegoEvaluator(grown, n=1024).value(0.0),
+                                rel=1e-6)
+    # the certificate is a lower bound on the settled value
+    assert got >= LPEvaluator(grown, angle_count=128).value(0.0)
+    # a pinned mesh never climbs
+    with pytest.raises(SolveError, match="did not settle"):
+        SzegoEvaluator(grown, n=256).value(0.0)
 
 
 def test_metric_shrinks_when_the_domain_grows():
