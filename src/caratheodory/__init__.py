@@ -27,8 +27,6 @@ from .geometry import (
     boolean_intersect,
     boolean_union,
     curve_from_samples,
-    dist_to_boundary,
-    domain_contains,
     grid_sample,
     mesh_boundary,
     thicken,
@@ -42,7 +40,6 @@ from .kernels import (
     SzegoEvaluator,
     ahlfors_eval,
     annulus_metric,
-    caratheodory_szego,
     disc_metric,
     evaluator_for,
     garabedian_boundary,
@@ -90,14 +87,11 @@ __all__ = [
     "annulus_metric",
     "boolean_intersect",
     "boolean_union",
-    "caratheodory_szego",
     "choose_poles",
     "converge_thickening",
     "curvature_at",
     "curve_from_samples",
     "disc_metric",
-    "dist_to_boundary",
-    "domain_contains",
     "evaluator_for",
     "garabedian_boundary",
     "grid_sample",

@@ -57,52 +57,47 @@ def default_step(domain, z):
     return min(0.01, domain.dist_to_boundary(z) / 20.0)
 
 
-def _stencil_logs(evaluator, z, h):
-    pts = np.array([z, z + h, z - h, z + 1j * h, z - 1j * h], dtype=complex)
-    vals = evaluator.values(pts)
+def _stencil(evaluator, z, steps, guard):
+    """5-point Laplacians of log(metric) at z, one per step, from a single
+    batch of metric values, and the metric at z.
+
+    Checks that the steps are positive, that z keeps distance > 10h from
+    the boundary (only when guard is set: default_step's h <= d/20
+    clears it already), and that every metric value is positive.
+    """
+    h = steps[0]
+    if h <= 0.0:
+        raise GeometryError("step must be positive")
+    if guard and evaluator.domain.dist_to_boundary(z) <= 10.0 * h:
+        raise GeometryError(
+            "stencil too close to the boundary at %s (need distance > 10h)" % z)
+    pts = [z]
+    for s in steps:
+        pts += [z + s, z - s, z + 1j * s, z - 1j * s]
+    vals = evaluator.values(np.array(pts, dtype=complex))
     if np.any(vals <= 0.0):
         raise GeometryError("metric not positive on the stencil at %s" % z)
     logs = np.log(vals)
-    return (logs[1] + logs[2] + logs[3] + logs[4] - 4.0 * logs[0]) / h**2, vals[0]
+    laps = [(logs[i] + logs[i + 1] + logs[i + 2] + logs[i + 3]
+             - 4.0 * logs[0]) / s**2
+            for i, s in zip(range(1, len(pts), 4), steps)]
+    return laps, vals[0]
 
 
 def log_metric_laplacian(evaluator, z, h):
     """5-point Laplacian of log(metric); O(h^2) truncation."""
-    z = complex(z)
-    h = float(h)
-    if h <= 0.0:
-        raise GeometryError("step must be positive")
-    if evaluator.domain.dist_to_boundary(z) <= 10.0 * h:
-        raise GeometryError(
-            "stencil too close to the boundary at %s (need distance > 10h)" % z)
-    lap, _ = _stencil_logs(evaluator, z, h)
+    (lap,), _ = _stencil(evaluator, complex(z), (float(h),), guard=True)
     return float(lap)
 
 
 def curvature_at(evaluator, z, h=None):
     """Curvature estimate with Richardson refinement from h and h/2."""
     z = complex(z)
-    if h is None:
-        h = default_step(evaluator.domain, z)
-    h = float(h)
-    if h <= 0.0:
-        raise GeometryError("step must be positive")
-    if evaluator.domain.dist_to_boundary(z) <= 10.0 * h:
-        raise GeometryError(
-            "stencil too close to the boundary at %s (need distance > 10h)" % z)
+    guard = h is not None
+    h = float(h) if guard else default_step(evaluator.domain, z)
     # one batch for both stencils keeps solver-backed evaluators on a
     # common mesh across all 9 points
-    pts = np.array([z,
-                    z + h, z - h, z + 1j * h, z - 1j * h,
-                    z + h / 2, z - h / 2, z + 1j * h / 2, z - 1j * h / 2],
-                   dtype=complex)
-    vals = evaluator.values(pts)
-    if np.any(vals <= 0.0):
-        raise GeometryError("metric not positive on the stencil at %s" % z)
-    logs = np.log(vals)
-    c0 = vals[0]
-    lap_h = (logs[1] + logs[2] + logs[3] + logs[4] - 4.0 * logs[0]) / h**2
-    lap_h2 = (logs[5] + logs[6] + logs[7] + logs[8] - 4.0 * logs[0]) / (h / 2)**2
+    (lap_h, lap_h2), c0 = _stencil(evaluator, z, (h, h / 2), guard)
     kappa = -lap_h / c0**2
     kappa_half = -lap_h2 / c0**2
     refined = (4.0 * kappa_half - kappa) / 3.0

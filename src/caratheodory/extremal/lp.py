@@ -8,7 +8,10 @@ with the disc constraint |f| <= 1 enforced at boundary samples through
 K half-plane cuts Re(e^{-i theta} f) <= 1.  The polyhedral relaxation
 and the finite sampling both inflate the optimum, so the reported value
 is rescaled by cos(pi/K) and by the sup of |f| on a 10x denser boundary
-grid, which turns the LP output into a certified lower bound.
+grid, which turns the LP output into a certified lower bound.  The gap
+to the metric is ~0.1-0.5% on smooth domains and far larger on cornered
+ones: on the union of blob_disc_pair() at 1+0j the certificate is
+1.343502 against the Szego value 1.468978, 8.5% low.
 """
 
 from __future__ import annotations

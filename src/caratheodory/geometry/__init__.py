@@ -9,7 +9,7 @@ from .curves import (
     curve_from_samples,
     curve_eval,
 )
-from .domain import Domain, domain_contains, dist_to_boundary
+from .domain import Domain
 from .sampling import grid_sample
 from .boolean import curve_pair_intersections, boolean_intersect, boolean_union
 from .offset import thicken
@@ -26,8 +26,6 @@ __all__ = [
     "curve_from_samples",
     "curve_eval",
     "Domain",
-    "domain_contains",
-    "dist_to_boundary",
     "grid_sample",
     "curve_pair_intersections",
     "boolean_intersect",

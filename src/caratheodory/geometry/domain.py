@@ -2,8 +2,12 @@
 
 All curves are stored counterclockwise.  A point is inside the domain when
 it is inside the outer curve and outside every hole.  Containment uses the
-winding number of a fine cached polyline; distance queries refine a dense
-sample with a bounded scalar minimization.
+winding number of a fine cached polyline.  ``Domain.dist_to_boundary`` is
+the package's one boundary-distance code: it polishes the nearest node of
+that polyline with a bounded scalar minimization, and grid clearance,
+stencil guards and solver clearance guards all call it.  Each domain
+remembers the distances it has computed: a grid point is asked again
+for its curvature step and as the centre of its stencil batch.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from scipy.optimize import minimize_scalar
 
 from ..errors import GeometryError
 
-_POLY_M = 2048  # nodes per curve for winding tests
+_POLY_M = 2048  # nodes per curve for winding tests and distance seeds
 
 
 def _winding_many(poly, z):
@@ -66,6 +70,7 @@ class Domain:
         self.holes = tuple(holes)
         self.label = label
         self.primitive = primitive
+        self._dist = {}  # point -> dist_to_boundary
         if validate:
             self._validate()
 
@@ -125,9 +130,11 @@ class Domain:
 
     def dist_to_boundary(self, z):
         z = complex(z)
-        if not self.contains(z):
-            raise GeometryError("point %s is not inside the domain" % z)
-        return min(_curve_min_dist(c, z) for c in self.curves)
+        if z not in self._dist:
+            if not self.contains(z):
+                raise GeometryError("point %s is not inside the domain" % z)
+            self._dist[z] = min(_curve_min_dist(c, z) for c in self.curves)
+        return self._dist[z]
 
     def bounding_box(self):
         _, poly = self.outer.polyline(_POLY_M)
@@ -138,31 +145,7 @@ class Domain:
             float(poly.imag.max()),
         )
 
-    def interior_point(self):
-        """Some point inside the domain (probing the bounding box lattice)."""
-        xmin, xmax, ymin, ymax = self.bounding_box()
-        ctr = complex(0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
-        for k in (5, 11, 23, 47):
-            xs = np.linspace(xmin, xmax, k + 2)[1:-1]
-            ys = np.linspace(ymin, ymax, k + 2)[1:-1]
-            X, Y = np.meshgrid(xs, ys)
-            pts = (X + 1j * Y).ravel()
-            ok = self.contains_many(pts)
-            if np.any(ok):
-                cand = pts[ok]
-                return complex(cand[np.argmin(np.abs(cand - ctr))])
-        raise GeometryError("could not find an interior point")
-
     def __repr__(self):
         tag = self.label or (self.primitive[0] if self.primitive else "domain")
         return "Domain(%s, holes=%d)" % (tag, len(self.holes))
 
-
-def domain_contains(domain, z):
-    """True if z lies strictly inside the domain (winding-number test)."""
-    return domain.contains(z)
-
-
-def dist_to_boundary(domain, z):
-    """Distance from an interior point to the nearest boundary curve."""
-    return domain.dist_to_boundary(z)

@@ -2,6 +2,9 @@
 
 Lattice points are integer multiples of the spacing, so two domains that
 overlap share the exact same candidate points.  No randomness anywhere.
+Clearance is measured by ``Domain.dist_to_boundary``, the one distance
+code of the package, so a kept point passes every later clearance guard
+that asks for at most delta.
 """
 
 from __future__ import annotations
@@ -10,48 +13,13 @@ import numpy as np
 
 from ..errors import GeometryError
 
-_POLY_M = 2048
-
-
-def _dist_to_polyline(poly, z):
-    """Min distance from each point of z to the closed polyline (vectorized)."""
-    a = poly
-    b = np.roll(poly, -1)
-    e = b - a
-    ee = np.abs(e) ** 2
-    out = np.empty(z.shape, dtype=float)
-    step = max(1, 2_000_000 // max(1, poly.size))
-    flat = z.ravel()
-    res = out.ravel()
-    for i in range(0, flat.size, step):
-        w = flat[i : i + step, None]
-        t = np.real((w - a[None, :]) * np.conj(e[None, :])) / ee[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        d = np.abs(a[None, :] + t * e[None, :] - w)
-        res[i : i + step] = d.min(axis=1)
-    return out
-
-
-def boundary_dist_many(domain, z):
-    """Approximate distance to the boundary for many points at once.
-
-    Polyline based; good to ~1e-6 absolute for the smooth curves used here,
-    which is plenty for clearance filtering.
-    """
-    z = np.asarray(z, dtype=complex)
-    d = np.full(z.shape, np.inf)
-    for c in domain.curves:
-        _, poly = c.polyline(_POLY_M)
-        d = np.minimum(d, _dist_to_polyline(poly, z))
-    return d
-
 
 def grid_sample(domain, delta, spacing):
     """Interior lattice points with clearance.
 
     Returns the points of the grid spacing*(Z x Z) that lie inside the
-    domain with distance at least delta from the boundary.  Row-major
-    order, y increasing then x.
+    domain with distance at least delta from the boundary, as measured by
+    Domain.dist_to_boundary.  Row-major order, y increasing then x.
     """
     if spacing <= 0:
         raise GeometryError("spacing must be positive, got %s" % spacing)
@@ -70,5 +38,6 @@ def grid_sample(domain, delta, spacing):
     keep = domain.contains_many(pts, boundary="exclude")
     pts = pts[keep]
     if delta > 0 and pts.size:
-        pts = pts[boundary_dist_many(domain, pts) >= delta]
+        dists = np.array([domain.dist_to_boundary(z) for z in pts])
+        pts = pts[dists >= delta]
     return pts

@@ -10,7 +10,6 @@ from .szego import (
     KernelSolution,
     SzegoSolver,
     ahlfors_eval,
-    caratheodory_szego,
     garabedian_boundary,
     kerzman_stein_matrix,
     solve_szego,
@@ -34,7 +33,6 @@ __all__ = [
     "KernelSolution",
     "SzegoSolver",
     "ahlfors_eval",
-    "caratheodory_szego",
     "garabedian_boundary",
     "kerzman_stein_matrix",
     "solve_szego",

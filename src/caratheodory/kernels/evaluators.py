@@ -19,7 +19,6 @@ import numpy as np
 from ..errors import GeometryError, SolveError
 from ..extremal.lp import ExtremalProblem, lp_caratheodory_lower
 from ..geometry.curves import TrigCurve
-from ..geometry.domain import Domain
 from ..geometry.mesh import mesh_boundary
 from .closed_forms import SectorPullback, annulus_metric, disc_metric
 from .szego import SzegoSolver
@@ -30,7 +29,6 @@ class _EvaluatorBase:
 
     def __init__(self, domain):
         self.domain = domain
-        self.cache = {}
 
     def value(self, z):
         return float(self.values(np.array([z], dtype=complex))[0])
@@ -138,8 +136,9 @@ class SzegoEvaluator(_EvaluatorBase):
                 return n
         return self._LADDER[-1]
 
-    def values(self, zs):
-        zs = np.asarray(zs, dtype=complex).ravel()
+    def _guarded_n(self, zs):
+        """The batch's coarse node count; every point must keep 3 node
+        spacings of clearance on it."""
         dists = np.array([self.domain.dist_to_boundary(z) for z in zs])
         n1 = self._pick_n(float(np.min(dists)))
         guard = 3.0 * self._mesh(n1).h_max
@@ -148,6 +147,11 @@ class SzegoEvaluator(_EvaluatorBase):
                 raise GeometryError(
                     "point %s is %.3g from the boundary, need > %.3g "
                     "at n=%d" % (z, d, guard, n1))
+        return n1
+
+    def values(self, zs):
+        zs = np.asarray(zs, dtype=complex).ravel()
+        n1 = self._guarded_n(zs)
         while True:
             n2 = min(2 * n1, self._CAP)
             out = np.empty(zs.size)
@@ -170,22 +174,21 @@ class SzegoEvaluator(_EvaluatorBase):
             n1 = n2
 
     def solution(self, a):
-        """Kernel solution at the base point, for Ahlfors map work."""
+        """Kernel solution at the base point on the finer mesh of its
+        pair, for Ahlfors map work; same clearance guard as values."""
         a = complex(a)
-        if a not in self.cache:
-            d = self.domain.dist_to_boundary(a)
-            n = min(2 * self._pick_n(d), self._CAP)
-            self.cache[a] = self._solver(n).solve(a)
-        return self.cache[a]
+        return self._solver(min(2 * self._guarded_n([a]), self._CAP)).solve(a)
 
 
 class LPEvaluator(_EvaluatorBase):
     """On-demand LP certificates: certified lower bounds on the metric.
 
     Never chosen by auto routing; ask for it with method="lp" to check a
-    closed-form or Szego value from below.  Certificates sit ~0.1-0.5%
-    below the truth (polyhedral deflation plus the sup rescale), which is
-    why curvature assertions treat this kind more loosely than the
+    closed-form or Szego value from below.  On smooth domains certificates
+    sit ~0.1-0.5% below the truth (polyhedral deflation plus the sup
+    rescale); on cornered ones they can fall far lower, e.g. 1.343502
+    against the Szego 1.468978 (8.5% low) on the blob-disc union at 1+0j.
+    Curvature assertions treat this kind more loosely than the
     solver-backed ones.
     """
 
@@ -197,6 +200,7 @@ class LPEvaluator(_EvaluatorBase):
         self.degree = int(degree)
         self.samples_per_curve = int(samples_per_curve)
         self.angle_count = int(angle_count)
+        self.cache = {}
 
     def certificate(self, z):
         z = complex(z)

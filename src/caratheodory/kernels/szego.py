@@ -158,26 +158,3 @@ def ahlfors_eval(sol, z):
     fp = (s_der * l_val - s_val * l_der) / l_val**2
     return complex(f), complex(fp)
 
-
-def caratheodory_szego(domain, a, n, grading_exponent=3.0):
-    """Caratheodory density c_D(a) = 2 pi S(a,a) with a doubling check.
-
-    Solves on meshes of n and 2n nodes per curve; accepts when the
-    diagonal agrees to 1e-8 relative (smooth boundaries) or 1e-5
-    (cornered boundaries on graded meshes), returning the finer value.
-    """
-    from ..geometry.mesh import mesh_boundary
-
-    cornered = any(c.corner_params for c in domain.curves)
-    tol = 1e-5 if cornered else 1e-8
-    mesh1 = mesh_boundary(domain, n, grading_exponent)
-    mesh2 = mesh_boundary(domain, 2 * n, grading_exponent)
-    d1 = solve_szego(mesh1, a).diag_value
-    d2 = solve_szego(mesh2, a).diag_value
-    rel = abs(d2 - d1) / abs(d2)
-    if rel > tol:
-        raise SolveError(
-            "mesh doubling %d -> %d leaves a relative change %.3g > %.3g; "
-            "refine n" % (n, 2 * n, rel, tol)
-        )
-    return float(2.0 * np.pi * d2)

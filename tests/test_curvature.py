@@ -83,6 +83,17 @@ def test_disc_curvature_is_minus_four():
     assert abs(est.kappa_refined + 4.0) < 1e-5
 
 
+def test_curvature_and_laplacian_share_one_stencil():
+    # the h-stencil curvature is -Delta log c / c0^2 to the last bit, at a
+    # given step and at the default one
+    for ev, z in ((evaluator_for(unit_disc()), 0.3),
+                  (SzegoEvaluator(ellipse()), 0.3 + 0.2j)):
+        for h in (0.02, None):
+            est = curvature_at(ev, z, h)
+            lap = log_metric_laplacian(ev, z, est.h)
+            assert est.kappa == -lap / est.metric_value**2
+
+
 def test_richardson_refinement_gains_two_orders():
     ev = evaluator_for(unit_disc())
     err_coarse = abs(curvature_at(ev, 0.3, h=0.02).kappa + 4.0)

@@ -74,6 +74,13 @@ def test_szego_evaluator_rejects_points_hugging_the_boundary():
         SzegoEvaluator(ellipse()).value(0.99j)
 
 
+def test_szego_solution_keeps_the_clearance_guard():
+    # 0.999j is 0.001 from the ellipse, under 3 node spacings of every
+    # mesh on the ladder; the kernel solution must refuse it like values
+    with pytest.raises(GeometryError, match="need >"):
+        SzegoEvaluator(ellipse()).solution(0.999j)
+
+
 def test_szego_evaluator_climbs_the_mesh_ladder():
     # the thickened lens has C1 cap joins: 256 -> 512 moves the value by
     # 1.66e-5 against the 1e-5 tolerance, 512 -> 1024 by 7.4e-6

@@ -11,7 +11,7 @@ from caratheodory.geometry import (
     grid_sample,
     mesh_boundary,
 )
-from caratheodory.kernels import SzegoEvaluator, caratheodory_szego, solve_szego
+from caratheodory.kernels import SzegoEvaluator, solve_szego
 from caratheodory.kernels.szego import (
     SzegoSolver,
     ahlfors_eval,
@@ -171,9 +171,9 @@ def test_ahlfors_map_stays_inside_the_disc_lens():
 
 
 def test_metric_values_with_doubling_check():
-    assert caratheodory_szego(unit_disc(), 0.0, 256) == pytest.approx(1.0, rel=1e-10)
-    assert caratheodory_szego(unit_disc(), 0.5, 256) == pytest.approx(4.0 / 3.0, rel=1e-10)
-    assert caratheodory_szego(disc(0.0, 2.0), 0.0, 256) == pytest.approx(0.5, rel=1e-10)
+    assert SzegoEvaluator(unit_disc(), n=256).value(0.0) == pytest.approx(1.0, rel=1e-10)
+    assert SzegoEvaluator(unit_disc(), n=256).value(0.5) == pytest.approx(4.0 / 3.0, rel=1e-10)
+    assert SzegoEvaluator(disc(0.0, 2.0), n=256).value(0.0) == pytest.approx(0.5, rel=1e-10)
 
 
 def test_annulus_metric_matches_the_kernel_series():

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ellipe
 
 from caratheodory.errors import GeometryError
-from caratheodory.geometry import boolean_intersect, mesh_boundary, thicken
+from caratheodory.geometry import boolean_intersect, grid_sample, mesh_boundary, thicken
 from caratheodory.harness import annulus, disc, ellipse, fourier_blob, two_disc_pair, unit_disc
 
 
@@ -64,6 +64,19 @@ def test_dist_to_boundary_values():
     assert disc(0.0, 2.0).dist_to_boundary(1.5) == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(GeometryError, match="not inside"):
         unit_disc().dist_to_boundary(1.5)
+
+
+def test_grid_sample_clearance_is_the_domain_distance():
+    dom = ellipse()
+    delta = 0.16
+    kept = grid_sample(dom, delta, 0.1)
+    assert kept.size == 485
+    assert all(dom.dist_to_boundary(z) >= delta for z in kept)
+    # delta 0 keeps every interior lattice point
+    kept_set = set(kept.tolist())
+    dropped = [z for z in grid_sample(dom, 0.0, 0.1) if z not in kept_set]
+    assert len(dropped) > 0
+    assert all(dom.dist_to_boundary(z) < delta for z in dropped)
 
 
 def test_thicken_keeps_disc_and_annulus_exact():
