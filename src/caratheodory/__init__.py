@@ -19,7 +19,6 @@ from .extremal import (
     ExtremalProblem,
     choose_poles,
     lp_caratheodory_lower,
-    lp_metric_field,
 )
 from .geometry import (
     BoundaryMesh,
@@ -98,7 +97,6 @@ __all__ = [
     "kerzman_stein_matrix",
     "localization_experiment",
     "lp_caratheodory_lower",
-    "lp_metric_field",
     "mesh_boundary",
     "poincare_two_disc_regions",
     "run_cli",

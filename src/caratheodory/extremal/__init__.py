@@ -3,7 +3,6 @@ from .lp import (
     ExtremalProblem,
     choose_poles,
     lp_caratheodory_lower,
-    lp_metric_field,
 )
 
 __all__ = [
@@ -11,5 +10,4 @@ __all__ = [
     "ExtremalProblem",
     "choose_poles",
     "lp_caratheodory_lower",
-    "lp_metric_field",
 ]

@@ -16,15 +16,11 @@ ones: on the union of blob_disc_pair() at 1+0j the certificate is
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 from scipy.optimize import linprog
 
 from ..errors import ExtremalError, GeometryError
 from ..geometry.mesh import mesh_boundary
-
-log = logging.getLogger(__name__)
 
 
 def choose_poles(domain):
@@ -51,7 +47,7 @@ class ExtremalProblem:
     """Data of one LP instance: basis, boundary samples, constraint angles."""
 
     def __init__(self, domain, a, degree=24, samples_per_curve=512,
-                 angle_count=64, grading_exponent=3.0):
+                 angle_count=64):
         a = complex(a)
         if degree < 1:
             raise GeometryError("degree must be at least 1")
@@ -64,7 +60,6 @@ class ExtremalProblem:
         self.degree = int(degree)
         self.poles = tuple(choose_poles(domain))
         self.angle_count = int(angle_count)
-        self.grading_exponent = float(grading_exponent)
         self.rho = 0.5 * _boundary_diameter(domain)
         # per-pole scale: distance from the pole to its own hole curve,
         # which bounds |s/(w-p)| by 1 on all of the boundary
@@ -75,7 +70,7 @@ class ExtremalProblem:
 
         m = max(32, samples_per_curve + samples_per_curve % 2)
         self.samples_per_curve = m
-        mesh = mesh_boundary(domain, m, grading_exponent)
+        mesh = mesh_boundary(domain, m)
         self.boundary_samples = mesh.nodes
         dim = 2 * self.basis_count()
         if self.boundary_samples.size < 8 * dim:
@@ -226,33 +221,7 @@ def lp_caratheodory_lower(problem):
     coeff = res.x[0::2] + 1j * res.x[1::2]
     raw = -res.fun
 
-    check_mesh = mesh_boundary(problem.domain, 10 * problem.samples_per_curve,
-                               problem.grading_exponent)
+    check_mesh = mesh_boundary(problem.domain, 10 * problem.samples_per_curve)
     sup_check = float(np.max(np.abs(problem.basis_at(check_mesh.nodes) @ coeff)))
     certified = raw * np.cos(np.pi / k) / sup_check
     return ExtremalCertificate(coeff, raw, certified, sup_check)
-
-
-def lp_metric_field(domain, grid, degree=24, samples_per_curve=512,
-                    angle_count=64):
-    """Certified metric lower bounds at many points; failures yield nan.
-
-    Returns a float array with one value per point of ``np.ravel(grid)``,
-    in that order.  A point whose certificate raises ``ExtremalError`` or
-    ``GeometryError`` gets nan; each such failure is logged as a warning,
-    followed by one warning with the count of failed points.
-    """
-    points = np.asarray(grid, dtype=complex).ravel()
-    out = np.full(points.shape, np.nan)
-    failures = 0
-    for i, z in enumerate(points):
-        try:
-            prob = ExtremalProblem(domain, z, degree, samples_per_curve,
-                                   angle_count)
-            out[i] = lp_caratheodory_lower(prob).certified_value
-        except (ExtremalError, GeometryError) as exc:
-            failures += 1
-            log.warning("certificate failed at %s: %s", z, exc)
-    if failures:
-        log.warning("%d of %d grid points failed", failures, len(out))
-    return out

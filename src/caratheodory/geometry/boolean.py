@@ -16,17 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GeometryError, TangencyError
-from .curves import PiecewiseCurve, SubArc, _segments_properly_cross
+from .curves import PiecewiseCurve, SubArc, _cross, _segments_properly_cross
 from .domain import Domain, _winding_many
 
 _SEED_M = 2048
 _MIN_CROSS_SIN = 1e-3  # reject crossings shallower than ~0.057 degrees
 _MIN_AREA = 1e-10
 _PARAM_EPS = 1e-12
-
-
-def _cross(p, q):
-    return np.imag(np.conj(p) * q)
 
 
 def _refine_crossing(c1, c2, t1, t2, scale):
@@ -167,10 +163,6 @@ def _keep(op, other, z):
     return inside if op == "intersect" else not inside
 
 
-def _loop_curve(arcs):
-    return PiecewiseCurve(arcs)
-
-
 def _collect_loops(d1, d2, op):
     """Trace the kept-arc graph; returns (loops, whole) where loops are
     PiecewiseCurves in traversal orientation and whole are (curve, ccw_flag)
@@ -229,7 +221,7 @@ def _collect_loops(d1, d2, op):
             node = step.end
             if node == run.start:
                 break
-        loops.append(_loop_curve(arcs))
+        loops.append(PiecewiseCurve(arcs))
     return loops, whole
 
 
@@ -273,10 +265,18 @@ def _assemble(loops, whole, d1, d2):
     return groups
 
 
-def _disc_params(domain):
-    if domain.primitive and domain.primitive[0] == "disc":
-        return domain.primitive[1:]
-    return None
+def _two_disc_tag(tag, group, d1, d2):
+    """The group's primitive, or (tag, (disc1, disc2)) when it is the
+    two-arc lens or union of two disc-tagged domains."""
+    if (
+        group["primitive"] is None
+        and all(d.primitive and d.primitive[0] == "disc" for d in (d1, d2))
+        and not group["holes"]
+        and isinstance(group["outer"], PiecewiseCurve)
+        and len(group["outer"].segments) == 2
+    ):
+        return (tag, (d1.primitive[1], d2.primitive[1]))
+    return group["primitive"]
 
 
 def boolean_intersect(d1, d2):
@@ -288,20 +288,12 @@ def boolean_intersect(d1, d2):
     """
     loops, whole = _collect_loops(d1, d2, "intersect")
     groups = _assemble(loops, whole, d1, d2)
-    disc1, disc2 = _disc_params(d1), _disc_params(d2)
     out = []
     for g in groups:
-        prim = g["primitive"]
-        if (
-            prim is None
-            and disc1
-            and disc2
-            and not g["holes"]
-            and isinstance(g["outer"], PiecewiseCurve)
-            and len(g["outer"].segments) == 2
-            and len(groups) == 1
-        ):
-            prim = ("lens", disc1 + disc2)
+        if len(groups) == 1:
+            prim = _two_disc_tag("lens", g, d1, d2)
+        else:
+            prim = g["primitive"]
         label = "(%s & %s)" % (d1.label or "D1", d2.label or "D2")
         out.append(Domain(g["outer"], g["holes"], label=label, primitive=prim))
     return out
@@ -320,16 +312,6 @@ def boolean_union(d1, d2):
             "union has %d components; the domains do not overlap" % len(groups)
         )
     g = groups[0]
-    prim = g["primitive"]
-    disc1, disc2 = _disc_params(d1), _disc_params(d2)
-    if (
-        prim is None
-        and disc1
-        and disc2
-        and not g["holes"]
-        and isinstance(g["outer"], PiecewiseCurve)
-        and len(g["outer"].segments) == 2
-    ):
-        prim = ("two_disc_union", disc1 + disc2)
+    prim = _two_disc_tag("two_disc_union", g, d1, d2)
     label = "(%s | %s)" % (d1.label or "D1", d2.label or "D2")
     return Domain(g["outer"], g["holes"], label=label, primitive=prim)

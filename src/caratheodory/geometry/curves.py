@@ -36,12 +36,17 @@ def _as_param_array(t):
     return np.atleast_1d(t), scalar
 
 
+def _cross(p, q):
+    """2-D cross product Im(conj(p) q) of complex vectors."""
+    return np.imag(np.conj(p) * q)
+
+
 def _segments_properly_cross(a0, a1, b0, b1):
     """Vectorized proper-crossing test for segment families (complex endpoints)."""
     d1 = a1 - a0
     d2 = b1 - b0
-    c1 = np.imag(np.conj(d1) * (b0 - a0)) * np.imag(np.conj(d1) * (b1 - a0))
-    c2 = np.imag(np.conj(d2) * (a0 - b0)) * np.imag(np.conj(d2) * (a1 - b0))
+    c1 = _cross(d1, b0 - a0) * _cross(d1, b1 - a0)
+    c2 = _cross(d2, a0 - b0) * _cross(d2, a1 - b0)
     return (c1 < 0) & (c2 < 0)
 
 
@@ -468,16 +473,19 @@ class PiecewiseCurve:
         return PiecewiseCurve(segs, validate=False)
 
 
-def curve_from_samples(points, min_samples=64):
+_MIN_SAMPLES = 64
+
+
+def curve_from_samples(points):
     """Build a smooth closed curve through the given complex points.
 
     The points must be distinct, counterclockwise, and at least 8.  If fewer
-    than ``min_samples`` are given, the stored sample set is refined by exact
-    trigonometric resampling (the curve itself is unchanged).
+    than ``_MIN_SAMPLES`` (64) are given, the stored sample set is refined by
+    exact trigonometric resampling (the curve itself is unchanged).
     """
     curve = TrigCurve(points)
-    if curve.samples.size < min_samples:
-        curve = TrigCurve(curve.uniform_eval(int(min_samples)), validate=False)
+    if curve.samples.size < _MIN_SAMPLES:
+        curve = TrigCurve(curve.uniform_eval(_MIN_SAMPLES), validate=False)
     return curve
 
 

@@ -65,16 +65,12 @@ class Domain:
     forms over numerical solvers.  It never changes the geometry.
     """
 
-    def __init__(self, outer, holes=(), label="", primitive=None, validate=True):
+    def __init__(self, outer, holes=(), label="", primitive=None):
         self.outer = outer
         self.holes = tuple(holes)
         self.label = label
         self.primitive = primitive
         self._dist = {}  # point -> dist_to_boundary
-        if validate:
-            self._validate()
-
-    def _validate(self):
         if self.outer.signed_area <= 0:
             raise GeometryError("outer curve must be counterclockwise")
         _, outer_poly = self.outer.polyline(_POLY_M)

@@ -15,6 +15,11 @@ import numpy as np
 
 from ..errors import GeometryError
 
+# exponent of the corner grading substitution; 1 would be uniform, and 3
+# regains enough smoothness for second-kind integral equations on
+# transversally cornered boundaries (Kress 1990)
+_GRADING = 3.0
+
 
 def _graded_map(xi, p):
     """The substitution v(u) = u^p / (u^p + (1-u)^p) and its derivative."""
@@ -29,21 +34,16 @@ def _graded_map(xi, p):
 class BoundaryMesh:
     """Quadrature nodes, arclength weights and unit tangents on a boundary.
 
-    ``curve_slices[k]`` is the index range of curve k (outer first), and
-    ``params[j]`` is the native curve parameter of node j.
+    ``curve_slices[k]`` is the index range of curve k (outer first).
     """
 
-    def __init__(self, owner, nodes, weights, tangents, params, curve_slices,
-                 n_per_curve, grading):
+    def __init__(self, owner, nodes, weights, tangents, curve_slices):
         self.owner = owner
         self.nodes = nodes
         self.weights = weights
         self.tangents = tangents
-        self.params = params
         self.curve_slices = tuple(curve_slices)
-        self.n_per_curve = int(n_per_curve)
-        self.grading = float(grading)
-        for a in (nodes, weights, tangents, params):
+        for a in (nodes, weights, tangents):
             a.flags.writeable = False
         self.h_max = 0.0
         for lo, hi in self.curve_slices:
@@ -75,7 +75,7 @@ def _runs_between_corners(curve):
     return runs
 
 
-def _mesh_curve(curve, n, p, flip):
+def _mesh_curve(curve, n, flip):
     if curve.corner_params:
         runs = _runs_between_corners(curve)
         ts = []
@@ -83,7 +83,7 @@ def _mesh_curve(curve, n, p, flip):
         for a, b in runs:
             m = max(8, int(round(n * (b - a))))
             xi = (np.arange(m) + 0.5) / m
-            v, dv = _graded_map(xi, p)
+            v, dv = _graded_map(xi, _GRADING)
             ts.append((a + (b - a) * v) % 1.0)
             ws.append((b - a) * dv / m)
         t = np.concatenate(ts)
@@ -99,36 +99,29 @@ def _mesh_curve(curve, n, p, flip):
     tang = v / speed
     if flip:
         tang = -tang
-    return z, w, tang, t
+    return z, w, tang
 
 
-def mesh_boundary(domain, n_per_curve, grading_exponent=3.0):
+def mesh_boundary(domain, n_per_curve):
     """Quadrature mesh of all boundary curves of a domain.
 
-    n_per_curve is the node budget for each curve (>= 32, even).  The
-    grading exponent clusters nodes at corners; 1 is uniform and 3 (the
-    default) regains enough smoothness for second-kind integral equations
-    on transversally cornered boundaries.
+    n_per_curve is the node budget for each curve (>= 32, even).  Corners
+    get the polynomial grading of exponent _GRADING.
     """
     n = int(n_per_curve)
     if n < 32 or n % 2 != 0:
         raise GeometryError("n_per_curve must be even and at least 32, got %s" % n)
-    p = float(grading_exponent)
-    if p < 1.0:
-        raise GeometryError("grading exponent must be >= 1, got %s" % p)
 
     nodes = []
     weights = []
     tangents = []
-    params = []
     slices = []
     pos = 0
     for k, c in enumerate(domain.curves):
-        z, w, tg, t = _mesh_curve(c, n, p, flip=(k > 0))
+        z, w, tg = _mesh_curve(c, n, flip=(k > 0))
         nodes.append(z)
         weights.append(w)
         tangents.append(tg)
-        params.append(t)
         slices.append((pos, pos + z.size))
         pos += z.size
     return BoundaryMesh(
@@ -136,8 +129,5 @@ def mesh_boundary(domain, n_per_curve, grading_exponent=3.0):
         np.concatenate(nodes),
         np.concatenate(weights),
         np.concatenate(tangents),
-        np.concatenate(params),
         slices,
-        n,
-        p,
     )

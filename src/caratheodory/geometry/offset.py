@@ -19,6 +19,7 @@ from .curves import (
     OffsetArc,
     PiecewiseCurve,
     TrigCurve,
+    _cross,
     _normalized,
 )
 from .domain import Domain
@@ -26,34 +27,13 @@ from .domain import Domain
 _REACH_MARGIN = 0.05  # refuse offsets that eat more than 95% of the reach
 
 
-def _cross(p, q):
-    return np.imag(np.conj(p) * q)
-
-
 def _offset_trig(curve, d):
     """Offset of a smooth curve as a fresh interpolant."""
-    kappa = curve.curvature_samples()
-    if np.min(1.0 + d * kappa) < _REACH_MARGIN:
-        raise GeometryError(
-            "offset %.4g exceeds the reach of the boundary (min 1+d*kappa = %.3g)"
-            % (d, float(np.min(1.0 + d * kappa)))
-        )
     m = int(min(4096, max(8 * curve.samples.size, 512)))
     z = curve.uniform_eval(m, 0)
     v = curve.uniform_eval(m, 1)
     pts = z - 1j * d * v / np.abs(v)
     return TrigCurve(pts)
-
-
-def _segment_reach_check(seg, d):
-    u = np.linspace(0.0, 1.0, 128)
-    v = np.asarray(seg.velocity(u))
-    a = np.asarray(seg.acceleration(u))
-    kappa = np.imag(np.conj(v) * a) / np.abs(v) ** 3
-    if np.min(1.0 + d * kappa) < _REACH_MARGIN:
-        raise GeometryError(
-            "offset %.4g exceeds the reach of a boundary segment" % d
-        )
 
 
 def _trim_pair(arc_a, arc_b, d, corner):
@@ -92,8 +72,6 @@ def _trim_pair(arc_a, arc_b, d, corner):
 def _offset_piecewise(curve, d):
     segs = list(curve.segments)
     n = len(segs)
-    for seg in segs:
-        _segment_reach_check(seg, d)
     offs = [OffsetArc(seg, d) for seg in segs]
 
     # per-junction action: cap (gap opens) or trim (arcs overrun)
@@ -130,6 +108,12 @@ def _offset_piecewise(curve, d):
 
 
 def _offset_curve(curve, d):
+    kappa = curve.curvature_samples()
+    if np.min(1.0 + d * kappa) < _REACH_MARGIN:
+        raise GeometryError(
+            "offset %.4g exceeds the reach of the boundary (min 1+d*kappa = %.3g)"
+            % (d, float(np.min(1.0 + d * kappa)))
+        )
     if isinstance(curve, TrigCurve):
         return _offset_trig(curve, d)
     return _offset_piecewise(curve, d)

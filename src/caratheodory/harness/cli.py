@@ -74,12 +74,7 @@ def _dump(path, header, rows):
 
 def _cmd_metric(args):
     dom = load_domain_file(args.domain)
-    params = {}
-    if args.n:
-        params["n"] = args.n
-    if args.degree:
-        params["degree"] = args.degree
-    ev = evaluator_for(dom, args.method, **params)
+    ev = evaluator_for(dom, args.method, n=args.n, degree=args.degree)
     if args.point:
         for z in args.point:
             print("%.6f" % ev.value(z))
@@ -200,7 +195,7 @@ def _build_parser():
     p.add_argument("--method", default="auto",
                    choices=("auto", "szego", "lp"))
     p.add_argument("--n", type=int)
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=int, default=24)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--spacing", type=float, default=0.2)
     p.add_argument("--out")

@@ -30,6 +30,9 @@ TREND_DISTANCES = (0.08, 0.04, 0.02)
 # 1e-6 level, so "decreasing" is only checked up to this floor
 KAPPA_NOISE = 1e-4
 
+# relative slack verify_submult allows over its bound sqrt(C_hat/4)
+SUBMULT_TOL_REL = 0.02
+
 
 @dataclass
 class PairReport:
@@ -223,14 +226,14 @@ def _kappa_or_nan(ev, pts):
     return out
 
 
-def verify_submult(D1, D2, delta=0.1, spacing=0.12, method="auto",
-                   tol_rel=0.02):
+def verify_submult(D1, D2, delta=0.1, spacing=0.12, method="auto"):
     """Test c_int * c_uni <= sqrt(C_hat/4) * c_1 * c_2 over a pair.
 
     C_hat is the empirical sup of -(kappa_1 + kappa_2) over the
     intersection grid, curvatures estimated on each input domain.  The
     ratio field, its max over every intersection component, and the
-    resulting bound all land in the returned PairReport; points where
+    resulting bound all land in the returned PairReport, which passes
+    within a relative SUBMULT_TOL_REL (2%) of the bound; points where
     any evaluation fails are dropped with a warning and counted.
     """
     comps = boolean_intersect(D1, D2)
@@ -283,7 +286,7 @@ def verify_submult(D1, D2, delta=0.1, spacing=0.12, method="auto",
         max_ratio=max_ratio,
         C_hat=C_hat,
         bound=bound,
-        passed=bool(max_ratio <= bound * (1.0 + tol_rel)),
+        passed=bool(max_ratio <= bound * (1.0 + SUBMULT_TOL_REL)),
         rows=rows,
         dropped=dropped,
     )

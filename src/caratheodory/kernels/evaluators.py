@@ -21,7 +21,7 @@ from ..extremal.lp import ExtremalProblem, lp_caratheodory_lower
 from ..geometry.curves import TrigCurve
 from ..geometry.mesh import mesh_boundary
 from .closed_forms import SectorPullback, annulus_metric, disc_metric
-from .szego import SzegoSolver
+from .szego import CLEARANCE, SzegoSolver, require_clearance
 
 
 class _EvaluatorBase:
@@ -105,9 +105,8 @@ class SzegoEvaluator(_EvaluatorBase):
     _LADDER = (256, 512, 1024, 2048)
     _CAP = 4096
 
-    def __init__(self, domain, n=None, grading_exponent=3.0):
+    def __init__(self, domain, n=None):
         super().__init__(domain)
-        self.grading_exponent = float(grading_exponent)
         self.n_override = int(n) if n else None
         # corners, and even mere curvature jumps at C1 joins, cost the
         # Nystrom solve its spectral rate; ask only 1e-5 agreement there
@@ -119,8 +118,7 @@ class SzegoEvaluator(_EvaluatorBase):
 
     def _mesh(self, n):
         if n not in self._meshes:
-            self._meshes[n] = mesh_boundary(self.domain, n,
-                                            self.grading_exponent)
+            self._meshes[n] = mesh_boundary(self.domain, n)
         return self._meshes[n]
 
     def _solver(self, n):
@@ -132,25 +130,23 @@ class SzegoEvaluator(_EvaluatorBase):
         if self.n_override:
             return self.n_override
         for n in self._LADDER:
-            if 3.0 * self._mesh(n).h_max < dist:
+            if CLEARANCE * self._mesh(n).h_max < dist:
                 return n
         return self._LADDER[-1]
 
     def _guarded_n(self, zs):
-        """The batch's coarse node count; every point must keep 3 node
-        spacings of clearance on it."""
-        dists = np.array([self.domain.dist_to_boundary(z) for z in zs])
-        n1 = self._pick_n(float(np.min(dists)))
-        guard = 3.0 * self._mesh(n1).h_max
+        """The batch's coarse node count; every point must keep CLEARANCE
+        node spacings on its mesh."""
+        dists = [self.domain.dist_to_boundary(z) for z in zs]
+        n1 = self._pick_n(min(dists))
         for z, d in zip(zs, dists):
-            if d <= guard:
-                raise GeometryError(
-                    "point %s is %.3g from the boundary, need > %.3g "
-                    "at n=%d" % (z, d, guard, n1))
+            require_clearance(self._mesh(n1), z, d)
         return n1
 
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex).ravel()
+        if zs.size == 0:
+            return np.empty(0)
         n1 = self._guarded_n(zs)
         while True:
             n2 = min(2 * n1, self._CAP)
@@ -216,21 +212,19 @@ class LPEvaluator(_EvaluatorBase):
         return np.array([self.certificate(z).certified_value for z in zs])
 
 
-def evaluator_for(domain, method="auto", **params):
+def evaluator_for(domain, method="auto", n=None, degree=24):
     """Route a domain to its metric authority.
 
     auto: tagged discs and two-disc lenses and unions get their closed
     forms; every other domain, smooth or cornered (boolean results,
     offsets, annuli), gets the Szego solver, which grades its mesh at
     corners and climbs its mesh ladder where the doubling check asks for
-    it.  The LP is never picked here: method="lp" asks for certificates,
-    and method="szego" forces the solver even where a closed form exists.
+    it.  The LP is never picked here: method="lp" asks for certificates
+    of the given basis degree, and method="szego" forces the solver even
+    where a closed form exists.  n pins the solver's coarse node count.
     """
     if method == "lp":
-        return LPEvaluator(domain,
-                           degree=params.get("degree", 24),
-                           samples_per_curve=params.get("samples_per_curve", 512),
-                           angle_count=params.get("angle_count", 64))
+        return LPEvaluator(domain, degree=degree)
     if method not in ("auto", "szego"):
         raise GeometryError("unknown method %r" % (method,))
     tag = domain.primitive[0] if domain.primitive else None
@@ -238,5 +232,4 @@ def evaluator_for(domain, method="auto", **params):
         return ClosedFormDiscEvaluator(domain)
     if method == "auto" and tag in ("lens", "two_disc_union"):
         return SectorPullbackEvaluator(domain)
-    return SzegoEvaluator(domain, n=params.get("n"),
-                          grading_exponent=params.get("grading_exponent", 3.0))
+    return SzegoEvaluator(domain, n=n)

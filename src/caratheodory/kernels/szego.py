@@ -29,6 +29,21 @@ from ..errors import GeometryError, SolveError
 
 _TWO_PI_I = 2j * np.pi
 
+# node spacings (h_max) of clearance every base and evaluation point keeps
+# from the boundary; closer in, the near-singular Cauchy data poisons the
+# quadrature
+CLEARANCE = 3.0
+
+
+def require_clearance(mesh, z, d):
+    """Raise GeometryError unless z, at distance d from the boundary,
+    keeps CLEARANCE node spacings of the mesh."""
+    if d <= CLEARANCE * mesh.h_max:
+        raise GeometryError(
+            "point %s is too close to the boundary: distance %.3g, need > %g "
+            "node spacings (%.3g) of the %d-node mesh"
+            % (complex(z), d, CLEARANCE, CLEARANCE * mesh.h_max, mesh.size))
+
 
 class KernelSolution:
     """Boundary data of S(., a) for one interior base point.
@@ -98,16 +113,10 @@ class SzegoSolver:
 def solve_szego(mesh, a):
     """Boundary Szego values S(w_j, a) and diagonal S(a,a) on one mesh.
 
-    The base point must keep 3 node spacings of clearance from the
-    boundary, otherwise the near-singular rhs poisons the quadrature.
+    The base point must keep CLEARANCE node spacings from the boundary.
     """
     a = complex(a)
-    d = mesh.owner.dist_to_boundary(a)
-    if d <= 3.0 * mesh.h_max:
-        raise GeometryError(
-            "base point %.6g+%.6gi is %.3g from the boundary; need > 3 "
-            "node spacings (%.3g)" % (a.real, a.imag, d, 3.0 * mesh.h_max)
-        )
+    require_clearance(mesh, a, mesh.owner.dist_to_boundary(a))
     return SzegoSolver(mesh).solve(a)
 
 
@@ -143,9 +152,7 @@ def ahlfors_eval(sol, z):
         raise GeometryError(
             "evaluation point is too close to the base point %s" % a
         )
-    d = mesh.owner.dist_to_boundary(z)
-    if d <= 3.0 * mesh.h_max:
-        raise GeometryError("evaluation point too close to the boundary")
+    require_clearance(mesh, z, mesh.owner.dist_to_boundary(z))
 
     s_bnd = sol.szego_boundary
     l_bnd = garabedian_boundary(sol)

@@ -54,6 +54,13 @@ def test_method_argument_forces_a_backend():
         AnnulusPoincareEvaluator(unit_disc())
 
 
+def test_evaluator_for_refuses_keywords_it_does_not_take():
+    # the grading exponent is a mesh constant, no longer a keyword that
+    # routing silently dropped on its way to a closed form
+    with pytest.raises(TypeError):
+        evaluator_for(disc(), grading_exponent=2.0)
+
+
 def test_annulus_poincare_evaluator_wraps_the_closed_form():
     ev = AnnulusPoincareEvaluator(annulus(0.49, 1.01))
     want = poincare_annulus(0.49 / 1.01, 0.7 / 1.01) / 1.01
@@ -67,6 +74,10 @@ def test_value_and_values_agree_and_are_positive():
         singles = np.array([ev.value(p) for p in pts])
         assert np.array_equal(batch, singles)
         assert np.all(batch > 0)
+
+
+def test_szego_evaluator_takes_an_empty_batch():
+    assert SzegoEvaluator(ellipse()).values([]).size == 0
 
 
 def test_szego_evaluator_rejects_points_hugging_the_boundary():

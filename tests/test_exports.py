@@ -5,7 +5,8 @@ import importlib
 import pytest
 
 import caratheodory
-from caratheodory import curvature, geometry, kernels
+from caratheodory import curvature, extremal, geometry, kernels
+from caratheodory.extremal import lp
 from caratheodory.geometry import domain, sampling
 from caratheodory.kernels import szego
 
@@ -26,9 +27,13 @@ def test_every_exported_name_resolves(name):
 
 
 def test_duplicate_policies_are_gone():
-    # SzegoEvaluator owns the doubling check, curvature_at the stencil and
-    # Domain.dist_to_boundary the boundary distance
+    # SzegoEvaluator owns the doubling check, curvature_at the stencil,
+    # Domain.dist_to_boundary the boundary distance and LPEvaluator.values
+    # the LP field
     retired = (
+        (caratheodory, ("lp_metric_field",)),
+        (extremal, ("lp_metric_field",)),
+        (lp, ("lp_metric_field",)),
         (caratheodory, ("caratheodory_szego", "dist_to_boundary", "domain_contains")),
         (kernels, ("caratheodory_szego",)),
         (szego, ("caratheodory_szego",)),

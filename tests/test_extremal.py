@@ -7,10 +7,11 @@ import pytest
 
 from caratheodory.errors import GeometryError
 from caratheodory.geometry import Domain, TrigCurve, boolean_intersect, boolean_union
-from caratheodory.kernels import SzegoEvaluator, disc_metric
+from caratheodory.kernels import LPEvaluator, SzegoEvaluator, disc_metric
 from caratheodory.kernels.closed_forms import SectorPullback
-from caratheodory.extremal import ExtremalProblem, choose_poles, lp_caratheodory_lower, lp_metric_field
+from caratheodory.extremal import ExtremalProblem, choose_poles, lp_caratheodory_lower
 from caratheodory.harness import annulus, disc, ellipse, fourier_blob, two_disc_pair, unit_disc
+from caratheodory.harness.reports import _values_or_nan
 
 
 def _circle(center, radius, n=128):
@@ -107,7 +108,7 @@ def test_certified_values_rise_with_degree_on_the_annulus():
 def test_lens_field_dominates_the_circumscribed_disc():
     lens = boolean_intersect(*two_disc_pair("symmetric"))[0]
     pts = 1j * np.linspace(0.0, 0.6, 10)
-    vals = lp_metric_field(lens, pts, degree=12, samples_per_curve=256)
+    vals = LPEvaluator(lens, degree=12, samples_per_curve=256).values(pts)
     pull = SectorPullback((-0.5, 1.0), (0.5, 1.0), "intersection")
     r_circ = np.sqrt(3.0) / 2.0
     for z, v in zip(pts, vals):
@@ -118,7 +119,7 @@ def test_lens_field_dominates_the_circumscribed_disc():
 def test_union_field_marches_up_toward_the_crossing_point():
     uni = boolean_union(*two_disc_pair("symmetric"))
     pts = 1j * np.linspace(0.0, 0.75, 10)
-    vals = lp_metric_field(uni, pts, degree=12, samples_per_curve=256)
+    vals = LPEvaluator(uni, degree=12, samples_per_curve=256).values(pts)
     want = [0.8317, 0.8378, 0.8570, 0.8905, 0.9407,
             1.0118, 1.1118, 1.2483, 1.4339, 1.6907]
     assert np.allclose(vals, want, atol=6e-5)
@@ -128,13 +129,13 @@ def test_union_field_marches_up_toward_the_crossing_point():
 
 
 def test_field_reports_nan_where_the_certificate_fails(caplog):
-    with caplog.at_level(logging.WARNING, logger="caratheodory.extremal.lp"):
-        vals = lp_metric_field(unit_disc(), np.array([0.5, 2.5]),
-                               degree=5, samples_per_curve=128, angle_count=16)
+    # the harness's nan guard is the one place failed points become nan
+    ev = LPEvaluator(unit_disc(), degree=5, samples_per_curve=128, angle_count=16)
+    with caplog.at_level(logging.WARNING, logger="caratheodory.harness.reports"):
+        vals = _values_or_nan(ev, np.array([0.5, 2.5]))
     assert np.isfinite(vals[0]) and vals[0] > 0
     assert np.isnan(vals[1])
-    assert "certificate failed at" in caplog.text
-    assert "1 of 2 grid points failed" in caplog.text
+    assert "dropping 2.5 from 'lp'" in caplog.text
 
 
 def test_blob_certificate_stays_under_the_solver_value():

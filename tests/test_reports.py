@@ -10,6 +10,7 @@ from caratheodory.errors import GeometryError
 from caratheodory.geometry import boolean_intersect
 from caratheodory.harness import (
     annulus,
+    blob_disc_pair,
     converge_thickening,
     disc,
     ellipse,
@@ -124,6 +125,13 @@ def test_submult_on_nested_discs():
 def test_submult_needs_an_overlap():
     with pytest.raises(GeometryError, match="do not intersect"):
         verify_submult(disc(-3.0, 1.0), disc(3.0, 1.0))
+
+
+def test_submult_with_an_empty_intersection_grid():
+    # spacing 3 leaves no lattice point in the blob-disc intersection; the
+    # empty batch must reach the suite's own error, not a numpy one
+    with pytest.raises(GeometryError, match="every grid point failed"):
+        verify_submult(*blob_disc_pair(), spacing=3.0)
 
 
 # -- thickening convergence ----------------------------------------------

@@ -35,8 +35,6 @@ def test_mesh_size_validation():
     for bad in (8, 30, 33):
         with pytest.raises(GeometryError, match="even and at least 32"):
             mesh_boundary(unit_disc(), bad)
-    with pytest.raises(GeometryError, match="grading exponent"):
-        mesh_boundary(unit_disc(), 64, grading_exponent=0.5)
 
 
 def test_ellipse_weights_converge_spectrally():

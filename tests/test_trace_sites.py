@@ -1,0 +1,56 @@
+"""The benchmark's trace sites exist and are looked up at call time.
+
+``perfbench/spans.py`` wraps functions and methods of the package where
+the program looks them up by name (``mesh_boundary`` in both
+``kernels.evaluators`` and ``extremal.lp``, each evaluator's own
+``values``, ``reports._values_or_nan``, ...).  Deleting or renaming one of
+them breaks the traced benchmark, so this checks the sites from the test
+suite.  Nothing under ``perfbench/`` is changed.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import spans  # noqa: E402
+from caratheodory.harness import unit_disc  # noqa: E402
+from caratheodory.kernels import LPEvaluator, SzegoEvaluator  # noqa: E402
+
+
+def _current(owner, attr):
+    # a class site must be the class's own attribute, as Tracer.install reads it
+    if isinstance(owner, type):
+        return vars(owner).get(attr)
+    return getattr(owner, attr, None)
+
+
+def test_every_trace_site_resolves():
+    missing = [(owner, attr) for owner, attr, *_ in spans.PATCHES
+               if _current(owner, attr) is None]
+    assert missing == []
+
+
+def test_tracer_install_and_uninstall_restore_every_site():
+    before = [_current(o, a) for o, a, *_ in spans.PATCHES]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        during = [_current(o, a) for o, a, *_ in spans.PATCHES]
+        assert all(d is not b for d, b in zip(during, before))
+        # the program reaches the wrapped names, so the spans appear
+        SzegoEvaluator(unit_disc()).value(0.2)
+        LPEvaluator(unit_disc(), degree=3, samples_per_curve=64,
+                    angle_count=16).value(0.2)
+    finally:
+        tracer.uninstall()
+    after = [_current(o, a) for o, a, *_ in spans.PATCHES]
+    assert all(x is y for x, y in zip(after, before))
+    seen = {s.name for s in tracer.spans}
+    assert {spans.MESH, spans.ASSEMBLY, spans.FACTOR, spans.SOLVE, spans.VALUES,
+            spans.PROBLEM, spans.CERTIFICATE, spans.HIGHS} <= seen
+    # mesh_boundary is reached through both of its wrapped names
+    by_id = {s.id: s for s in tracer.spans}
+    mesh_parents = {by_id[s.parent].name for s in tracer.spans
+                    if s.name == spans.MESH}
+    assert {spans.VALUES, spans.PROBLEM} <= mesh_parents
