@@ -4,10 +4,10 @@ All curves are stored counterclockwise.  A point is inside the domain when
 it is inside the outer curve and outside every hole.  Containment uses the
 winding number of a fine cached polyline.  ``Domain.dist_to_boundary`` is
 the package's one boundary-distance code: it polishes the nearest node of
-that polyline with a bounded scalar minimization, and grid clearance,
-stencil guards and solver clearance guards all call it.  Each domain
-remembers the distances it has computed: a grid point is asked again
-for its curvature step and as the centre of its stencil batch.
+that polyline with a bounded scalar minimization, and grid clearance
+and solver clearance guards call it.  Each domain remembers the
+distances it has computed: a grid point is asked again when the solver
+picks its mesh.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Subcommands and their CSV columns:
 
   metric            re,im,value            (or plain values with --point)
-  curvature         re,im,kappa,kappa_refined
+  curvature         re,im,kappa
   suita             summary text only
   solynin           re,im,ratio
   submult           re,im,c_int,c_uni,c_d1,c_d2,ratio  (+ --svg heatmap)
@@ -89,12 +89,10 @@ def _cmd_metric(args):
 def _cmd_curvature(args):
     dom = load_domain_file(args.domain)
     ev = evaluator_for(dom, args.method)
-    scan = scan_curvature(dom, ev, args.delta, args.spacing or args.delta,
-                          h=args.h)
-    _dump(args.out, ("re", "im", "kappa", "kappa_refined"),
-          [(e.point.real, e.point.imag, e.kappa, e.kappa_refined)
-           for e in scan.estimates])
-    print("kappa_refined in [%.6f, %.6f] over %d points"
+    scan = scan_curvature(dom, ev, args.delta, args.spacing or args.delta)
+    _dump(args.out, ("re", "im", "kappa"),
+          [(e.point.real, e.point.imag, e.kappa) for e in scan.estimates])
+    print("kappa in [%.6f, %.6f] over %d points"
           % (scan.kappa_min, scan.kappa_max, len(scan.estimates)))
     return 0
 
@@ -103,7 +101,7 @@ def _cmd_suita(args):
     dom = load_domain_file(args.domain)
     rep = verify_suita(dom, delta=args.delta, tol=args.tol,
                        spacing=args.spacing)
-    print("kappa_refined in [%.6f, %.6f], bound -4 + %g: %s"
+    print("kappa in [%.6f, %.6f], bound -4 + %g: %s"
           % (rep.kappa_min, rep.kappa_max, rep.tol,
              "pass" if rep.passed else "FAIL"))
     for d, v in zip(rep.trend_distances, rep.trend_values):
@@ -195,7 +193,7 @@ def _build_parser():
     p.add_argument("--method", default="auto",
                    choices=("auto", "szego", "lp"))
     p.add_argument("--n", type=int)
-    p.add_argument("--degree", type=int, default=24)
+    p.add_argument("--degree", type=int)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--spacing", type=float, default=0.2)
     p.add_argument("--out")
@@ -207,7 +205,6 @@ def _build_parser():
                    choices=("auto", "szego", "lp"))
     p.add_argument("--delta", type=float, default=0.15)
     p.add_argument("--spacing", type=float)
-    p.add_argument("--h", type=float)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_curvature)
 

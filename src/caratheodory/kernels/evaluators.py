@@ -1,15 +1,16 @@
 """Uniform metric evaluation front-end.
 
-Every evaluator exposes value(z) -> float and values(zs) -> array for one
-fixed domain, so curvature stencils and harness sweeps don't care which
-authority (closed form, Szego solve, LP certificate) produced the number.
+Every evaluator exposes value(z) -> float, values(zs) -> array and
+curvatures(zs) -> array for one fixed domain, so curvature scans and
+harness sweeps don't care which authority (closed form, Szego solve, LP
+certificate) produced the number.
 
 Batch calls on the Szego evaluator share a single mesh pair chosen from
-the shallowest point of the batch.  That matters for finite differences:
-the solver error is a smooth function of the base point on a FIXED mesh
-and cancels in the stencil, while re-picking the mesh per point would
-inject O(tol/h^2) noise into curvature estimates.  For the same reason a
-doubling failure at any point moves the whole batch up the ladder.
+the shallowest point of the batch, and a doubling failure at any point
+moves the whole batch up the ladder.  Curvature no longer needs that
+sharing (it comes from the kernel's derivative, not from differences of
+values); the pair stays because settling each point on its own pair
+would move values.
 """
 
 from __future__ import annotations
@@ -40,7 +41,14 @@ class _EvaluatorBase:
         return "%s(%s)" % (type(self).__name__, self.domain.label)
 
 
-class ClosedFormDiscEvaluator(_EvaluatorBase):
+class _ClosedFormEvaluator(_EvaluatorBase):
+    """Closed-form densities, all normalized to curvature -4."""
+
+    def curvatures(self, zs):
+        return np.full_like(self.values(zs), -4.0)
+
+
+class ClosedFormDiscEvaluator(_ClosedFormEvaluator):
     kind = "closed_form_disc"
 
     def __init__(self, domain):
@@ -53,7 +61,7 @@ class ClosedFormDiscEvaluator(_EvaluatorBase):
         return np.atleast_1d(disc_metric(self.center, self.radius, zs))
 
 
-class AnnulusPoincareEvaluator(_EvaluatorBase):
+class AnnulusPoincareEvaluator(_ClosedFormEvaluator):
     kind = "closed_form_annulus_poincare"
 
     def __init__(self, domain):
@@ -67,7 +75,7 @@ class AnnulusPoincareEvaluator(_EvaluatorBase):
             annulus_metric(self.center, self.r_inner, self.r_outer, zs))
 
 
-class SectorPullbackEvaluator(_EvaluatorBase):
+class SectorPullbackEvaluator(_ClosedFormEvaluator):
     """Poincare density of a two-disc intersection or union via the
     Mobius map sending the circle crossings to 0 and infinity."""
 
@@ -143,10 +151,11 @@ class SzegoEvaluator(_EvaluatorBase):
             require_clearance(self._mesh(n1), z, d)
         return n1
 
-    def values(self, zs):
+    def _settle(self, zs):
+        """The finer node count of the batch's mesh pair, and its values."""
         zs = np.asarray(zs, dtype=complex).ravel()
         if zs.size == 0:
-            return np.empty(0)
+            return None, np.empty(0)
         n1 = self._guarded_n(zs)
         while True:
             n2 = min(2 * n1, self._CAP)
@@ -162,12 +171,21 @@ class SzegoEvaluator(_EvaluatorBase):
                     self._value_cache[key] = v2
                 out[i] = self._value_cache[key]
             else:
-                return out
+                return n2, out
             if self.n_override or 2 * n2 > self._CAP:
                 raise SolveError(
                     "szego value did not settle at %s: n=%d vs %d changed "
                     "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
             n1 = n2
+
+    def values(self, zs):
+        return self._settle(zs)[1]
+
+    def curvatures(self, zs):
+        """SzegoSolver.kappa on the finer mesh that settles the values."""
+        zs = np.asarray(zs, dtype=complex).ravel()
+        n2, _ = self._settle(zs)
+        return np.array([self._solver(n2).kappa(z) for z in zs])
 
     def solution(self, a):
         """Kernel solution at the base point on the finer mesh of its
@@ -184,8 +202,7 @@ class LPEvaluator(_EvaluatorBase):
     sit ~0.1-0.5% below the truth (polyhedral deflation plus the sup
     rescale); on cornered ones they can fall far lower, e.g. 1.343502
     against the Szego 1.468978 (8.5% low) on the blob-disc union at 1+0j.
-    Curvature assertions treat this kind more loosely than the
-    solver-backed ones.
+    A lower bound has no curvature, so curvatures raises.
     """
 
     kind = "lp"
@@ -211,8 +228,12 @@ class LPEvaluator(_EvaluatorBase):
         zs = np.asarray(zs, dtype=complex).ravel()
         return np.array([self.certificate(z).certified_value for z in zs])
 
+    def curvatures(self, zs):
+        raise GeometryError(
+            "LP certificates are lower bounds and carry no curvature")
 
-def evaluator_for(domain, method="auto", n=None, degree=24):
+
+def evaluator_for(domain, method="auto", n=None, degree=None):
     """Route a domain to its metric authority.
 
     auto: tagged discs and two-disc lenses and unions get their closed
@@ -220,16 +241,24 @@ def evaluator_for(domain, method="auto", n=None, degree=24):
     offsets, annuli), gets the Szego solver, which grades its mesh at
     corners and climbs its mesh ladder where the doubling check asks for
     it.  The LP is never picked here: method="lp" asks for certificates
-    of the given basis degree, and method="szego" forces the solver even
-    where a closed form exists.  n pins the solver's coarse node count.
+    (of basis degree 24 unless degree is given), and method="szego"
+    forces the solver even where a closed form exists.  n pins the
+    solver's coarse node count; n for any other evaluator, or degree for
+    any but the LP, raises GeometryError.
     """
-    if method == "lp":
-        return LPEvaluator(domain, degree=degree)
-    if method not in ("auto", "szego"):
+    if method not in ("auto", "szego", "lp"):
         raise GeometryError("unknown method %r" % (method,))
     tag = domain.primitive[0] if domain.primitive else None
-    if method == "auto" and tag == "disc":
-        return ClosedFormDiscEvaluator(domain)
-    if method == "auto" and tag in ("lens", "two_disc_union"):
-        return SectorPullbackEvaluator(domain)
-    return SzegoEvaluator(domain, n=n)
+    if method == "lp":
+        ev = LPEvaluator(domain) if degree is None else LPEvaluator(domain, degree)
+    elif method == "auto" and tag == "disc":
+        ev = ClosedFormDiscEvaluator(domain)
+    elif method == "auto" and tag in ("lens", "two_disc_union"):
+        ev = SectorPullbackEvaluator(domain)
+    else:
+        ev = SzegoEvaluator(domain, n=n)
+    for opt, value, kind in (("n", n, "szego"), ("degree", degree, "lp")):
+        if value is not None and ev.kind != kind:
+            raise GeometryError("%s is not an option of the %s evaluator"
+                                % (opt, ev.kind))
+    return ev

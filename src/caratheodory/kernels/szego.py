@@ -109,6 +109,23 @@ class SzegoSolver:
             raise SolveError("solver returned a nonpositive diagonal value")
         return KernelSolution(a, m, nu / self._sw, diag)
 
+    def kappa(self, a):
+        """Gaussian curvature -Delta log s / (2 pi s)^2 at a of the metric
+        c = 2 pi s, s = S(a, a) = |nu|^2.
+
+        mu, the a-bar derivative of nu, solves the same system for the
+        a-bar derivative of the rhs: Delta log s = 4 (s |mu|^2 -
+        |<nu, mu>|^2) / s^2.
+        """
+        a = complex(a)
+        m = self.mesh
+        sol = self.solve(a)
+        nu, s = sol.szego_boundary * self._sw, sol.diag_value
+        rhs = self._sw * np.conj(m.tangents / (_TWO_PI_I * (m.nodes - a) ** 2))
+        mu = lu_solve(self._lu, rhs)
+        lap = 4.0 * (s * np.vdot(mu, mu).real - abs(np.vdot(nu, mu)) ** 2) / s**2
+        return float(-lap / (2.0 * np.pi * s) ** 2)
+
 
 def solve_szego(mesh, a):
     """Boundary Szego values S(w_j, a) and diagonal S(a,a) on one mesh.

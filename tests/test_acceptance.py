@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 
-from caratheodory.curvature import curvature_at
 from caratheodory.geometry import boolean_intersect, mesh_boundary
 from caratheodory.harness import (
     annulus,
@@ -36,6 +35,7 @@ from caratheodory.kernels import (
     evaluator_for,
 )
 from caratheodory.kernels.szego import SzegoSolver, kerzman_stein_matrix
+from curvature_reference import fd_kappa
 
 
 def _gate(label, failures):
@@ -74,18 +74,18 @@ def test_01_disc_sweep_hits_the_exact_metric_with_both_backends():
 
 
 def test_02_gaussian_curvature_is_minus_four():
-    # the refined stencil on the exact densities: -4 to 1e-4 on the
-    # disc, 2e-3 on the annulus hyperbolic form
+    # the refined FD reference on the exact densities: -4 to 1e-4 on
+    # the disc, 2e-3 on the annulus hyperbolic form
     k = 20
     spin = np.exp(2j * np.pi * np.arange(k) / k)
     failures = []
     disc_ev = evaluator_for(unit_disc())
-    worst = max(abs(curvature_at(disc_ev, z).kappa_refined + 4.0)
+    worst = max(abs(fd_kappa(disc_ev, z)[1] + 4.0)
                 for z in np.linspace(0.0, 0.8, k) * spin)
     if worst > 1e-4:
         failures.append("disc stencil off by %.3g > 1e-4" % worst)
     ann_ev = AnnulusPoincareEvaluator(annulus())
-    worst_a = max(abs(curvature_at(ann_ev, z).kappa_refined + 4.0)
+    worst_a = max(abs(fd_kappa(ann_ev, z)[1] + 4.0)
                   for z in np.linspace(0.56, 0.94, k) * spin)
     if worst_a > 2e-3:
         failures.append("annulus stencil off by %.3g > 2e-3" % worst_a)

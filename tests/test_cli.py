@@ -35,6 +35,13 @@ def test_metric_with_the_lp_backend(capsys):
     assert capsys.readouterr().out == "0.998777\n"
 
 
+def test_metric_refuses_an_option_its_backend_does_not_use(capsys):
+    rc = run_cli(["metric", "--domain", _fx("ellipse.json"), "--point", "0",
+                  "--method", "szego", "--degree", "5"])
+    assert rc == 1
+    assert "degree is not an option" in capsys.readouterr().err
+
+
 def test_metric_grid_csv_is_byte_stable(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):
@@ -56,9 +63,9 @@ def test_curvature_scan_summary(capsys, tmp_path):
                   "--delta", "0.2", "--spacing", "0.5", "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert text.startswith("kappa_refined in [")
+    assert text.startswith("kappa in [")
     assert "over 9 points" in text
-    assert out.read_text().splitlines()[0] == "re,im,kappa,kappa_refined"
+    assert out.read_text().splitlines()[0] == "re,im,kappa"
 
 
 def test_suita_run_passes_on_the_ellipse(capsys):

@@ -61,6 +61,19 @@ def test_evaluator_for_refuses_keywords_it_does_not_take():
         evaluator_for(disc(), grading_exponent=2.0)
 
 
+def test_evaluator_for_refuses_an_option_its_backend_does_not_use():
+    # n pins the Szego mesh and degree the LP basis; neither is dropped
+    # on its way to another backend
+    with pytest.raises(GeometryError, match="n is not an option of the lp"):
+        evaluator_for(ellipse(), method="lp", n=64)
+    with pytest.raises(GeometryError, match="n is not an option of the closed"):
+        evaluator_for(disc(), n=64)
+    with pytest.raises(GeometryError, match="degree is not an option of the szego"):
+        evaluator_for(ellipse(), method="szego", degree=3)
+    assert evaluator_for(ellipse(), n=64).n_override == 64
+    assert evaluator_for(ellipse(), method="lp").degree == 24
+
+
 def test_annulus_poincare_evaluator_wraps_the_closed_form():
     ev = AnnulusPoincareEvaluator(annulus(0.49, 1.01))
     want = poincare_annulus(0.49 / 1.01, 0.7 / 1.01) / 1.01

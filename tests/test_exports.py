@@ -27,9 +27,9 @@ def test_every_exported_name_resolves(name):
 
 
 def test_duplicate_policies_are_gone():
-    # SzegoEvaluator owns the doubling check, curvature_at the stencil,
-    # Domain.dist_to_boundary the boundary distance and LPEvaluator.values
-    # the LP field
+    # SzegoEvaluator owns the doubling check, each evaluator its curvature
+    # (no finite-difference stencil), Domain.dist_to_boundary the boundary
+    # distance and LPEvaluator.values the LP field
     retired = (
         (caratheodory, ("lp_metric_field",)),
         (extremal, ("lp_metric_field",)),
@@ -41,7 +41,8 @@ def test_duplicate_policies_are_gone():
         (domain, ("dist_to_boundary", "domain_contains")),
         (domain.Domain, ("interior_point",)),
         (sampling, ("boundary_dist_many", "_dist_to_polyline", "_POLY_M")),
-        (curvature, ("_stencil_logs",)),
+        (curvature, ("_stencil_logs", "_stencil", "default_step",
+                     "log_metric_laplacian")),
     )
     for owner, names in retired:
         for name in names:

@@ -22,13 +22,10 @@ from caratheodory.harness import (
     verify_submult,
     verify_suita,
 )
+from caratheodory.geometry import grid_sample
 from caratheodory.harness.reports import write_csv
-
-
-def _hardy_series(q, a):
-    # bilateral series for the metric of q < |z| < 1 at a real point a
-    n = np.arange(-60, 61)
-    return float(np.sum(a ** (2 * n) / (1.0 + q ** (2 * n + 1))))
+from caratheodory.kernels import LPEvaluator, evaluator_for
+from curvature_reference import annulus_kappa, annulus_series
 
 
 # -- suita ---------------------------------------------------------------
@@ -38,26 +35,35 @@ def test_suita_bound_on_the_ellipse():
     assert rep.passed and rep.trend_ok
     assert rep.tol == 1e-3
     assert rep.domain_label == "ellipse a=2 b=1"
-    assert rep.kappa_min == pytest.approx(-4.0, abs=1e-7)
-    assert rep.kappa_max == pytest.approx(-3.99999908, abs=1e-7)
+    # simply connected, so kappa is -4 exactly (Suita); what is left is
+    # rounding
+    assert rep.kappa_min == pytest.approx(-4.0, abs=1e-9)
+    assert rep.kappa_max == pytest.approx(-4.0, abs=1e-9)
     assert rep.trend_distances == (0.08, 0.04, 0.02)
-    assert np.allclose(rep.trend_values, (1.79e-06, 1.93e-06, 2.01e-06), rtol=0.02)
+    assert max(rep.trend_values) <= 1e-9
 
 
 def test_suita_bound_on_the_blob():
     rep = verify_suita(fourier_blob(), 0.15, spacing=0.25)
     assert rep.passed and rep.trend_ok
-    assert rep.kappa_min == pytest.approx(-4.0, abs=1e-7)
-    assert rep.kappa_max == pytest.approx(-3.99999912, abs=1e-7)
-    assert np.allclose(rep.trend_values, (1.62e-06, 1.72e-06, 1.78e-06), rtol=0.02)
+    # simply connected, so kappa is -4 exactly (Suita)
+    assert rep.kappa_min == pytest.approx(-4.0, abs=1e-9)
+    assert rep.kappa_max == pytest.approx(-4.0, abs=1e-9)
+    assert max(rep.trend_values) <= 1e-9
 
 
 def test_suita_bound_on_the_annulus():
     rep = verify_suita(annulus(), 0.12, spacing=0.15)
     assert rep.passed and rep.trend_ok
-    assert rep.kappa_min == pytest.approx(-4.00003676, abs=1e-7)
-    assert rep.kappa_max == pytest.approx(-4.00000364, abs=1e-7)
-    assert np.allclose(rep.trend_values, (1.05e-06, 1.93e-06, 2.04e-06), rtol=0.02)
+    # exact values from the series of the annulus metric, radial in |z|:
+    # kappa in [-4.0000373544, -4.0000044384] on the grid, and the trend
+    # points 1 - d give |kappa + 4| = 7.77e-7, 4.80e-8, 2.93e-9, falling
+    grid = grid_sample(annulus(), 0.12, 0.15)
+    exact = [annulus_kappa(0.5, abs(z)) for z in grid]
+    assert rep.kappa_min == pytest.approx(min(exact), abs=1e-10)
+    assert rep.kappa_max == pytest.approx(max(exact), abs=1e-10)
+    trend = [abs(annulus_kappa(0.5, 1.0 - d) + 4.0) for d in rep.trend_distances]
+    assert np.allclose(rep.trend_values, trend, rtol=0, atol=1e-10)
 
 
 def test_suita_rejects_cornered_domains():
@@ -122,6 +128,18 @@ def test_submult_on_nested_discs():
     assert rep.C_hat == pytest.approx(8.0, abs=1e-4)
 
 
+def test_submult_with_lp_takes_curvature_from_the_domains(monkeypatch):
+    # certificates carry no curvature, so C_hat comes from each disc's
+    # closed form, where kappa is -4 exactly: C_hat = 8.  The LP values
+    # are stood in by the closed forms, so no HiGHS run is needed.
+    monkeypatch.setattr(LPEvaluator, "values",
+                        lambda self, zs: evaluator_for(self.domain).values(zs))
+    rep = verify_submult(*two_disc_pair("symmetric"), spacing=1.0,
+                         method="lp")
+    assert rep.dropped == 0
+    assert rep.C_hat == pytest.approx(8.0, abs=1e-12)
+
+
 def test_submult_needs_an_overlap():
     with pytest.raises(GeometryError, match="do not intersect"):
         verify_submult(disc(-3.0, 1.0), disc(3.0, 1.0))
@@ -177,7 +195,7 @@ def test_annulus_thickening_tracks_the_series(annulus_thickening):
     assert rep.limit_value == pytest.approx(3.240787521, abs=1e-8)
     for e, v in zip(rep.eps_list, rep.values):
         q, r = 0.5 - e, 1.0 + e
-        want = _hardy_series(q / r, 0.7 / r) / r
+        want = annulus_series(q / r, 0.7 / r)[0] / r
         assert v == pytest.approx(want, rel=1e-6)
     gaps = [(rep.limit_value - v) / rep.limit_value for v in rep.values]
     assert gaps[0] > gaps[1] > gaps[2] > gaps[3] > 0
