@@ -100,13 +100,15 @@ class SectorPullbackEvaluator(_ClosedFormEvaluator):
 class SzegoEvaluator(_EvaluatorBase):
     """Caratheodory metric 2*pi*S(a,a) from the Kerzman-Stein solve.
 
-    Meshes and LU factorizations are cached per node count, and each
-    value is accepted only after a mesh-doubling agreement check
-    (1e-8 relative on smooth boundaries, 1e-5 with corners) between the
-    batch's mesh pair (n, 2n).  When any point fails it, the whole batch
-    climbs one rung to (2n, 4n) and is evaluated again, up to a finer
-    mesh of _CAP nodes per curve; SolveError is raised only when the
-    check fails there, or at once when the caller pinned n.
+    Meshes and their solvers are cached per node count (a solver turns
+    from GMRES to one LU factorization once its mesh has served enough
+    solves), and each value is accepted only after a mesh-doubling
+    agreement check (1e-8 relative on smooth boundaries, 1e-5 with
+    corners) between the batch's mesh pair (n, 2n).  When any point
+    fails it, the whole batch climbs one rung to (2n, 4n) and is
+    evaluated again, up to a finer mesh of _CAP nodes per curve;
+    SolveError is raised only when the check fails there, or at once
+    when the caller pinned n.
     """
 
     kind = "szego"

@@ -11,6 +11,12 @@ and I + A is normal, so even the metric diagonal is blind to it); it is
 pinned here by the reproducing property of the computed boundary values
 on non-circular curves.
 
+I + B is normal with its spectrum on Re z = 1, the ideal case for GMRES
+(Kerzman and Trummer iterate this very equation; GMRES is Saad and
+Schultz's).  A mesh that serves a few base points is solved by GMRES;
+one that serves many is LU-factored once, when its GMRES products have
+cost as much as the factorization (see SzegoSolver).
+
 Conventions (pinned by the disc oracle S(z,a) = 1/(2 pi (1 - z conj a))):
   * arclength measure ds, c_D(a) = 2 pi S(a, a);
   * rhs_j = sqrt(w_j) conj(T_j / (2 pi i (z_j - a)));
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from ..errors import GeometryError, SolveError
 
@@ -33,6 +40,17 @@ _TWO_PI_I = 2j * np.pi
 # from the boundary; closer in, the near-singular Cauchy data poisons the
 # quadrature
 CLEARANCE = 3.0
+
+# matrix-vector products one LU factorization costs: its time over a
+# matvec's was 137-192 at 2048-4096 nodes on a 2-core x86 box, where the
+# choice matters (below 2048 nodes either side costs under 0.2 s)
+LU_MATVECS = 150
+# GMRES runs one cycle of at most this many iterations to the LU's
+# accuracy; a solve that misses it falls through to the factorization
+_RESTART = 60
+_RTOL = 1e-14
+# row and column tiles of the in-place assembly
+_TILE = 256
 
 
 def require_clearance(mesh, z, d):
@@ -75,35 +93,89 @@ def kerzman_stein_matrix(mesh):
     The continuous kernel extends smoothly by 0 to the diagonal, so the
     zero diagonal is the consistent quadrature choice, and B^H = -B holds
     to the last bit because the conjugate transpose is taken literally.
+
+    Built in one N x N buffer: C row tile by row tile, then C^H - C tile
+    pair by tile pair, with the same elementwise operations in the same
+    order as the broadcast formula, so the entries are the same bits.
     """
     z = mesh.nodes
     t = mesh.tangents
     sw = np.sqrt(mesh.weights)
-    dz = z[None, :] - z[:, None]
-    np.fill_diagonal(dz, 1.0)  # dummy; diagonal is zeroed below
-    c = (sw[:, None] * sw[None, :]) * (t[None, :] / dz) / _TWO_PI_I
-    np.fill_diagonal(c, 0.0)
-    return c.conj().T - c
+    n = z.size
+    b = np.empty((n, n), dtype=complex)
+    for i0 in range(0, n, _TILE):
+        rows = slice(i0, i0 + _TILE)
+        c = b[rows]
+        diag = (np.arange(c.shape[0]), np.arange(i0, i0 + c.shape[0]))
+        np.subtract(z[None, :], z[rows, None], out=c)
+        c[diag] = 1.0  # dummy; diagonal is zeroed below
+        np.divide(t[None, :], c, out=c)
+        np.multiply(sw[rows, None] * sw[None, :], c, out=c)
+        np.divide(c, _TWO_PI_I, out=c)
+        c[diag] = 0.0
+    for i0 in range(0, n, _TILE):
+        rows = slice(i0, i0 + _TILE)
+        for j0 in range(i0, n, _TILE):
+            cols = slice(j0, j0 + _TILE)
+            c_ij = b[rows, cols].copy()
+            c_ji_h = b[cols, rows].conj().T
+            np.subtract(c_ji_h, c_ij, out=b[rows, cols])
+            if j0 != i0:
+                np.subtract(c_ij.conj().T, c_ji_h.conj().T, out=b[cols, rows])
+    return b
 
 
 class SzegoSolver:
-    """Factorized Kerzman-Stein system on one mesh; solves many base points."""
+    """Kerzman-Stein system (I + B) nu = rhs on one mesh; solves many
+    base points.
+
+    Construction only assembles.  Each solve runs GMRES on the matrix and
+    adds its matrix-vector products to matvecs; once they reach
+    LU_MATVECS, the price of one factorization, the matrix is LU-factored
+    in its own buffer, exactly once, and every later solve is an
+    lu_solve.  A GMRES solve that misses its tolerance takes the factored
+    path as well.  The rule counts products, never time, so reruns are
+    identical.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
         a_sys = kerzman_stein_matrix(mesh)
         np.fill_diagonal(a_sys, a_sys.diagonal() + 1.0)
-        try:
-            self._lu = lu_factor(a_sys, overwrite_a=True)
-        except Exception as exc:  # singular to working precision
-            raise SolveError("boundary system factorization failed: %s" % exc)
+        self._a = a_sys
+        self._lu = None
+        self.matvecs = 0
         self._sw = np.sqrt(mesh.weights)
+
+    def _matvec(self, x):
+        self.matvecs += 1
+        return self._a @ x
+
+    def _solve(self, rhs):
+        """(I + B)^-1 rhs: GMRES within the budget, LU past it."""
+        if self._lu is None and self.matvecs < LU_MATVECS:
+            op = LinearOperator(self._a.shape, matvec=self._matvec,
+                                dtype=complex)
+            x, info = gmres(op, rhs, rtol=_RTOL, atol=0.0, restart=_RESTART,
+                            maxiter=1)
+            if info == 0:
+                return x
+        if self._lu is None:
+            # the transpose is an F-ordered view that lu_factor overwrites
+            # in place; the C-ordered matrix it would copy first
+            try:
+                self._lu = lu_factor(self._a.T, overwrite_a=True)
+            except ValueError as exc:  # non-finite entries
+                raise SolveError(
+                    "boundary system factorization failed: %s" % exc)
+            self._a = None
+        return lu_solve(self._lu, rhs, trans=1)
 
     def solve(self, a):
         a = complex(a)
         m = self.mesh
         rhs = self._sw * np.conj(m.tangents / (_TWO_PI_I * (m.nodes - a)))
-        nu = lu_solve(self._lu, rhs)
+        nu = self._solve(rhs)
         diag = float(np.sum(np.abs(nu) ** 2))
         if not np.isfinite(diag) or diag <= 0.0:
             raise SolveError("solver returned a nonpositive diagonal value")
@@ -122,7 +194,7 @@ class SzegoSolver:
         sol = self.solve(a)
         nu, s = sol.szego_boundary * self._sw, sol.diag_value
         rhs = self._sw * np.conj(m.tangents / (_TWO_PI_I * (m.nodes - a) ** 2))
-        mu = lu_solve(self._lu, rhs)
+        mu = self._solve(rhs)
         lap = 4.0 * (s * np.vdot(mu, mu).real - abs(np.vdot(nu, mu)) ** 2) / s**2
         return float(-lap / (2.0 * np.pi * s) ** 2)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from caratheodory import localization_experiment, verify_suita
 from caratheodory.errors import GeometryError, SolveError
 from caratheodory.geometry import (
     Domain,
@@ -11,14 +12,24 @@ from caratheodory.geometry import (
     grid_sample,
     mesh_boundary,
 )
-from caratheodory.kernels import SzegoEvaluator, solve_szego
+from caratheodory.kernels import SzegoEvaluator, solve_szego, szego
 from caratheodory.kernels.szego import (
+    LU_MATVECS,
     SzegoSolver,
     ahlfors_eval,
     garabedian_boundary,
     kerzman_stein_matrix,
 )
-from caratheodory.harness import annulus, disc, ellipse, fourier_blob, two_disc_pair, unit_disc
+from caratheodory.harness import (
+    annulus,
+    blob_with_hole,
+    disc,
+    ellipse,
+    fourier_blob,
+    two_disc_pair,
+    unit_disc,
+)
+from kernel_reference import broadcast_kerzman_stein
 
 
 def _disc_kernel(z, a):
@@ -28,6 +39,35 @@ def _disc_kernel(z, a):
 
 def _symmetric_lens():
     return boolean_intersect(*two_disc_pair("symmetric"))[0]
+
+
+def _localization_piece():
+    # the localization march's cornered domain: the ellipse cut by the
+    # radius-0.5 disc about its boundary point at t = 0.25 (= i)
+    dom = ellipse()
+    return boolean_intersect(disc(dom.outer.point(0.25), 0.5), dom)[0]
+
+
+def _spent(mesh, a):
+    """A solver that has spent its GMRES budget solving at a; its next
+    solve factors."""
+    solver = SzegoSolver(mesh)
+    while solver.matvecs < LU_MATVECS:
+        solver.solve(a)
+    return solver
+
+
+def _count_factorizations(monkeypatch):
+    """Node counts of the systems LU-factored from now on."""
+    sizes = []
+    real = szego.lu_factor
+
+    def counting(a, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(szego, "lu_factor", counting)
+    return sizes
 
 
 def test_kernel_matrix_is_exactly_skew_hermitian():
@@ -192,3 +232,68 @@ def test_doubling_rejects_an_unresolved_boundary():
     ev = SzegoEvaluator(dom)
     with pytest.raises((GeometryError, SolveError)):
         ev.value(dom.outer.point(0.1) * 0.999)
+
+
+def test_in_place_assembly_matches_the_broadcast_formula():
+    # smooth, cornered, multiply connected, and a node count that leaves
+    # a partial tile
+    meshes = [mesh_boundary(fourier_blob(), 256),
+              mesh_boundary(_localization_piece(), 256),
+              mesh_boundary(blob_with_hole(), 256),
+              mesh_boundary(ellipse(), 300)]
+    assert meshes[-1].size % szego._TILE != 0
+    for mesh in meshes:
+        assert np.array_equal(kerzman_stein_matrix(mesh),
+                              broadcast_kerzman_stein(mesh))
+
+
+@pytest.mark.parametrize(
+    "dom, pts",
+    [(_localization_piece(), (0.9j, 0.95j, 0.2 + 0.8j)),
+     (annulus(), (0.6, 0.75j, -0.8 + 0.1j))],
+    ids=["cornered", "annulus"])
+def test_gmres_and_lu_paths_agree(dom, pts):
+    mesh = mesh_boundary(dom, 512)
+    spent = _spent(mesh, pts[0])
+    for a in pts:
+        fresh = SzegoSolver(mesh)
+        v, k = fresh.solve(a).diag_value, fresh.kappa(a)
+        assert fresh.matvecs < LU_MATVECS  # never left GMRES
+        before = spent.matvecs
+        v_lu, k_lu = spent.solve(a).diag_value, spent.kappa(a)
+        assert spent.matvecs == before  # no GMRES past the budget
+        assert abs(v - v_lu) <= 1e-13 * v_lu
+        assert abs(k - k_lu) <= 1e-12 * abs(k_lu)
+
+
+def test_a_spent_solver_factors_exactly_once(monkeypatch):
+    sizes = _count_factorizations(monkeypatch)
+    solver = _spent(mesh_boundary(ellipse(), 256), 0.3)
+    assert sizes == []
+    for a in (0.3, 0.5j, -0.4 + 0.2j):
+        solver.solve(a)
+        solver.kappa(a)
+    assert sizes == [256]
+
+
+def test_a_gmres_miss_falls_through_to_lu(monkeypatch):
+    mesh = mesh_boundary(_localization_piece(), 256)
+    want = _spent(mesh, 0.9j).solve(0.9j).diag_value
+    monkeypatch.setattr(szego, "gmres",
+                        lambda op, rhs, **kwargs: (np.zeros_like(rhs), 1))
+    assert SzegoSolver(mesh).solve(0.9j).diag_value == want
+
+
+def test_few_point_meshes_never_factor(monkeypatch):
+    # three points on each of four meshes: GMRES alone serves them
+    sizes = _count_factorizations(monkeypatch)
+    localization_experiment(ellipse(), 0.25, 0.5, [0.1, 0.05, 0.02])
+    assert sizes == []
+
+
+def test_the_suita_grid_meshes_factor_once_each(monkeypatch):
+    # the grid batch settles on its (256, 512) pair; the trend points'
+    # finer meshes serve a few solves each and stay on GMRES
+    sizes = _count_factorizations(monkeypatch)
+    verify_suita(fourier_blob(), 0.15, spacing=0.1)
+    assert sorted(sizes) == [256, 512]
