@@ -1,11 +1,13 @@
 """Boolean combinations of domains by boundary arc tracing.
 
-Intersections of the two boundaries are located by seeding on fine
-polylines and polishing with a two-variable Newton iteration.  Each
-boundary curve is then cut at those points and every resulting arc is
-kept or dropped by testing a single interior sample against the other
-domain.  Kept arcs chain into closed loops; positive loops become outer
-curves, negative loops become holes.
+Intersections of the two boundaries are seeded where fine polylines of
+the two curves cross, and polished with a two-variable Newton iteration.
+Candidate segment pairs are pruned by bounding box before the exact
+crossing test (``curves.crossing_pairs``).  Each boundary curve is then
+cut at those points and every resulting arc is kept or dropped by
+testing a single interior sample against the other domain.  Kept arcs
+chain into closed loops; positive loops become outer curves, negative
+loops become holes.
 
 Tangential contact is rejected rather than perturbed: graded meshes
 degrade at cusps and the kernels downstream assume transversal corners.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GeometryError, TangencyError
-from .curves import PiecewiseCurve, SubArc, _cross, _segments_properly_cross
+from .curves import PiecewiseCurve, SubArc, _cross, crossing_pairs
 from .domain import Domain, _winding_many
 
 _SEED_M = 2048
@@ -72,22 +74,15 @@ def curve_pair_intersections(c1, c2):
     pb = np.concatenate([p2, [p2[0] + 1.0]])
 
     found = []
-    for i0 in range(0, len(z1), 256):
-        i1 = min(i0 + 256, len(z1))
-        idx = np.arange(i0, i1)
-        hit = _segments_properly_cross(
-            a0[idx, None], a1[idx, None], b0[None, :], b1[None, :]
-        )
-        for i, j in zip(*np.nonzero(hit)):
-            i = idx[i]
-            d1 = a1[i] - a0[i]
-            d2 = b1[j] - b0[j]
-            den = _cross(d1, d2)
-            s = _cross(b0[j] - a0[i], d2) / den
-            u = _cross(b0[j] - a0[i], d1) / den
-            t1 = pa[i] + s * (pa[i + 1] - pa[i])
-            t2 = pb[j] + u * (pb[j + 1] - pb[j])
-            found.append(_refine_crossing(c1, c2, t1, t2, scale))
+    for i, j in zip(*crossing_pairs(a0, a1, b0, b1)):
+        d1 = a1[i] - a0[i]
+        d2 = b1[j] - b0[j]
+        den = _cross(d1, d2)
+        s = _cross(b0[j] - a0[i], d2) / den
+        u = _cross(b0[j] - a0[i], d1) / den
+        t1 = pa[i] + s * (pa[i + 1] - pa[i])
+        t2 = pb[j] + u * (pb[j + 1] - pb[j])
+        found.append(_refine_crossing(c1, c2, t1, t2, scale))
 
     # polished crossings found from adjacent seeds coincide; dedupe by point
     uniq = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..errors import GeometryError
 
@@ -50,24 +51,60 @@ def _segments_properly_cross(a0, a1, b0, b1):
     return (c1 < 0) & (c2 < 0)
 
 
+_CHUNK = 64  # consecutive segments per bounding box in crossing_pairs
+
+
+def _chunk_boxes(p0, p1, pad):
+    """Padded (xlo, xhi, ylo, yhi) of each run of _CHUNK consecutive segments."""
+    starts = np.arange(0, len(p0), _CHUNK)
+    x0, x1, y0, y1 = p0.real, p1.real, p0.imag, p1.imag
+    return (
+        np.minimum.reduceat(np.minimum(x0, x1), starts) - pad,
+        np.maximum.reduceat(np.maximum(x0, x1), starts) + pad,
+        np.minimum.reduceat(np.minimum(y0, y1), starts) - pad,
+        np.maximum.reduceat(np.maximum(y0, y1), starts) + pad,
+    )
+
+
+def crossing_pairs(a0, a1, b0, b1):
+    """Index arrays (i, j) of the segments a0[i]a1[i] and b0[j]b1[j] that
+    properly cross, sorted row-major.
+
+    Both families are cut into runs of ``_CHUNK`` consecutive segments;
+    the exact test runs only on pairs of runs whose bounding boxes, padded
+    by 1e-9 of the coordinate scale, overlap.
+    """
+    scale = max(np.max(np.abs(p)) for p in (a0, a1, b0, b1))
+    ax0, ax1, ay0, ay1 = _chunk_boxes(a0, a1, 1e-9 * scale)
+    bx0, bx1, by0, by1 = _chunk_boxes(b0, b1, 1e-9 * scale)
+    meet = (
+        (ax0[:, None] <= bx1)
+        & (bx0 <= ax1[:, None])
+        & (ay0[:, None] <= by1)
+        & (by0 <= ay1[:, None])
+    )
+    found_i = [np.empty(0, dtype=np.intp)]
+    found_j = [np.empty(0, dtype=np.intp)]
+    for ci in np.flatnonzero(meet.any(axis=1)):
+        i = np.arange(ci * _CHUNK, min((ci + 1) * _CHUNK, len(a0)))
+        j = (np.flatnonzero(meet[ci])[:, None] * _CHUNK + np.arange(_CHUNK)).ravel()
+        j = j[j < len(b0)]
+        hit_i, hit_j = np.nonzero(
+            _segments_properly_cross(a0[i, None], a1[i, None], b0[j], b1[j])
+        )
+        found_i.append(i[hit_i])
+        found_j.append(j[hit_j])
+    return np.concatenate(found_i), np.concatenate(found_j)
+
+
 def polyline_self_intersects(pts):
     """True if the closed polyline through ``pts`` has a proper self-crossing."""
     m = len(pts)
-    a0 = pts
     a1 = np.roll(pts, -1)
-    # chunk the O(m^2) pair test to bound memory
-    for i0 in range(0, m, 256):
-        i1 = min(i0 + 256, m)
-        idx_i = np.arange(i0, i1)
-        cross = _segments_properly_cross(
-            a0[idx_i, None], a1[idx_i, None], a0[None, :], a1[None, :]
-        )
-        # adjacent segments (and self) share endpoints; ignore them
-        diff = (idx_i[:, None] - np.arange(m)[None, :]) % m
-        adj = (diff == 0) | (diff == 1) | (diff == m - 1)
-        if np.any(cross & ~adj):
-            return True
-    return False
+    i, j = crossing_pairs(pts, a1, pts, a1)
+    # adjacent segments (and self) share endpoints; ignore them
+    diff = (i - j) % m
+    return bool(np.any((diff != 0) & (diff != 1) & (diff != m - 1)))
 
 
 class TrigCurve:
@@ -112,12 +149,9 @@ class TrigCurve:
 
     @staticmethod
     def _min_pairwise_gap(z):
-        if z.size > 2048:
-            d = np.abs(z - np.roll(z, 1))
-            return float(d.min())
-        d = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(d, np.inf)
-        return float(d.min())
+        pts = np.column_stack([z.real, z.imag])
+        dist, _ = cKDTree(pts).query(pts, k=2)
+        return float(dist[:, 1].min())
 
     # -- series evaluation ------------------------------------------------
 

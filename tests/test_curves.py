@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caratheodory.errors import GeometryError
 from caratheodory.geometry import curve_from_samples, curve_eval, boolean_intersect
+from caratheodory.geometry.curves import crossing_pairs, polyline_self_intersects
 from caratheodory.harness import ellipse, two_disc_pair
+from crossing_reference import all_pairs_crossings, count_tested_pairs
 
 
 def _circle_samples(n=256, center=0.0, radius=1.0):
@@ -73,6 +76,14 @@ def test_duplicate_samples_are_rejected():
         curve_from_samples(fig8)
 
 
+def test_duplicate_samples_are_rejected_past_2048_samples():
+    # the repeated waist sample is far from its neighbours in index
+    t = np.arange(4096) / 4096.0
+    fig8 = np.sin(2 * np.pi * t) + 1j * np.sin(4 * np.pi * t)
+    with pytest.raises(GeometryError, match="not distinct"):
+        curve_from_samples(fig8)
+
+
 def test_too_few_samples_are_rejected():
     with pytest.raises(GeometryError, match="at least 8 sample points"):
         curve_from_samples(_circle_samples(n=6))
@@ -81,3 +92,78 @@ def test_too_few_samples_are_rejected():
 def test_clockwise_samples_are_rejected():
     with pytest.raises(GeometryError, match="counterclockwise"):
         curve_from_samples(_circle_samples()[::-1])
+
+
+# -- segment crossings ---------------------------------------------------
+
+_LENGTHS = (1, 3, 63, 64, 65, 2048)  # around the 64-segment chunk edges
+
+
+@st.composite
+def _walk(draw):
+    """Vertices of a random or nearly straight walk at a random scale."""
+    n = draw(st.sampled_from(_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        steps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    else:
+        # heading drifts by 1e-12..1e-2 rad per step
+        drift = 10.0 ** draw(st.floats(-12.0, -2.0))
+        heading = rng.uniform(0, 2 * np.pi) + np.cumsum(drift * rng.normal(size=n))
+        steps = np.exp(1j * heading) * rng.uniform(0.5, 1.5, n)
+    start = np.sqrt(n) * (rng.normal() + 1j * rng.normal())
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return scale * (start + np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+def _assert_same_pairs(a0, a1, b0, b1):
+    got_i, got_j = crossing_pairs(a0, a1, b0, b1)
+    want_i, want_j = all_pairs_crossings(a0, a1, b0, b1)
+    assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_walk(), _walk())
+def test_crossing_pairs_match_all_pairs(za, zb):
+    _assert_same_pairs(za[:-1], za[1:], zb[:-1], zb[1:])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_walk(), st.integers(0, 2**32 - 1))
+def test_crossing_pairs_match_all_pairs_on_shared_endpoints(z, seed):
+    # a closed walk against itself, and against chords between its vertices
+    a0, a1 = z, np.roll(z, -1)
+    _assert_same_pairs(a0, a1, a0, a1)
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, z.size, size=(2, min(z.size, 300)))
+    _assert_same_pairs(a0, a1, z[k[0]], z[k[1]])
+
+
+def test_points_on_one_line_lose_only_box_disjoint_pairs():
+    # rounding makes the exact predicate call some collinear segments
+    # crossing; pruning may drop such pairs only where the two segments'
+    # boxes are disjoint, so no real crossing is lost
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        t = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(10, 400))))
+        z = (0.3 + 0.7j) + 3.7 * t * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        a0, a1 = z[:-1], z[1:]
+        got = set(zip(*crossing_pairs(a0, a1, a0, a1)))
+        want = set(zip(*all_pairs_crossings(a0, a1, a0, a1)))
+        assert got <= want
+        for i, j in want - got:
+            a, b = z[i : i + 2], z[j : j + 2]
+            assert (
+                a.real.max() < b.real.min()
+                or b.real.max() < a.real.min()
+                or a.imag.max() < b.imag.min()
+                or b.imag.max() < a.imag.min()
+            )
+
+
+def test_self_crossing_check_tests_few_pairs(monkeypatch):
+    t = np.arange(8192) / 8192
+    circle = np.exp(2j * np.pi * t)
+    tested = count_tested_pairs(monkeypatch)
+    assert not polyline_self_intersects(circle)
+    assert sum(tested) < 0.05 * 8192**2

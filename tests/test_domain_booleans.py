@@ -7,12 +7,22 @@ from caratheodory.errors import GeometryError, TangencyError
 from caratheodory.geometry import (
     Domain,
     TrigCurve,
+    boolean,
     boolean_intersect,
     boolean_union,
-    curve_from_samples,
     curve_eval,
+    curve_from_samples,
+    curves,
 )
-from caratheodory.harness import annulus, disc, two_disc_pair, unit_disc
+from caratheodory.harness import (
+    annulus,
+    blob_disc_pair,
+    disc,
+    ellipse,
+    two_disc_pair,
+    unit_disc,
+)
+from crossing_reference import all_pairs_crossings, count_tested_pairs
 
 
 def test_contains_basic_points():
@@ -159,6 +169,53 @@ def test_union_of_interlocking_crescents_encloses_a_hole():
     got = uni.contains_many(z, boundary="exclude")
     want = c1.contains_many(z, boundary="exclude") | c2.contains_many(z, boundary="exclude")
     assert np.array_equal(got, want)
+
+
+def _localization_pair():
+    ell = ellipse()
+    return ell, disc(ell.outer.point(0.25), 0.5)
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [
+        blob_disc_pair,
+        lambda: two_disc_pair("symmetric"),
+        _localization_pair,
+        lambda: (_crescent(-0.1, np.pi), _crescent(0.1, 0.0)),
+    ],
+    ids=["blob_disc", "symmetric_discs", "localization", "crescents"],
+)
+def test_pruned_crossings_trace_the_same_booleans(make_pair, monkeypatch):
+    d1, d2 = make_pair()
+
+    def traced():
+        hits = [
+            boolean.curve_pair_intersections(ca, cb)
+            for ca in d1.curves
+            for cb in d2.curves
+        ]
+        doms = boolean_intersect(d1, d2) + [boolean_union(d1, d2)]
+        return hits, [c.polyline(1024)[1] for d in doms for c in d.curves]
+
+    hits, nodes = traced()
+    monkeypatch.setattr(boolean, "crossing_pairs", all_pairs_crossings)
+    monkeypatch.setattr(curves, "crossing_pairs", all_pairs_crossings)
+    ref_hits, ref_nodes = traced()
+    assert sum(len(h[0]) for h in hits) > 0
+    for got, want in zip(hits, ref_hits, strict=True):
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+    for g, w in zip(nodes, ref_nodes, strict=True):
+        assert np.array_equal(g, w)
+
+
+def test_boolean_tracing_tests_few_segment_pairs(monkeypatch):
+    d1, d2 = blob_disc_pair()
+    tested = count_tested_pairs(monkeypatch)
+    boolean_intersect(d1, d2)
+    # all pairs would be 2048^2 for each of the two curve pairs
+    assert sum(tested) < 0.05 * 2 * 2048**2
 
 
 def test_hole_validation():
