@@ -42,13 +42,37 @@ def _cross(p, q):
     return np.imag(np.conj(p) * q)
 
 
+# relative rounding-error bound of a double-precision 2-D orientation
+# determinant (Shewchuk's ccwerrboundA, Discrete Comput. Geom. 18, 1997)
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
+
+def _turn(o, p, q):
+    """The two products whose difference is the turn determinant of
+    o -> p -> q (positive to the left)."""
+    u = p - o
+    v = q - o
+    return u.real * v.imag, u.imag * v.real
+
+
 def _segments_properly_cross(a0, a1, b0, b1):
-    """Vectorized proper-crossing test for segment families (complex endpoints)."""
-    d1 = a1 - a0
-    d2 = b1 - b0
-    c1 = _cross(d1, b0 - a0) * _cross(d1, b1 - a0)
-    c2 = _cross(d2, a0 - b0) * _cross(d2, a1 - b0)
-    return (c1 < 0) & (c2 < 0)
+    """Vectorized proper-crossing test for segment families (complex endpoints).
+
+    Each segment must have the other's endpoints strictly on opposite
+    sides.  A turn within its rounding-error bound of zero counts as
+    touching, so points rounded onto one line never cross.  The bound is
+    checked only where the plain signs report a crossing: a turn that
+    clears it has the plain sign.
+    """
+    turns = [(a0, a1, b0), (a0, a1, b1), (b0, b1, a0), (b0, b1, a1)]
+    det = [np.subtract(*_turn(*t)) for t in turns]
+    hit = (det[0] * det[1] < 0) & (det[2] * det[3] < 0)
+    k = np.nonzero(hit)
+    for t in turns:
+        left, right = _turn(*(np.broadcast_to(x, hit.shape)[k] for x in t))
+        err = _ORIENT_ERR * (np.abs(left) + np.abs(right))
+        hit[k] &= np.abs(left - right) > err
+    return hit
 
 
 _CHUNK = 64  # consecutive segments per bounding box in crossing_pairs

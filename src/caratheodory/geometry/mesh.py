@@ -1,10 +1,12 @@
 """Arclength quadrature meshes on domain boundaries.
 
 Smooth curves get the uniform trapezoid rule in the curve parameter,
-which is spectrally accurate for periodic integrands.  Cornered curves
-get a composite midpoint rule between consecutive corners with a
-polynomial grading substitution, clustering nodes at the corners where
-kernel densities lose smoothness.  Tangents follow the traversal that
+which is spectrally accurate for periodic integrands; on a trig curve
+its nodes and velocities come from the FFT (``TrigCurve.uniform_eval``),
+so the nodes are ``polyline(n)``'s points.  Cornered curves get a
+composite midpoint rule between consecutive corners with a polynomial
+grading substitution, clustering nodes at the corners where kernel
+densities lose smoothness.  Tangents follow the traversal that
 keeps the domain on the left: counterclockwise on the outer curve,
 clockwise on holes.
 """
@@ -92,8 +94,14 @@ def _mesh_curve(curve, n, flip):
         # smooth closed curve: uniform trapezoid in the parameter
         t = np.arange(n) / n
         dt = np.full(n, 1.0 / n)
-    z = np.asarray(curve.point(t), dtype=complex)
-    v = np.asarray(curve.velocity(t), dtype=complex)
+    if hasattr(curve, "uniform_eval"):
+        # a trig curve, never cornered: its series at the j/n by FFT, the
+        # points polyline(n) samples
+        z = curve.uniform_eval(n, 0)
+        v = curve.uniform_eval(n, 1)
+    else:
+        z = np.asarray(curve.point(t), dtype=complex)
+        v = np.asarray(curve.velocity(t), dtype=complex)
     speed = np.abs(v)
     w = speed * dt
     tang = v / speed

@@ -108,7 +108,8 @@ class SzegoEvaluator(_EvaluatorBase):
     fails it, the whole batch climbs one rung to (2n, 4n) and is
     evaluated again, up to a finer mesh of _CAP nodes per curve;
     SolveError is raised only when the check fails there, or at once
-    when the caller pinned n.
+    when the caller pinned n.  The finer-mesh solution that settles a
+    value is kept, so its curvature costs one derivative solve more.
     """
 
     kind = "szego"
@@ -124,7 +125,7 @@ class SzegoEvaluator(_EvaluatorBase):
         self.tol = 1e-5 if rough else 1e-8
         self._meshes = {}
         self._solvers = {}
-        self._value_cache = {}
+        self._settled = {}
 
     def _mesh(self, n):
         if n not in self._meshes:
@@ -154,24 +155,26 @@ class SzegoEvaluator(_EvaluatorBase):
         return n1
 
     def _settle(self, zs):
-        """The finer node count of the batch's mesh pair, and its values."""
+        """The finer node count of the batch's mesh pair, and the kernel
+        solutions on it that settle the batch's values."""
         zs = np.asarray(zs, dtype=complex).ravel()
         if zs.size == 0:
-            return None, np.empty(0)
+            return None, []
         n1 = self._guarded_n(zs)
         while True:
             n2 = min(2 * n1, self._CAP)
-            out = np.empty(zs.size)
-            for i, z in enumerate(zs):
+            out = []
+            for z in zs:
                 key = (complex(z), n1, n2)
-                if key not in self._value_cache:
+                if key not in self._settled:
                     v1 = 2.0 * np.pi * self._solver(n1).solve(z).diag_value
-                    v2 = 2.0 * np.pi * self._solver(n2).solve(z).diag_value
+                    sol = self._solver(n2).solve(z)
+                    v2 = 2.0 * np.pi * sol.diag_value
                     rel = abs(v2 - v1) / abs(v2)
                     if rel > self.tol:
                         break  # the whole batch climbs, see the docstring
-                    self._value_cache[key] = v2
-                out[i] = self._value_cache[key]
+                    self._settled[key] = sol
+                out.append(self._settled[key])
             else:
                 return n2, out
             if self.n_override or 2 * n2 > self._CAP:
@@ -181,13 +184,15 @@ class SzegoEvaluator(_EvaluatorBase):
             n1 = n2
 
     def values(self, zs):
-        return self._settle(zs)[1]
+        return np.array([2.0 * np.pi * sol.diag_value
+                         for sol in self._settle(zs)[1]], dtype=float)
 
     def curvatures(self, zs):
-        """SzegoSolver.kappa on the finer mesh that settles the values."""
-        zs = np.asarray(zs, dtype=complex).ravel()
-        n2, _ = self._settle(zs)
-        return np.array([self._solver(n2).kappa(z) for z in zs])
+        """SzegoSolver.kappa of the finer-mesh solutions that settle the
+        values: one derivative solve per point."""
+        n2, sols = self._settle(zs)
+        return np.array([self._solver(n2).kappa(sol) for sol in sols],
+                        dtype=float)
 
     def solution(self, a):
         """Kernel solution at the base point on the finer mesh of its

@@ -15,7 +15,10 @@ I + B is normal with its spectrum on Re z = 1, the ideal case for GMRES
 (Kerzman and Trummer iterate this very equation; GMRES is Saad and
 Schultz's).  A mesh that serves a few base points is solved by GMRES;
 one that serves many is LU-factored once, when its GMRES products have
-cost as much as the factorization (see SzegoSolver).
+cost as much as the factorization (see SzegoSolver).  Assembling B, a
+mesh's other cost, runs its tile pairs on one thread per core the
+process may use, with the broadcast formula's bits (see
+kerzman_stein_matrix).
 
 Conventions (pinned by the disc oracle S(z,a) = 1/(2 pi (1 - z conj a))):
   * arclength measure ds, c_D(a) = 2 pi S(a, a);
@@ -27,6 +30,9 @@ Conventions (pinned by the disc oracle S(z,a) = 1/(2 pi (1 - z conj a))):
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -86,6 +92,19 @@ class KernelSolution:
         )
 
 
+def _c_tile(z, t, sw, rows, cols, out):
+    """C[rows, cols] into out, by the broadcast formula's elementwise
+    steps in its order, so every entry is the same bits."""
+    np.subtract(z[None, cols], z[rows, None], out=out)
+    if rows == cols:
+        np.fill_diagonal(out, 1.0)  # dummy; diagonal is zeroed below
+    np.divide(t[None, cols], out, out=out)
+    np.multiply(sw[rows, None] * sw[None, cols], out, out=out)
+    np.divide(out, _TWO_PI_I, out=out)
+    if rows == cols:
+        np.fill_diagonal(out, 0.0)
+
+
 def kerzman_stein_matrix(mesh):
     """The symmetrized discrete kernel B = C^H - C, zero diagonal.
 
@@ -94,34 +113,48 @@ def kerzman_stein_matrix(mesh):
     zero diagonal is the consistent quadrature choice, and B^H = -B holds
     to the last bit because the conjugate transpose is taken literally.
 
-    Built in one N x N buffer: C row tile by row tile, then C^H - C tile
-    pair by tile pair, with the same elementwise operations in the same
-    order as the broadcast formula, so the entries are the same bits.
+    Built tile pair by tile pair: the C tiles (i, j) and (j, i), j >= i,
+    go into two _TILE x _TILE buffers, and B's tiles (i, j) and (j, i) are
+    written from them once.  The elementwise operations are the broadcast
+    formula's, in its order, so the entries are the same bits.  The tile
+    pairs are shared round robin among threads, one per core this process
+    may use; numpy releases the interpreter lock in each step, and no
+    BLAS runs here to compete for the cores.
     """
     z = mesh.nodes
     t = mesh.tangents
     sw = np.sqrt(mesh.weights)
     n = z.size
     b = np.empty((n, n), dtype=complex)
-    for i0 in range(0, n, _TILE):
-        rows = slice(i0, i0 + _TILE)
-        c = b[rows]
-        diag = (np.arange(c.shape[0]), np.arange(i0, i0 + c.shape[0]))
-        np.subtract(z[None, :], z[rows, None], out=c)
-        c[diag] = 1.0  # dummy; diagonal is zeroed below
-        np.divide(t[None, :], c, out=c)
-        np.multiply(sw[rows, None] * sw[None, :], c, out=c)
-        np.divide(c, _TWO_PI_I, out=c)
-        c[diag] = 0.0
-    for i0 in range(0, n, _TILE):
-        rows = slice(i0, i0 + _TILE)
-        for j0 in range(i0, n, _TILE):
-            cols = slice(j0, j0 + _TILE)
-            c_ij = b[rows, cols].copy()
-            c_ji_h = b[cols, rows].conj().T
-            np.subtract(c_ji_h, c_ij, out=b[rows, cols])
-            if j0 != i0:
-                np.subtract(c_ij.conj().T, c_ji_h.conj().T, out=b[cols, rows])
+    tiles = [slice(i0, min(i0 + _TILE, n)) for i0 in range(0, n, _TILE)]
+    pairs = [(r, c) for i, r in enumerate(tiles) for c in tiles[i:]]
+
+    def fill(share):
+        c_rc = np.empty((_TILE, _TILE), dtype=complex)
+        c_cr = np.empty((_TILE, _TILE), dtype=complex)
+        for rows, cols in share:
+            nr, nc = rows.stop - rows.start, cols.stop - cols.start
+            ij, ji = c_rc[:nr, :nc], c_cr[:nc, :nr]
+            _c_tile(z, t, sw, rows, cols, ij)
+            # B[rows, cols] = conj(C[cols, rows]).T - C[rows, cols] and
+            # B[cols, rows] = conj(C[rows, cols]).T - C[cols, rows]; the
+            # conjugations are exact, so done in place they cost no buffer
+            if rows == cols:
+                np.conjugate(ij, out=ji)
+                np.subtract(ji.T, ij, out=b[rows, cols])
+                continue
+            _c_tile(z, t, sw, cols, rows, ji)
+            np.conjugate(ji, out=ji)
+            np.subtract(ji.T, ij, out=b[rows, cols])
+            np.conjugate(ji, out=ji)
+            np.conjugate(ij, out=ij)
+            np.subtract(ij.T, ji, out=b[cols, rows])
+
+    workers = min(len(os.sched_getaffinity(0)), len(pairs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for done in [pool.submit(fill, pairs[k::workers])
+                     for k in range(workers)]:
+            done.result()
     return b
 
 
@@ -181,17 +214,17 @@ class SzegoSolver:
             raise SolveError("solver returned a nonpositive diagonal value")
         return KernelSolution(a, m, nu / self._sw, diag)
 
-    def kappa(self, a):
-        """Gaussian curvature -Delta log s / (2 pi s)^2 at a of the metric
-        c = 2 pi s, s = S(a, a) = |nu|^2.
+    def kappa(self, sol):
+        """Gaussian curvature -Delta log s / (2 pi s)^2 of the metric
+        c = 2 pi s, s = S(a, a) = |nu|^2, at the base point a of sol, a
+        solution this solver returned.
 
         mu, the a-bar derivative of nu, solves the same system for the
         a-bar derivative of the rhs: Delta log s = 4 (s |mu|^2 -
         |<nu, mu>|^2) / s^2.
         """
-        a = complex(a)
+        a = sol.base_point
         m = self.mesh
-        sol = self.solve(a)
         nu, s = sol.szego_boundary * self._sw, sol.diag_value
         rhs = self._sw * np.conj(m.tangents / (_TWO_PI_I * (m.nodes - a) ** 2))
         mu = self._solve(rhs)

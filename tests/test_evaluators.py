@@ -112,7 +112,7 @@ def test_szego_evaluator_climbs_the_mesh_ladder():
     ev = SzegoEvaluator(grown)
     got = ev.value(0.0)
     assert got == pytest.approx(1.7000316, rel=1e-7)
-    assert list(ev._value_cache) == [(0j, 512, 1024)]
+    assert list(ev._settled) == [(0j, 512, 1024)]
     assert got == pytest.approx(SzegoEvaluator(grown, n=1024).value(0.0),
                                 rel=1e-6)
     # the certificate is a lower bound on the settled value

@@ -1,5 +1,8 @@
 """Kernel solver checks: exact disc values, reproducing property, Ahlfors maps."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -234,17 +237,51 @@ def test_doubling_rejects_an_unresolved_boundary():
         ev.value(dom.outer.point(0.1) * 0.999)
 
 
+def _off_tile_meshes():
+    """Two-curve and graded cornered meshes whose node counts leave
+    partial tiles."""
+    meshes = [mesh_boundary(dom, n) for dom in (annulus(), _localization_piece())
+              for n in (300, 700)]
+    assert all(mesh.size % szego._TILE != 0 for mesh in meshes)
+    return meshes
+
+
 def test_in_place_assembly_matches_the_broadcast_formula():
-    # smooth, cornered, multiply connected, and a node count that leaves
+    # smooth, cornered, multiply connected, and node counts that leave
     # a partial tile
     meshes = [mesh_boundary(fourier_blob(), 256),
               mesh_boundary(_localization_piece(), 256),
               mesh_boundary(blob_with_hole(), 256),
-              mesh_boundary(ellipse(), 300)]
-    assert meshes[-1].size % szego._TILE != 0
+              mesh_boundary(ellipse(), 300)] + _off_tile_meshes()
     for mesh in meshes:
         assert np.array_equal(kerzman_stein_matrix(mesh),
                               broadcast_kerzman_stein(mesh))
+
+
+@pytest.mark.parametrize("cpus", [1, 5], ids=["one_worker", "five_workers"])
+def test_assembly_bits_do_not_depend_on_the_worker_count(monkeypatch, cpus):
+    # one worker, and more workers than cores switching every microsecond
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    workers = []
+    pool = szego.ThreadPoolExecutor
+
+    def counting(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(szego, "ThreadPoolExecutor", counting)
+    meshes = _off_tile_meshes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for mesh in meshes:
+            assert (kerzman_stein_matrix(mesh).tobytes()
+                    == broadcast_kerzman_stein(mesh).tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+    # one worker per core, but never more than tile pairs
+    tiles = [-(-mesh.size // szego._TILE) for mesh in meshes]
+    assert workers == [min(cpus, t * (t + 1) // 2) for t in tiles]
 
 
 @pytest.mark.parametrize(
@@ -257,10 +294,12 @@ def test_gmres_and_lu_paths_agree(dom, pts):
     spent = _spent(mesh, pts[0])
     for a in pts:
         fresh = SzegoSolver(mesh)
-        v, k = fresh.solve(a).diag_value, fresh.kappa(a)
+        sol = fresh.solve(a)
+        v, k = sol.diag_value, fresh.kappa(sol)
         assert fresh.matvecs < LU_MATVECS  # never left GMRES
         before = spent.matvecs
-        v_lu, k_lu = spent.solve(a).diag_value, spent.kappa(a)
+        sol_lu = spent.solve(a)
+        v_lu, k_lu = sol_lu.diag_value, spent.kappa(sol_lu)
         assert spent.matvecs == before  # no GMRES past the budget
         assert abs(v - v_lu) <= 1e-13 * v_lu
         assert abs(k - k_lu) <= 1e-12 * abs(k_lu)
@@ -271,8 +310,7 @@ def test_a_spent_solver_factors_exactly_once(monkeypatch):
     solver = _spent(mesh_boundary(ellipse(), 256), 0.3)
     assert sizes == []
     for a in (0.3, 0.5j, -0.4 + 0.2j):
-        solver.solve(a)
-        solver.kappa(a)
+        solver.kappa(solver.solve(a))
     assert sizes == [256]
 
 
@@ -282,6 +320,32 @@ def test_a_gmres_miss_falls_through_to_lu(monkeypatch):
     monkeypatch.setattr(szego, "gmres",
                         lambda op, rhs, **kwargs: (np.zeros_like(rhs), 1))
     assert SzegoSolver(mesh).solve(0.9j).diag_value == want
+
+
+def test_curvature_solves_once_past_the_values(monkeypatch):
+    # a point costs its settling pair n1, n2 and the derivative solve on
+    # n2; kappa reuses the settled n2 solution, and later values solve
+    # nothing
+    solved = []
+    real = SzegoSolver._solve
+
+    def counting(self, rhs):
+        solved.append(self.mesh.size)
+        return real(self, rhs)
+
+    monkeypatch.setattr(SzegoSolver, "_solve", counting)
+    pts = [0.1, 0.2j, -0.3 + 0.1j]
+    ev = SzegoEvaluator(fourier_blob())
+    kappas = ev.curvatures(pts)
+    assert sorted(solved) == [256] * 3 + [512] * 6
+    values = ev.values(pts)
+    assert len(solved) == 9
+    mesh = mesh_boundary(ev.domain, 512)
+    for a, k, v in zip(pts, kappas, values):
+        solver = SzegoSolver(mesh)
+        sol = solver.solve(a)
+        assert v == 2.0 * np.pi * sol.diag_value
+        assert k == solver.kappa(sol)
 
 
 def test_few_point_meshes_never_factor(monkeypatch):

@@ -6,7 +6,15 @@ from scipy.special import ellipe
 
 from caratheodory.errors import GeometryError
 from caratheodory.geometry import boolean_intersect, grid_sample, mesh_boundary, thicken
-from caratheodory.harness import annulus, disc, ellipse, fourier_blob, two_disc_pair, unit_disc
+from caratheodory.harness import (
+    annulus,
+    blob_with_hole,
+    disc,
+    ellipse,
+    fourier_blob,
+    two_disc_pair,
+    unit_disc,
+)
 
 
 def test_uniform_circle_weights():
@@ -29,6 +37,19 @@ def test_annulus_mesh_covers_both_curves():
     # hole curve is traversed clockwise but weights stay positive
     assert np.all(mesh.weights > 0)
     assert abs(np.sum(mesh.weights) - 2 * np.pi * 1.5) < 1e-10
+
+
+@pytest.mark.parametrize("n", [64, 256, 4096])
+def test_smooth_mesh_nodes_are_the_polyline_points(n):
+    # fewer nodes than samples, as many, and past them: the FFT nodes are
+    # polyline(n)'s, and the tangents those of the dense series
+    mesh = mesh_boundary(blob_with_hole(), n)
+    for k, curve in enumerate(mesh.owner.curves):
+        lo, hi = mesh.curve_slices[k]
+        assert np.array_equal(mesh.nodes[lo:hi], curve.polyline(n)[1])
+        v = curve.velocity(np.arange(n) / n)
+        want = v / np.abs(v) if k == 0 else -v / np.abs(v)
+        assert np.max(np.abs(mesh.tangents[lo:hi] - want)) <= 1e-13
 
 
 def test_mesh_size_validation():

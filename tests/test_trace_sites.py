@@ -9,12 +9,13 @@ suite.  Nothing under ``perfbench/`` is changed.
 """
 
 import sys
+import threading
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
-from caratheodory.harness import unit_disc  # noqa: E402
+from caratheodory.harness import ellipse, unit_disc  # noqa: E402
 from caratheodory.kernels import LPEvaluator, SzegoEvaluator  # noqa: E402
 
 
@@ -54,3 +55,35 @@ def test_tracer_install_and_uninstall_restore_every_site():
     mesh_parents = {by_id[s.parent].name for s in tracer.spans
                     if s.name == spans.MESH}
     assert {spans.VALUES, spans.PROBLEM} <= mesh_parents
+
+
+class _ThreadTracer(spans.Tracer):
+    """Tracer that also records the thread each span opens on."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+    def open(self, name):
+        self.threads.append(threading.get_ident())
+        return super().open(name)
+
+
+def test_threaded_assembly_keeps_every_span_on_the_calling_thread():
+    # the tracer keeps one span stack; a site reached on a worker thread
+    # would take a wrong parent or close out of order
+    tracer = _ThreadTracer()
+    with tracer:
+        # 0.9j settles on the (512, 1024) pair: assemblies of several tiles
+        SzegoEvaluator(ellipse()).values([0.3, 0.9j])
+    assert set(tracer.threads) == {threading.get_ident()}
+    by_id = {s.id: s for s in tracer.spans}
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+
+    assembled = [s for s in tracer.spans if s.name == spans.ASSEMBLY]
+    assert assembled
+    assert all(spans.VALUES in ancestors(s) for s in assembled)
