@@ -4,7 +4,6 @@ from .curves import (
     SubArc,
     CircleArc,
     OffsetArc,
-    ClippedArc,
     CurveEval,
     curve_from_samples,
     curve_eval,
@@ -21,7 +20,6 @@ __all__ = [
     "SubArc",
     "CircleArc",
     "OffsetArc",
-    "ClippedArc",
     "CurveEval",
     "curve_from_samples",
     "curve_eval",

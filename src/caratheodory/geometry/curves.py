@@ -6,13 +6,18 @@ Two chart families cover everything the rest of the package needs:
   interpolant of complex samples.  Derivatives come from differentiating
   the Fourier series, so smooth sample sets give spectrally accurate
   tangents, normals and curvatures.
-* ``PiecewiseCurve`` -- a closed chain of smooth arcs (sub-arcs of other
-  curves, circular arcs, offset arcs).  This is what boolean operations
-  and offsets produce; corners live at the junctions.
+* ``PiecewiseCurve`` -- a closed chain of smooth arcs (sub-arcs,
+  circular arcs, offset arcs).  This is what boolean operations and
+  offsets produce; corners live at the junctions.
 
-All curves are parameterized over t in [0, 1) and stored counterclockwise
-(positive signed area).  Hole orientation is a bookkeeping concern of
-``Domain`` and the mesher, never of the curve itself.
+Every chart has one method ``deriv(t, order)`` (the point at order 0, then
+parameter derivatives), read by ``point`` through ``jerk``; closed curves
+run over t in [0, 1) with a ``period``, arcs over u in [0, 1].  ``SubArc``
+is the one affine re-parameterization (booleans and offsets both cut with it).
+
+Closed curves are stored counterclockwise (positive signed area).  Hole
+orientation is a bookkeeping concern of ``Domain`` and the mesher, never of
+the curve itself.
 """
 
 from __future__ import annotations
@@ -131,7 +136,23 @@ def polyline_self_intersects(pts):
     return bool(np.any((diff != 0) & (diff != 1) & (diff != m - 1)))
 
 
-class TrigCurve:
+class _Chart:
+    """Point and parameter derivatives, all read from ``deriv(t, order)``."""
+
+    def point(self, t):
+        return self.deriv(t, 0)
+
+    def velocity(self, t):
+        return self.deriv(t, 1)
+
+    def acceleration(self, t):
+        return self.deriv(t, 2)
+
+    def jerk(self, t):
+        return self.deriv(t, 3)
+
+
+class TrigCurve(_Chart):
     """Closed curve through complex samples; periodic trig interpolation.
 
     Samples must be counterclockwise, distinct, and at least 8 in number.
@@ -179,7 +200,7 @@ class TrigCurve:
 
     # -- series evaluation ------------------------------------------------
 
-    def _eval(self, t, order=0):
+    def deriv(self, t, order):
         t, scalar = _as_param_array(t)
         coef = self._coef * (2j * np.pi * self._k) ** order
         out = np.empty(t.shape, dtype=np.complex128)
@@ -195,24 +216,12 @@ class TrigCurve:
     def uniform_eval(self, n, order=0):
         """Derivative of given order at the n uniform nodes j/n (FFT resampling)."""
         if n < self._n:
-            return self._eval(np.arange(n) / n, order)
+            return self.deriv(np.arange(n) / n, order)
         coef = self._coef * (2j * np.pi * self._k) ** order
         spec = np.zeros(n, dtype=np.complex128)
         idx = self._k.astype(int) % n
         np.add.at(spec, idx, coef)
         return np.fft.ifft(spec) * n
-
-    def point(self, t):
-        return self._eval(t, 0)
-
-    def velocity(self, t):
-        return self._eval(t, 1)
-
-    def acceleration(self, t):
-        return self._eval(t, 2)
-
-    def jerk(self, t):
-        return self._eval(t, 3)
 
     # -- global quantities -------------------------------------------------
 
@@ -249,7 +258,7 @@ def _normalized(v):
     return v / m
 
 
-class _ArcBase:
+class _ArcBase(_Chart):
     """Open smooth arc over u in [0, 1]; endpoints are junction candidates."""
 
     _length = None
@@ -268,36 +277,28 @@ class _ArcBase:
 
 
 class SubArc(_ArcBase):
-    """Sub-arc of a closed curve between source parameters t0 and t1.
+    """Chart ``base`` re-parameterized affinely from [t0, t1] onto [0, 1].
 
-    t1 < t0 traverses the source backwards; |t1 - t0| may exceed the
-    wrap point (parameters are reduced mod 1 at evaluation).
+    t1 < t0 traverses the base backwards.  Over a closed curve (one with
+    a ``period``) |t1 - t0| may pass the wrap point, and parameters are
+    reduced mod 1 at evaluation; over an open arc they are not.
     """
 
-    def __init__(self, curve, t0, t1):
+    def __init__(self, base, t0, t1):
         if t0 == t1:
             raise GeometryError("degenerate sub-arc")
-        self.curve = curve
+        self.base = base
         self.t0 = float(t0)
         self.t1 = float(t1)
+        self._wrap = hasattr(base, "period")
 
-    def _src(self, u):
-        return (self.t0 + np.asarray(u, float) * (self.t1 - self.t0)) % 1.0
-
-    def point(self, u):
-        return self.curve.point(self._src(u))
-
-    def velocity(self, u):
-        return (self.t1 - self.t0) * self.curve.velocity(self._src(u))
-
-    def acceleration(self, u):
-        return (self.t1 - self.t0) ** 2 * self.curve.acceleration(self._src(u))
-
-    def jerk(self, u):
-        return (self.t1 - self.t0) ** 3 * self.curve.jerk(self._src(u))
+    def deriv(self, u, order):
+        t = self.t0 + np.asarray(u, float) * (self.t1 - self.t0)
+        out = self.base.deriv(t % 1.0 if self._wrap else t, order)
+        return (self.t1 - self.t0) ** order * out if order else out
 
     def reversed(self):
-        return SubArc(self.curve, self.t1, self.t0)
+        return SubArc(self.base, self.t1, self.t0)
 
 
 class CircleArc(_ArcBase):
@@ -311,53 +312,15 @@ class CircleArc(_ArcBase):
         self.ang0 = float(ang0)
         self.ang1 = float(ang1)
 
-    def _phase(self, u):
-        ang = self.ang0 + np.asarray(u, float) * (self.ang1 - self.ang0)
-        return np.exp(1j * ang)
-
-    def point(self, u):
-        return self.center + self.radius * self._phase(u)
-
-    def velocity(self, u):
-        return 1j * (self.ang1 - self.ang0) * self.radius * self._phase(u)
-
-    def acceleration(self, u):
-        return -((self.ang1 - self.ang0) ** 2) * self.radius * self._phase(u)
-
-    def jerk(self, u):
-        return -1j * (self.ang1 - self.ang0) ** 3 * self.radius * self._phase(u)
+    def deriv(self, u, order):
+        d = self.ang1 - self.ang0
+        phase = np.exp(1j * (self.ang0 + np.asarray(u, float) * d))
+        if order == 0:
+            return self.center + self.radius * phase
+        return (1j * d, -(d**2), -1j * d**3)[order - 1] * self.radius * phase
 
     def reversed(self):
         return CircleArc(self.center, self.radius, self.ang1, self.ang0)
-
-
-class ClippedArc(_ArcBase):
-    """Re-parameterized sub-interval [u0, u1] of another arc (u1 < u0 reverses)."""
-
-    def __init__(self, base, u0, u1):
-        if u0 == u1:
-            raise GeometryError("degenerate clipped arc")
-        self.base = base
-        self.u0 = float(u0)
-        self.u1 = float(u1)
-
-    def _src(self, u):
-        return self.u0 + np.asarray(u, float) * (self.u1 - self.u0)
-
-    def point(self, u):
-        return self.base.point(self._src(u))
-
-    def velocity(self, u):
-        return (self.u1 - self.u0) * self.base.velocity(self._src(u))
-
-    def acceleration(self, u):
-        return (self.u1 - self.u0) ** 2 * self.base.acceleration(self._src(u))
-
-    def jerk(self, u):
-        return (self.u1 - self.u0) ** 3 * self.base.jerk(self._src(u))
-
-    def reversed(self):
-        return ClippedArc(self.base, self.u1, self.u0)
 
 
 class OffsetArc(_ArcBase):
@@ -375,44 +338,30 @@ class OffsetArc(_ArcBase):
         self.base = base
         self.dist = float(dist)
 
-    def _frames(self, u, order):
+    def deriv(self, u, order):
+        """Base derivative plus dist times that of the normal -i v/|v|."""
+        if order > 2:
+            raise GeometryError("third derivative of an offset arc is not available")
         v = self.base.velocity(u)
         s = np.abs(v)
-        n = -1j * v / s
-        if order == 0:
-            return (n,)
-        a = self.base.acceleration(u)
-        sp = np.real(np.conj(v) * a) / s
-        np1 = -1j * (a / s - v * sp / s**2)
-        if order == 1:
-            return n, np1
-        j = self.base.jerk(u)
-        spp = (np.abs(a) ** 2 + np.real(np.conj(v) * j) - sp**2) / s
-        np2 = -1j * (
-            j / s - 2.0 * a * sp / s**2 - v * spp / s**2 + 2.0 * v * sp**2 / s**3
-        )
-        return n, np1, np2
-
-    def point(self, u):
-        (n,) = self._frames(u, 0)
-        return self.base.point(u) + self.dist * n
-
-    def velocity(self, u):
-        _, np1 = self._frames(u, 1)
-        return self.base.velocity(u) + self.dist * np1
-
-    def acceleration(self, u):
-        _, _, np2 = self._frames(u, 2)
-        return self.base.acceleration(u) + self.dist * np2
-
-    def jerk(self, u):
-        raise GeometryError("third derivative of an offset arc is not available")
+        dn = -1j * v / s
+        if order > 0:
+            a = self.base.acceleration(u)
+            sp = np.real(np.conj(v) * a) / s
+            dn = -1j * (a / s - v * sp / s**2)
+        if order > 1:
+            j = self.base.jerk(u)
+            spp = (np.abs(a) ** 2 + np.real(np.conj(v) * j) - sp**2) / s
+            dn = -1j * (
+                j / s - 2.0 * a * sp / s**2 - v * spp / s**2 + 2.0 * v * sp**2 / s**3
+            )
+        return self.base.deriv(u, order) + self.dist * dn
 
     def reversed(self):
         return OffsetArc(self.base.reversed(), -self.dist)
 
 
-class PiecewiseCurve:
+class PiecewiseCurve(_Chart):
     """Closed chain of smooth arcs; corners are junctions with a tangent jump.
 
     The global parameter allocates [0, 1) to the arcs proportionally to
@@ -474,28 +423,15 @@ class PiecewiseCurve:
         u = (t - self.breaks[idx]) / width
         return idx, u, width
 
-    def _eval(self, t, order):
+    def deriv(self, t, order):
         t, scalar = _as_param_array(t)
         idx, u, width = self._locate(t)
         out = np.empty(t.shape, dtype=np.complex128)
         for i in np.unique(idx):
             sel = idx == i
-            seg = self.segments[i]
-            fn = (seg.point, seg.velocity, seg.acceleration, seg.jerk)[order]
-            out[sel] = np.asarray(fn(u[sel])) / width[sel] ** order
+            d = self.segments[i].deriv(u[sel], order)
+            out[sel] = np.asarray(d) / width[sel] ** order
         return complex(out[0]) if scalar else out
-
-    def point(self, t):
-        return self._eval(t, 0)
-
-    def velocity(self, t):
-        return self._eval(t, 1)
-
-    def acceleration(self, t):
-        return self._eval(t, 2)
-
-    def jerk(self, t):
-        return self._eval(t, 3)
 
     @property
     def signed_area(self):
@@ -523,7 +459,7 @@ class PiecewiseCurve:
                 lo, hi = self.breaks[i], self.breaks[i + 1]
                 params.append(lo + (hi - lo) * np.arange(mi) / mi)
             params = np.concatenate(params)
-            self._poly_cache[m] = (params, self._eval(params, 0))
+            self._poly_cache[m] = (params, self.deriv(params, 0))
         return self._poly_cache[m]
 
     def reversed(self):

@@ -4,8 +4,8 @@ Smooth curves are offset by resampling z(t) - i*eps*z'(t)/|z'(t)| and
 re-interpolating.  Piecewise curves get one offset arc per segment;
 corners where the offset opens a gap are capped with circular arcs, and
 corners where adjacent offset arcs overrun each other are trimmed back
-to their intersection.  Holes are offset inward so the domain grows on
-every boundary component.
+to their intersection (a ``SubArc`` of each offset arc).  Holes are
+offset inward so the domain grows on every boundary component.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 from ..errors import GeometryError
 from .curves import (
     CircleArc,
-    ClippedArc,
     OffsetArc,
     PiecewiseCurve,
+    SubArc,
     TrigCurve,
     _cross,
     _normalized,
@@ -103,7 +103,7 @@ def _offset_piecewise(curve, d):
         if lo[i] == 0.0 and hi[i] == 1.0:
             chain.append(offs[i])
         else:
-            chain.append(ClippedArc(offs[i], lo[i], hi[i]))
+            chain.append(SubArc(offs[i], lo[i], hi[i]))
     return PiecewiseCurve(chain)
 
 

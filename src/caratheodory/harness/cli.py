@@ -201,8 +201,7 @@ def _build_parser():
 
     p = sub.add_parser("curvature", help="curvature scan over a grid")
     p.add_argument("--domain", required=True)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "szego", "lp"))
+    p.add_argument("--method", default="auto", choices=("auto", "szego"))
     p.add_argument("--delta", type=float, default=0.15)
     p.add_argument("--spacing", type=float)
     p.add_argument("--out")

@@ -296,6 +296,16 @@ def verify_submult(D1, D2, delta=0.1, spacing=0.12, method="auto"):
     )
 
 
+def _decreasing(name, values):
+    """values as floats, refused unless positive and strictly decreasing."""
+    xs = [float(x) for x in values]
+    if not xs or any(x <= 0 for x in xs):
+        raise GeometryError("%s must be positive" % name)
+    if any(b >= a for a, b in zip(xs, xs[1:])):
+        raise GeometryError("%s must be strictly decreasing" % name)
+    return xs
+
+
 def converge_thickening(U, p, eps_list):
     """Watch c of the eps-grown domain rise to c_U as eps shrinks.
 
@@ -303,11 +313,7 @@ def converge_thickening(U, p, eps_list):
     increase as eps decreases; the report records whether they do
     strictly, plus the relative gap left at the smallest eps.
     """
-    eps = [float(e) for e in eps_list]
-    if not eps or any(e <= 0 for e in eps):
-        raise GeometryError("eps_list must be positive")
-    if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-        raise GeometryError("eps_list must be strictly decreasing")
+    eps = _decreasing("eps_list", eps_list)
     p = complex(p)
     if not U.contains(p):
         raise GeometryError("point %s is not inside the domain" % p)
@@ -342,11 +348,7 @@ def localization_experiment(domain, boundary_param, neighborhood_radius,
     if any(abs(t - tc) < 1e-9 or abs(t - tc) > 1.0 - 1e-9
            for tc in getattr(curve, "corner_params", ())):
         raise GeometryError("boundary point %g sits on a corner" % t)
-    ds = [float(d) for d in distances]
-    if not ds or any(d <= 0 for d in ds):
-        raise GeometryError("distances must be positive")
-    if any(ds[i + 1] >= ds[i] for i in range(len(ds) - 1)):
-        raise GeometryError("distances must be strictly decreasing")
+    ds = _decreasing("distances", distances)
     radius = float(neighborhood_radius)
     if max(ds) >= radius:
         raise GeometryError(

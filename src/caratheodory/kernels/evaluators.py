@@ -110,6 +110,11 @@ class SzegoEvaluator(_EvaluatorBase):
     SolveError is raised only when the check fails there, or at once
     when the caller pinned n.  The finer-mesh solution that settles a
     value is kept, so its curvature costs one derivative solve more.
+
+    A pinned n pairs with min(2n, _CAP), and its mesh is built at
+    construction: an n that mesh_boundary refuses, or one above _CAP,
+    raises GeometryError there.  At n = _CAP the pair collapses to one
+    mesh, so each point is solved once and no doubling check runs.
     """
 
     kind = "szego"
@@ -118,7 +123,7 @@ class SzegoEvaluator(_EvaluatorBase):
 
     def __init__(self, domain, n=None):
         super().__init__(domain)
-        self.n_override = int(n) if n else None
+        self.n_override = None if n is None else int(n)
         # corners, and even mere curvature jumps at C1 joins, cost the
         # Nystrom solve its spectral rate; ask only 1e-5 agreement there
         rough = any(not isinstance(c, TrigCurve) for c in domain.curves)
@@ -126,6 +131,10 @@ class SzegoEvaluator(_EvaluatorBase):
         self._meshes = {}
         self._solvers = {}
         self._settled = {}
+        if self.n_override is not None:
+            if self.n_override > self._CAP:
+                raise GeometryError("n is past the mesh cap %d" % self._CAP)
+            self._mesh(self.n_override)  # mesh_boundary refuses bad counts
 
     def _mesh(self, n):
         if n not in self._meshes:
@@ -138,7 +147,7 @@ class SzegoEvaluator(_EvaluatorBase):
         return self._solvers[n]
 
     def _pick_n(self, dist):
-        if self.n_override:
+        if self.n_override is not None:
             return self.n_override
         for n in self._LADDER:
             if CLEARANCE * self._mesh(n).h_max < dist:
@@ -167,17 +176,18 @@ class SzegoEvaluator(_EvaluatorBase):
             for z in zs:
                 key = (complex(z), n1, n2)
                 if key not in self._settled:
-                    v1 = 2.0 * np.pi * self._solver(n1).solve(z).diag_value
-                    sol = self._solver(n2).solve(z)
-                    v2 = 2.0 * np.pi * sol.diag_value
+                    # one solve per distinct mesh: a collapsed pair has rel 0
+                    sols = [self._solver(m).solve(z) for m in sorted({n1, n2})]
+                    v1, v2 = (2.0 * np.pi * sol.diag_value
+                              for sol in (sols[0], sols[-1]))
                     rel = abs(v2 - v1) / abs(v2)
                     if rel > self.tol:
                         break  # the whole batch climbs, see the docstring
-                    self._settled[key] = sol
+                    self._settled[key] = sols[-1]
                 out.append(self._settled[key])
             else:
                 return n2, out
-            if self.n_override or 2 * n2 > self._CAP:
+            if self.n_override is not None or 2 * n2 > self._CAP:
                 raise SolveError(
                     "szego value did not settle at %s: n=%d vs %d changed "
                     "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))

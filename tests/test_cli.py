@@ -171,6 +171,20 @@ def test_bad_flags_are_usage_errors(capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+def test_curvature_has_no_lp_method(capsys):
+    # an LP certificate is a lower bound and carries no curvature
+    assert run_cli(["curvature", "--domain", _fx("disc.json"),
+                    "--method", "lp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "invalid choice" in err
+
+
+def test_metric_refuses_a_pin_no_mesh_accepts(capsys):
+    assert run_cli(["metric", "--domain", _fx("ellipse.json"), "--method",
+                    "szego", "--n", "0", "--point", "0.1"]) == 1
+    assert "n_per_curve must be even" in capsys.readouterr().err
+
+
 def test_seed_flag_is_accepted(capsys):
     rc = run_cli(["--seed", "7", "metric", "--domain", _fx("disc.json"),
                   "--point", "0.5"])

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caratheodory.errors import GeometryError
-from caratheodory.geometry import curve_from_samples, curve_eval, boolean_intersect
+from caratheodory.geometry import (
+    CircleArc,
+    OffsetArc,
+    SubArc,
+    boolean_intersect,
+    curve_eval,
+    curve_from_samples,
+)
 from caratheodory.geometry.curves import crossing_pairs, polyline_self_intersects
-from caratheodory.harness import ellipse, two_disc_pair
+from caratheodory.harness import blob_disc_pair, ellipse, two_disc_pair
 from crossing_reference import all_pairs_crossings, count_tested_pairs
 
 
@@ -92,6 +99,86 @@ def test_too_few_samples_are_rejected():
 def test_clockwise_samples_are_rejected():
     with pytest.raises(GeometryError, match="counterclockwise"):
         curve_from_samples(_circle_samples()[::-1])
+
+
+# -- chart derivatives --------------------------------------------------
+
+
+def _boolean_outer():
+    return boolean_intersect(*blob_disc_pair())[0].outer
+
+
+def _mid_first_segment(curve):
+    return 0.5 * (curve.breaks[0] + curve.breaks[1])
+
+
+# (name, chart factory, parameter off every corner, highest order)
+_CHARTS = [
+    ("trig", lambda: ellipse().outer, 0.3, 3),
+    ("piecewise", _boolean_outer, None, 3),
+    ("sub forward", lambda: SubArc(ellipse().outer, 0.9, 1.2), 0.4, 3),
+    ("sub reversed", lambda: SubArc(ellipse().outer, 0.4, 0.1), 0.4, 3),
+    ("circle", lambda: CircleArc(0.3 + 0.1j, 0.7, 0.2, 2.5), 0.4, 3),
+    ("offset", lambda: OffsetArc(SubArc(ellipse().outer, 0.1, 0.3), 0.05),
+     0.4, 2),
+    ("sub of offset",
+     lambda: SubArc(OffsetArc(SubArc(ellipse().outer, 0.1, 0.3), 0.05),
+                    0.9, 0.2), 0.4, 2),
+]
+
+
+@pytest.mark.parametrize("make, u, top", [c[1:] for c in _CHARTS],
+                         ids=[c[0] for c in _CHARTS])
+def test_each_derivative_is_the_slope_of_the_one_below(make, u, top):
+    chart = make()
+    if u is None:
+        u = _mid_first_segment(chart)
+    h = 1e-5
+    for k in range(1, top + 1):
+        slope = (chart.deriv(u + h, k - 1) - chart.deriv(u - h, k - 1)) / (2 * h)
+        got = chart.deriv(u, k)
+        assert abs(slope - got) <= 1e-7 * (abs(got) + abs(chart.deriv(u, k - 1)))
+    # the named reads are deriv at orders 0-3
+    reads = (chart.point, chart.velocity, chart.acceleration, chart.jerk)
+    for k in range(top + 1):
+        assert reads[k](u) == chart.deriv(u, k)
+
+
+def test_an_offset_arc_has_no_third_derivative():
+    arc = OffsetArc(SubArc(ellipse().outer, 0.1, 0.3), 0.05)
+    with pytest.raises(GeometryError, match="third derivative"):
+        arc.deriv(0.5, 3)
+    with pytest.raises(GeometryError, match="third derivative"):
+        arc.jerk(0.5)
+    with pytest.raises(GeometryError, match="third derivative"):
+        SubArc(arc, 0.2, 0.9).jerk(0.5)
+
+
+@pytest.mark.parametrize("base, lo, hi, top", [
+    (CircleArc(0.3 + 0.1j, 0.7, 0.2, 2.5), 0.6, 1.3, 3),
+    (OffsetArc(SubArc(ellipse().outer, 0.1, 0.3), 0.05), 0.2, 0.9, 2),
+], ids=["circle", "offset"])
+def test_a_sub_arc_of_an_open_arc_is_affine_without_wrap(base, lo, hi, top):
+    # the circle's base parameters pass 1 unreduced: its angle is not
+    # periodic in u, so a wrap would move the points
+    u = np.linspace(0.0, 1.0, 11)
+    s = lo + u * (hi - lo)
+    sub = SubArc(base, lo, hi)
+    assert np.array_equal(sub.deriv(u, 0), base.deriv(s, 0))
+    for k in range(1, top + 1):
+        assert np.array_equal(sub.deriv(u, k), (hi - lo) ** k * base.deriv(s, k))
+
+
+def test_a_sub_arc_of_a_closed_curve_wraps_past_one():
+    curve = ellipse().outer
+    sub = SubArc(curve, 0.9, 1.2)
+    u = np.linspace(0.0, 1.0, 7)
+    s = (0.9 + u * (1.2 - 0.9)) % 1.0
+    assert s.min() < 0.2 and s.max() < 1.0  # the tail wrapped
+    assert np.array_equal(sub.deriv(u, 0), curve.deriv(s, 0))
+    for k in range(1, 4):
+        assert np.array_equal(sub.deriv(u, k), (1.2 - 0.9) ** k * curve.deriv(s, k))
+    assert sub.reversed().point(0.0) == sub.point(1.0)
 
 
 # -- segment crossings ---------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caratheodory.errors import GeometryError, SolveError
-from caratheodory.geometry import Domain, boolean_intersect, boolean_union, curve_eval, curve_from_samples, thicken
+from caratheodory.geometry import Domain, boolean_intersect, boolean_union, curve_eval, curve_from_samples, mesh_boundary, thicken
 from caratheodory.kernels import (
     AnnulusPoincareEvaluator,
     ClosedFormDiscEvaluator,
@@ -15,6 +15,8 @@ from caratheodory.kernels import (
     evaluator_for,
     poincare_annulus,
 )
+from caratheodory.kernels import evaluators
+from caratheodory.kernels.szego import SzegoSolver
 from caratheodory.harness import (
     annulus,
     blob_disc_pair,
@@ -72,6 +74,54 @@ def test_evaluator_for_refuses_an_option_its_backend_does_not_use():
         evaluator_for(ellipse(), method="szego", degree=3)
     assert evaluator_for(ellipse(), n=64).n_override == 64
     assert evaluator_for(ellipse(), method="lp").degree == 24
+
+
+def test_a_pin_the_mesh_ladder_cannot_pair_is_refused():
+    # a pin is a node count mesh_boundary accepts and at most the cap: the
+    # pinned mesh is where clearance is checked and values settle
+    for n in (0, 30, 33, -64):
+        with pytest.raises(GeometryError, match="n_per_curve"):
+            SzegoEvaluator(ellipse(), n=n)
+    with pytest.raises(GeometryError, match="mesh cap 4096"):
+        SzegoEvaluator(ellipse(), n=8192)
+
+
+def _count_work(monkeypatch):
+    """Node counts of the meshes built and of the systems solved."""
+    built, solved = [], []
+    real_mesh, real_solve = evaluators.mesh_boundary, SzegoSolver._solve
+
+    def meshing(domain, n):
+        built.append(n)
+        return real_mesh(domain, n)
+
+    def solving(self, rhs):
+        solved.append(self.mesh.size)
+        return real_solve(self, rhs)
+
+    monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
+    monkeypatch.setattr(SzegoSolver, "_solve", solving)
+    return built, solved
+
+
+def test_a_pin_at_the_cap_solves_each_point_once(monkeypatch):
+    # the pair (cap, cap) collapses: one solve, no doubling check
+    monkeypatch.setattr(SzegoEvaluator, "_CAP", 512)
+    built, solved = _count_work(monkeypatch)
+    ev = SzegoEvaluator(ellipse(), n=512)
+    assert built == [512]
+    got = ev.values([0.1, 0.3j])
+    assert solved == [512, 512]
+    sol = SzegoSolver(mesh_boundary(ellipse(), 512)).solve(0.1)
+    assert got[0] == 2.0 * np.pi * sol.diag_value
+
+
+def test_a_pin_above_the_cap_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(SzegoEvaluator, "_CAP", 512)
+    built, solved = _count_work(monkeypatch)
+    with pytest.raises(GeometryError, match="mesh cap 512"):
+        SzegoEvaluator(ellipse(), n=1024)
+    assert built == [] and solved == []
 
 
 def test_annulus_poincare_evaluator_wraps_the_closed_form():

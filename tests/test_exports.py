@@ -7,7 +7,7 @@ import pytest
 import caratheodory
 from caratheodory import curvature, extremal, geometry, kernels
 from caratheodory.extremal import lp
-from caratheodory.geometry import domain, sampling
+from caratheodory.geometry import curves, domain, sampling
 from caratheodory.kernels import szego
 
 PACKAGES = (
@@ -29,8 +29,13 @@ def test_every_exported_name_resolves(name):
 def test_duplicate_policies_are_gone():
     # SzegoEvaluator owns the doubling check, each evaluator its curvature
     # (no finite-difference stencil), Domain.dist_to_boundary the boundary
-    # distance and LPEvaluator.values the LP field
+    # distance and LPEvaluator.values the LP field; SubArc is the one
+    # re-parameterized arc and deriv each chart's one evaluator
     retired = (
+        (geometry, ("ClippedArc",)),
+        (curves, ("ClippedArc",)),
+        (curves.TrigCurve, ("_eval",)),
+        (curves.PiecewiseCurve, ("_eval",)),
         (caratheodory, ("lp_metric_field",)),
         (extremal, ("lp_metric_field",)),
         (lp, ("lp_metric_field",)),
