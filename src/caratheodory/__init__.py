@@ -43,8 +43,6 @@ from .kernels import (
     evaluator_for,
     garabedian_boundary,
     kerzman_stein_matrix,
-    poincare_two_disc_regions,
-    solve_szego,
 )
 from .harness import (
     ConvergenceReport,
@@ -98,10 +96,8 @@ __all__ = [
     "localization_experiment",
     "lp_caratheodory_lower",
     "mesh_boundary",
-    "poincare_two_disc_regions",
     "run_cli",
     "scan_curvature",
-    "solve_szego",
     "thicken",
     "verify_solynin_two_discs",
     "verify_submult",

@@ -328,12 +328,16 @@ class OffsetArc(_ArcBase):
 
     Positive ``dist`` is the outward side of a counterclockwise base.  The
     derivative formulas consume base derivatives up to third order, so
-    offsetting an OffsetArc is not supported (and never needed: thickenings
-    are always taken from the original domain).
+    offsetting an OffsetArc, or a SubArc trimmed from one, is not
+    supported (and never needed: thickenings are always taken from the
+    original domain).
     """
 
     def __init__(self, base, dist):
-        if isinstance(base, OffsetArc):
+        inner = base
+        while isinstance(inner, SubArc):
+            inner = inner.base
+        if isinstance(inner, OffsetArc):
             raise GeometryError("offset of an offset arc is not supported")
         self.base = base
         self.dist = float(dist)

@@ -74,7 +74,7 @@ def _dump(path, header, rows):
 
 def _cmd_metric(args):
     dom = load_domain_file(args.domain)
-    ev = evaluator_for(dom, args.method, n=args.n, degree=args.degree)
+    ev = evaluator_for(dom, args.method, n=args.n)
     if args.point:
         for z in args.point:
             print("%.6f" % ev.value(z))
@@ -190,10 +190,8 @@ def _build_parser():
     p = sub.add_parser("metric", help="metric values at points or on a grid")
     p.add_argument("--domain", required=True)
     p.add_argument("--point", type=_cx, action="append")
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "szego", "lp"))
+    p.add_argument("--method", default="auto", choices=("auto", "szego"))
     p.add_argument("--n", type=int)
-    p.add_argument("--degree", type=int)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--spacing", type=float, default=0.2)
     p.add_argument("--out")
@@ -227,8 +225,7 @@ def _build_parser():
     p = sub.add_parser("submult", help="submultiplicativity sweep on a pair")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "szego", "lp"))
+    p.add_argument("--method", default="auto", choices=("auto", "szego"))
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--spacing", type=float, default=0.12)
     p.add_argument("--out")

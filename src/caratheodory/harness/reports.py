@@ -1,11 +1,12 @@
 """Verification suites behind the CLI.
 
 Each verify_* routine runs one experiment end to end: build a grid with
-interior clearance, pick the metric authority per domain (the closed form
-where one exists, the Szego solve everywhere else, unless a method is
-forced), evaluate the inequality under test, and return a small report
-object with the numbers and a pass flag.  Nothing here plots; the CLI
-dumps reports as CSV/SVG.
+interior clearance, take each domain's metric authority from
+evaluator_for (the closed form where one exists, the Szego solve
+everywhere else, unless method="szego" forces it), evaluate the
+inequality under test, and return a small report object with the
+numbers and a pass flag.  Nothing here plots; the CLI dumps reports as
+CSV/SVG.
 """
 
 import logging
@@ -16,8 +17,8 @@ import numpy as np
 from ..curvature import curvature_at, scan_curvature
 from ..errors import ExtremalError, GeometryError, SolveError
 from ..geometry import boolean_intersect, boolean_union, grid_sample, thicken
-from ..kernels import disc_metric, evaluator_for
-from ..kernels.closed_forms import SectorPullback
+# disc_metric is not called here; the benchmark's trace table wraps it
+from ..kernels import disc_metric, evaluator_for  # noqa: F401
 from .fixtures import disc
 
 log = logging.getLogger(__name__)
@@ -137,52 +138,24 @@ def verify_suita(domain, delta=0.15, tol=1e-3, spacing=None):
 def verify_solynin_two_discs(disc1, disc2, delta=0.05, spacing=0.06):
     """Poincare-metric product inequality for a pair of round discs.
 
-    All four densities come from closed forms, so this is the analytic
+    The product sweep of verify_submult with auto routing, which gives
+    all four densities from closed forms, so this is the analytic
     baseline: crossing discs must give max ratio < 1 strictly, nested
-    discs give ratio identically 1.
+    discs give ratio identically 1.  Grid and ratios run over every
+    intersection component.
     """
-    (c1, r1) = _disc_params(disc1)
-    (c2, r2) = _disc_params(disc2)
-    c1, r1, c2, r2 = complex(c1), float(r1), complex(c2), float(r2)
+    (c1, r1), (c2, r2) = _disc_params(disc1), _disc_params(disc2)
     nested = abs(c1 - c2) + min(r1, r2) <= max(r1, r2)
 
     comps = boolean_intersect(disc1, disc2)
     if not comps:
         raise GeometryError("discs do not overlap")
-
-    if not nested:
-        pin = SectorPullback((c1, r1), (c2, r2), "intersection")
-        pun = SectorPullback((c1, r1), (c2, r2), "union")
-
-    grids, ratios, rows = [], [], []
-    for comp in comps:
-        pts = grid_sample(comp, delta, spacing)
-        if not nested:
-            # polyline containment can leak a hair at sliver tips; the
-            # pullback knows the exact circles, so recheck and drop
-            pts = pts[pin.contains(pts)]
-        if pts.size == 0:
-            continue
-        lam1 = disc_metric(c1, r1, pts)
-        lam2 = disc_metric(c2, r2, pts)
-        if nested:
-            small = (c1, r1) if r1 <= r2 else (c2, r2)
-            big = (c2, r2) if r1 <= r2 else (c1, r1)
-            lam_int = disc_metric(small[0], small[1], pts)
-            lam_uni = disc_metric(big[0], big[1], pts)
-        else:
-            lam_int = pin.density(pts)
-            lam_uni = pun.density(pts)
-        rat = lam_int * lam_uni / (lam1 * lam2)
-        grids.append(pts)
-        ratios.append(rat)
-        for z, a, b, u, v, r in zip(pts, lam_int, lam_uni, lam1, lam2, rat):
-            rows.append((z.real, z.imag, a, b, u, v, r))
-
-    if not grids:
+    parts, rows, _, _ = _product_sweep(disc1, disc2, comps, delta, spacing,
+                                       "auto")
+    if not parts:
         raise GeometryError("no grid points survive inside the intersection")
-    grid = np.concatenate(grids)
-    rat = np.concatenate(ratios)
+    grid = np.concatenate([pts for _, pts, _ in parts])
+    rat = np.concatenate([r for _, _, r in parts])
     max_ratio = float(np.max(rat))
     if nested:
         passed = bool(np.max(np.abs(rat - 1.0)) <= 1e-10)
@@ -226,42 +199,31 @@ def _kappa_or_nan(ev, pts):
     return out
 
 
-def verify_submult(D1, D2, delta=0.1, spacing=0.12, method="auto"):
-    """Test c_int * c_uni <= sqrt(C_hat/4) * c_1 * c_2 over a pair.
+def _product_sweep(D1, D2, comps, delta, spacing, method):
+    """The ratio c_int * c_uni / (c_1 * c_2) over each component's grid.
 
-    C_hat is the empirical sup of -(kappa_1 + kappa_2) over the
-    intersection grid, a property of the input domains: certificates carry
-    no curvature, so with method="lp" it comes from their auto authority
-    (otherwise from the evaluators of the metric values).  The
-    ratio field, its max over every intersection component, and the
-    resulting bound all land in the returned PairReport, which passes
-    within a relative SUBMULT_TOL_REL (2%) of the bound; points where
-    any evaluation fails are dropped with a warning and counted.
+    Every value and curvature comes from evaluator_for(domain, method).
+    Returns (parts, rows, C_hat, dropped): parts holds (k, points,
+    ratios) for each component k with a surviving point, rows the CSV
+    rows in that order, and C_hat the sup of -(kappa_1 + kappa_2) over
+    the surviving points.  A point where any evaluation fails is dropped
+    with a warning and counted.
     """
-    comps = boolean_intersect(D1, D2)
-    if not comps:
-        raise GeometryError("domains do not intersect")
-    union = boolean_union(D1, D2)
-
     ev1 = evaluator_for(D1, method)
     ev2 = evaluator_for(D2, method)
-    ev_uni = evaluator_for(union, method)
-    kev1 = evaluator_for(D1) if ev1.kind == "lp" else ev1
-    kev2 = evaluator_for(D2) if ev2.kind == "lp" else ev2
+    ev_uni = evaluator_for(boolean_union(D1, D2), method)
 
     C_hat = 0.0
-    rows = []
+    parts, rows = [], []
     dropped = 0
-    best = None
     for k, comp in enumerate(comps):
         pts = grid_sample(comp, delta, spacing)
-        ev_int = evaluator_for(comp, method)
-        c_int = _values_or_nan(ev_int, pts)
+        c_int = _values_or_nan(evaluator_for(comp, method), pts)
         c_uni = _values_or_nan(ev_uni, pts)
         c_1 = _values_or_nan(ev1, pts)
         c_2 = _values_or_nan(ev2, pts)
-        k_1 = _kappa_or_nan(kev1, pts)
-        k_2 = _kappa_or_nan(kev2, pts)
+        k_1 = _kappa_or_nan(ev1, pts)
+        k_2 = _kappa_or_nan(ev2, pts)
 
         ok = np.isfinite(c_int) & np.isfinite(c_uni) & np.isfinite(c_1)
         ok &= np.isfinite(c_2) & np.isfinite(k_1) & np.isfinite(k_2)
@@ -273,13 +235,29 @@ def verify_submult(D1, D2, delta=0.1, spacing=0.12, method="auto"):
         for z, a, b, u, v, r in zip(
                 pts[ok], c_int[ok], c_uni[ok], c_1[ok], c_2[ok], rat):
             rows.append((z.real, z.imag, a, b, u, v, r))
-        comp_max = float(np.max(rat))
-        if best is None or comp_max > best[0]:
-            best = (comp_max, k, pts[ok], rat)
+        parts.append((k, pts[ok], rat))
+    return parts, rows, C_hat, dropped
 
-    if best is None:
+
+def verify_submult(D1, D2, delta=0.1, spacing=0.12, method="auto"):
+    """Test c_int * c_uni <= sqrt(C_hat/4) * c_1 * c_2 over a pair.
+
+    method is "auto" or "szego", as in evaluator_for.  C_hat is the
+    empirical sup of -(kappa_1 + kappa_2) over the intersection grid.
+    The report keeps the component with the largest ratio (the first
+    such), its ratio field and the resulting bound; it passes within a
+    relative SUBMULT_TOL_REL (2%) of the bound.  Points where any
+    evaluation fails are dropped with a warning and counted.
+    """
+    comps = boolean_intersect(D1, D2)
+    if not comps:
+        raise GeometryError("domains do not intersect")
+    parts, rows, C_hat, dropped = _product_sweep(D1, D2, comps, delta,
+                                                 spacing, method)
+    if not parts:
         raise GeometryError("every grid point failed to evaluate")
-    max_ratio, comp_id, grid, rat = best
+    comp_id, grid, rat = max(parts, key=lambda part: np.max(part[2]))
+    max_ratio = float(np.max(rat))
     bound = float(np.sqrt(C_hat / 4.0))
     return PairReport(
         d1_label=D1.label,

@@ -4,7 +4,6 @@ from .closed_forms import (
     circle_intersection,
     disc_metric,
     poincare_annulus,
-    poincare_two_disc_regions,
 )
 from .szego import (
     KernelSolution,
@@ -12,7 +11,6 @@ from .szego import (
     ahlfors_eval,
     garabedian_boundary,
     kerzman_stein_matrix,
-    solve_szego,
 )
 from .evaluators import (
     AnnulusPoincareEvaluator,
@@ -29,13 +27,11 @@ __all__ = [
     "circle_intersection",
     "disc_metric",
     "poincare_annulus",
-    "poincare_two_disc_regions",
     "KernelSolution",
     "SzegoSolver",
     "ahlfors_eval",
     "garabedian_boundary",
     "kerzman_stein_matrix",
-    "solve_szego",
     "AnnulusPoincareEvaluator",
     "ClosedFormDiscEvaluator",
     "LPEvaluator",

@@ -151,12 +151,3 @@ class SectorPullback:
         lam = np.pi / (2.0 * beta * np.abs(w) * np.sin(np.pi * phi / beta))
         out = lam * dm
         return float(out) if out.ndim == 0 else out
-
-
-def poincare_two_disc_regions(disc1, disc2, which, z):
-    """Poincare density of the intersection or union of two open discs.
-
-    disc1 and disc2 are (center, radius) pairs; the circles must cross
-    transversally and z must lie in the requested region.
-    """
-    return SectorPullback(disc1, disc2, which).density(z)

@@ -2,8 +2,9 @@
 
 Every evaluator exposes value(z) -> float, values(zs) -> array and
 curvatures(zs) -> array for one fixed domain, so curvature scans and
-harness sweeps don't care which authority (closed form, Szego solve, LP
-certificate) produced the number.
+harness sweeps don't care which authority (closed form or Szego solve,
+chosen by evaluator_for) produced the number.  LPEvaluator shares the
+interface as the certificate layer.
 
 Batch calls on the Szego evaluator share a single mesh pair chosen from
 the shallowest point of the batch, and a doubling failure at any point
@@ -214,11 +215,12 @@ class SzegoEvaluator(_EvaluatorBase):
 class LPEvaluator(_EvaluatorBase):
     """On-demand LP certificates: certified lower bounds on the metric.
 
-    Never chosen by auto routing; ask for it with method="lp" to check a
-    closed-form or Szego value from below.  On smooth domains certificates
-    sit ~0.1-0.5% below the truth (polyhedral deflation plus the sup
-    rescale); on cornered ones they can fall far lower, e.g. 1.343502
-    against the Szego 1.468978 (8.5% low) on the blob-disc union at 1+0j.
+    Not a metric authority, so evaluator_for never returns it; build it
+    directly to check a closed-form or Szego value from below.  On smooth
+    domains certificates sit ~0.1-0.5% below the truth (polyhedral
+    deflation plus the sup rescale); on cornered ones they can fall far
+    lower, e.g. 1.343502 against the Szego 1.468978 (8.5% low) on the
+    blob-disc union at 1+0j.
     A lower bound has no curvature, so curvatures raises.
     """
 
@@ -250,32 +252,27 @@ class LPEvaluator(_EvaluatorBase):
             "LP certificates are lower bounds and carry no curvature")
 
 
-def evaluator_for(domain, method="auto", n=None, degree=None):
-    """Route a domain to its metric authority.
+def evaluator_for(domain, method="auto", n=None):
+    """Route a domain to its metric authority; the one place that does.
 
     auto: tagged discs and two-disc lenses and unions get their closed
     forms; every other domain, smooth or cornered (boolean results,
     offsets, annuli), gets the Szego solver, which grades its mesh at
     corners and climbs its mesh ladder where the doubling check asks for
-    it.  The LP is never picked here: method="lp" asks for certificates
-    (of basis degree 24 unless degree is given), and method="szego"
-    forces the solver even where a closed form exists.  n pins the
-    solver's coarse node count; n for any other evaluator, or degree for
-    any but the LP, raises GeometryError.
+    it.  method="szego" forces the solver even where a closed form
+    exists.  n pins the solver's coarse node count; n for a closed form
+    raises GeometryError.  LP certificates are not metric values: build
+    an LPEvaluator for them.
     """
-    if method not in ("auto", "szego", "lp"):
+    if method not in ("auto", "szego"):
         raise GeometryError("unknown method %r" % (method,))
     tag = domain.primitive[0] if domain.primitive else None
-    if method == "lp":
-        ev = LPEvaluator(domain) if degree is None else LPEvaluator(domain, degree)
-    elif method == "auto" and tag == "disc":
+    if method == "auto" and tag == "disc":
         ev = ClosedFormDiscEvaluator(domain)
     elif method == "auto" and tag in ("lens", "two_disc_union"):
         ev = SectorPullbackEvaluator(domain)
     else:
-        ev = SzegoEvaluator(domain, n=n)
-    for opt, value, kind in (("n", n, "szego"), ("degree", degree, "lp")):
-        if value is not None and ev.kind != kind:
-            raise GeometryError("%s is not an option of the %s evaluator"
-                                % (opt, ev.kind))
+        return SzegoEvaluator(domain, n=n)
+    if n is not None:
+        raise GeometryError("n is not an option of the %s evaluator" % ev.kind)
     return ev

@@ -232,16 +232,6 @@ class SzegoSolver:
         return float(-lap / (2.0 * np.pi * s) ** 2)
 
 
-def solve_szego(mesh, a):
-    """Boundary Szego values S(w_j, a) and diagonal S(a,a) on one mesh.
-
-    The base point must keep CLEARANCE node spacings from the boundary.
-    """
-    a = complex(a)
-    require_clearance(mesh, a, mesh.owner.dist_to_boundary(a))
-    return SzegoSolver(mesh).solve(a)
-
-
 def garabedian_boundary(sol):
     """Garabedian kernel values L(w_j, a) from the boundary identity."""
     return 1j * np.conj(sol.szego_boundary) * np.conj(sol.mesh.tangents)

@@ -27,21 +27,6 @@ def test_metric_at_several_points(capsys):
     assert capsys.readouterr().out == "1.000000\n1.333333\n"
 
 
-def test_metric_with_the_lp_backend(capsys):
-    rc = run_cli(["metric", "--domain", _fx("disc.json"), "--point", "0",
-                  "--method", "lp", "--degree", "5"])
-    assert rc == 0
-    # cos(pi/64)*cos(pi/512): see test_extremal.test_disc_certificate_at_the_center
-    assert capsys.readouterr().out == "0.998777\n"
-
-
-def test_metric_refuses_an_option_its_backend_does_not_use(capsys):
-    rc = run_cli(["metric", "--domain", _fx("ellipse.json"), "--point", "0",
-                  "--method", "szego", "--degree", "5"])
-    assert rc == 1
-    assert "degree is not an option" in capsys.readouterr().err
-
-
 def test_metric_grid_csv_is_byte_stable(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):
@@ -171,12 +156,22 @@ def test_bad_flags_are_usage_errors(capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-def test_curvature_has_no_lp_method(capsys):
-    # an LP certificate is a lower bound and carries no curvature
-    assert run_cli(["curvature", "--domain", _fx("disc.json"),
-                    "--method", "lp"]) == 1
+@pytest.mark.parametrize("argv, why", [
+    (["curvature", "--domain", _fx("disc.json"), "--method", "lp"],
+     "invalid choice"),
+    (["metric", "--domain", _fx("disc.json"), "--point", "0",
+      "--method", "lp"], "invalid choice"),
+    (["metric", "--domain", _fx("disc.json"), "--point", "0",
+      "--degree", "5"], "unrecognized arguments"),
+    (["submult", "--d1", _fx("discL.json"), "--d2", _fx("discR.json"),
+      "--method", "lp"], "invalid choice"),
+], ids=["curvature-lp", "metric-lp", "metric-degree", "submult-lp"])
+def test_curvature_has_no_lp_method(argv, why, capsys):
+    # an LP certificate is a lower bound, not a metric value, and carries
+    # no curvature: no subcommand routes to it or takes its degree
+    assert run_cli(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "invalid choice" in err
+    assert err.startswith("usage error:") and why in err
 
 
 def test_metric_refuses_a_pin_no_mesh_accepts(capsys):

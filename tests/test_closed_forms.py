@@ -11,7 +11,6 @@ from caratheodory.kernels import (
     annulus_metric,
     disc_metric,
     evaluator_for,
-    poincare_two_disc_regions,
 )
 from caratheodory.kernels.closed_forms import SectorPullback, circle_intersection, poincare_annulus
 from caratheodory.harness import disc, two_disc_pair
@@ -114,10 +113,10 @@ def test_sector_pullback_densities_at_the_waist_center():
 
 def test_poincare_two_disc_region_values():
     d1, d2 = (-0.5, 1.0), (0.5, 1.0)
-    assert poincare_two_disc_regions(d1, d2, "intersection", 0.0) == pytest.approx(
+    assert SectorPullback(d1, d2, "intersection").density(0.0) == pytest.approx(
         1.732050808, abs=1e-8
     )
-    assert poincare_two_disc_regions(d1, d2, "union", 0.0) == pytest.approx(
+    assert SectorPullback(d1, d2, "union").density(0.0) == pytest.approx(
         0.866025404, abs=1e-8
     )
 

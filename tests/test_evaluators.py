@@ -47,9 +47,10 @@ def test_auto_routing_picks_the_right_backend():
 
 def test_method_argument_forces_a_backend():
     assert evaluator_for(disc(), method="szego").kind == "szego"
-    assert evaluator_for(disc(), method="lp", degree=5).kind == "lp"
-    with pytest.raises(GeometryError, match="unknown method"):
-        evaluator_for(disc(), method="newton")
+    # LP certificates are built as LPEvaluator, never routed to
+    for method in ("newton", "lp"):
+        with pytest.raises(GeometryError, match="unknown method"):
+            evaluator_for(disc(), method=method)
     with pytest.raises(GeometryError, match="not tagged as a disc"):
         ClosedFormDiscEvaluator(ellipse())
     with pytest.raises(GeometryError, match="not tagged as an annulus"):
@@ -58,22 +59,19 @@ def test_method_argument_forces_a_backend():
 
 def test_evaluator_for_refuses_keywords_it_does_not_take():
     # the grading exponent is a mesh constant, no longer a keyword that
-    # routing silently dropped on its way to a closed form
+    # routing silently dropped on its way to a closed form; the LP degree
+    # belongs to LPEvaluator, which routing never returns
     with pytest.raises(TypeError):
         evaluator_for(disc(), grading_exponent=2.0)
+    with pytest.raises(TypeError):
+        evaluator_for(ellipse(), degree=3)
 
 
 def test_evaluator_for_refuses_an_option_its_backend_does_not_use():
-    # n pins the Szego mesh and degree the LP basis; neither is dropped
-    # on its way to another backend
-    with pytest.raises(GeometryError, match="n is not an option of the lp"):
-        evaluator_for(ellipse(), method="lp", n=64)
+    # n pins the Szego mesh; it is not dropped on its way to a closed form
     with pytest.raises(GeometryError, match="n is not an option of the closed"):
         evaluator_for(disc(), n=64)
-    with pytest.raises(GeometryError, match="degree is not an option of the szego"):
-        evaluator_for(ellipse(), method="szego", degree=3)
     assert evaluator_for(ellipse(), n=64).n_override == 64
-    assert evaluator_for(ellipse(), method="lp").degree == 24
 
 
 def test_a_pin_the_mesh_ladder_cannot_pair_is_refused():

@@ -8,7 +8,7 @@ import caratheodory
 from caratheodory import curvature, extremal, geometry, kernels
 from caratheodory.extremal import lp
 from caratheodory.geometry import curves, domain, sampling
-from caratheodory.kernels import szego
+from caratheodory.kernels import closed_forms, szego
 
 PACKAGES = (
     "caratheodory",
@@ -30,7 +30,8 @@ def test_duplicate_policies_are_gone():
     # SzegoEvaluator owns the doubling check, each evaluator its curvature
     # (no finite-difference stencil), Domain.dist_to_boundary the boundary
     # distance and LPEvaluator.values the LP field; SubArc is the one
-    # re-parameterized arc and deriv each chart's one evaluator
+    # re-parameterized arc and deriv each chart's one evaluator; callers
+    # build SzegoSolver and SectorPullback themselves, without wrappers
     retired = (
         (geometry, ("ClippedArc",)),
         (curves, ("ClippedArc",)),
@@ -40,8 +41,11 @@ def test_duplicate_policies_are_gone():
         (extremal, ("lp_metric_field",)),
         (lp, ("lp_metric_field",)),
         (caratheodory, ("caratheodory_szego", "dist_to_boundary", "domain_contains")),
-        (kernels, ("caratheodory_szego",)),
-        (szego, ("caratheodory_szego",)),
+        (caratheodory, ("solve_szego", "poincare_two_disc_regions")),
+        (kernels, ("caratheodory_szego", "solve_szego",
+                   "poincare_two_disc_regions")),
+        (szego, ("caratheodory_szego", "solve_szego")),
+        (closed_forms, ("poincare_two_disc_regions",)),
         (geometry, ("dist_to_boundary", "domain_contains")),
         (domain, ("dist_to_boundary", "domain_contains")),
         (domain.Domain, ("interior_point",)),

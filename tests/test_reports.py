@@ -24,7 +24,6 @@ from caratheodory.harness import (
 )
 from caratheodory.geometry import grid_sample
 from caratheodory.harness.reports import write_csv
-from caratheodory.kernels import LPEvaluator, evaluator_for
 from curvature_reference import annulus_kappa, annulus_series
 
 
@@ -128,16 +127,34 @@ def test_submult_on_nested_discs():
     assert rep.C_hat == pytest.approx(8.0, abs=1e-4)
 
 
-def test_submult_with_lp_takes_curvature_from_the_domains(monkeypatch):
-    # certificates carry no curvature, so C_hat comes from each disc's
-    # closed form, where kappa is -4 exactly: C_hat = 8.  The LP values
-    # are stood in by the closed forms, so no HiGHS run is needed.
-    monkeypatch.setattr(LPEvaluator, "values",
-                        lambda self, zs: evaluator_for(self.domain).values(zs))
-    rep = verify_submult(*two_disc_pair("symmetric"), spacing=1.0,
-                         method="lp")
-    assert rep.dropped == 0
-    assert rep.C_hat == pytest.approx(8.0, abs=1e-12)
+def test_submult_with_the_szego_method_matches_the_closed_forms():
+    # every value and curvature from the Szego solve: kappa is -4 on each
+    # simply connected disc, so C_hat = 8, and the ratio is auto's 0.84375
+    # (closed forms) up to the solver's doubling tolerance
+    auto = verify_submult(*two_disc_pair("symmetric"), spacing=0.5)
+    rep = verify_submult(*two_disc_pair("symmetric"), spacing=0.5,
+                         method="szego")
+    assert len(rep.rows) == 3 and rep.dropped == 0
+    assert rep.C_hat == pytest.approx(8.0, abs=1e-9)
+    assert auto.max_ratio == pytest.approx(0.84375, rel=1e-12)
+    assert rep.max_ratio == pytest.approx(auto.max_ratio, rel=1e-6)
+
+
+@pytest.mark.parametrize("name, delta, spacing", [
+    ("symmetric", 0.05, 0.06),
+    ("asymmetric", 0.05, 0.06),
+    ("nested", 0.05, 0.06),
+    ("near_tangent", 0.0005, 0.005),
+])
+def test_solynin_is_the_product_sweep_on_discs(name, delta, spacing):
+    # the Solynin baseline has no metric code of its own: its rows, grid
+    # and max ratio are verify_submult's over the same pair and grid
+    sol = verify_solynin_two_discs(*two_disc_pair(name), delta, spacing)
+    sub = verify_submult(*two_disc_pair(name), delta, spacing)
+    assert sub.dropped == 0
+    assert np.array_equal(np.array(sol.rows), np.array(sub.rows))
+    assert np.array_equal(sol.grid, sub.grid)
+    assert sol.max_ratio == sub.max_ratio
 
 
 def test_submult_needs_an_overlap():

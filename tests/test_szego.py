@@ -15,7 +15,7 @@ from caratheodory.geometry import (
     grid_sample,
     mesh_boundary,
 )
-from caratheodory.kernels import SzegoEvaluator, solve_szego, szego
+from caratheodory.kernels import SzegoEvaluator, szego
 from caratheodory.kernels.szego import (
     LU_MATVECS,
     SzegoSolver,
@@ -141,7 +141,7 @@ def test_garabedian_boundary_identities():
 def test_base_point_clearance_guard():
     mesh = mesh_boundary(unit_disc(), 256)
     with pytest.raises(GeometryError, match="need > 3"):
-        solve_szego(mesh, 0.99)
+        szego.require_clearance(mesh, 0.99, unit_disc().dist_to_boundary(0.99))
 
 
 def test_ahlfors_map_on_discs_is_the_mobius_map():

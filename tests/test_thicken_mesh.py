@@ -5,7 +5,13 @@ import pytest
 from scipy.special import ellipe
 
 from caratheodory.errors import GeometryError
-from caratheodory.geometry import boolean_intersect, grid_sample, mesh_boundary, thicken
+from caratheodory.geometry import (
+    boolean_intersect,
+    boolean_union,
+    grid_sample,
+    mesh_boundary,
+    thicken,
+)
 from caratheodory.harness import (
     annulus,
     blob_with_hole,
@@ -144,3 +150,14 @@ def test_thicken_reach_limits():
         thicken(fourier_blob(), 0.8)
     with pytest.raises(GeometryError, match="positive"):
         thicken(unit_disc(), -0.1)
+
+
+def test_a_cornered_offset_is_not_thickened_again():
+    # a trimmed offset arc is a SubArc over an OffsetArc; offsetting it
+    # again needs the offset's third derivative, so thicken refuses it at
+    # construction instead of the first curve evaluation failing
+    once = thicken(boolean_union(*two_disc_pair("asymmetric")), 0.05)
+    with pytest.raises(GeometryError, match="offset of an offset arc"):
+        thicken(once, 0.05)
+    # smooth offsets are re-interpolated, so they thicken again
+    assert thicken(thicken(fourier_blob(), 0.05), 0.05).holes == ()
