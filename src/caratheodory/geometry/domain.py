@@ -2,12 +2,14 @@
 
 All curves are stored counterclockwise.  A point is inside the domain when
 it is inside the outer curve and outside every hole.  Containment uses the
-winding number of a fine cached polyline.  ``Domain.dist_to_boundary`` is
-the package's one boundary-distance code: it polishes the nearest node of
-that polyline with a bounded scalar minimization, and grid clearance
-and solver clearance guards call it.  Each domain remembers the
-distances it has computed: a grid point is asked again when the solver
-picks its mesh.
+winding number of a fine cached polyline.  ``Domain.foot`` is the
+package's one boundary-distance code: it polishes the nearest node of
+that polyline with a bounded scalar minimization, which gives the
+distance and the nearest boundary point's parameter at once.
+``dist_to_boundary`` reads its distance for grid clearance and solver
+clearance guards, and the solver meshes near-boundary points at the foot.
+Each domain remembers the feet it has computed: a grid point is asked
+again when the solver picks its mesh.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ def _winding_many(poly, z):
     return out
 
 
-def _curve_min_dist(curve, z):
-    """Distance from z to the curve, polished to ~1e-10 relative."""
+def _curve_foot(curve, z):
+    """Distance from z to the curve, polished to ~1e-10 relative, and the
+    parameter of the nearest point."""
     params, pts = curve.polyline(_POLY_M)
     d = np.abs(pts - z)
     j = int(np.argmin(d))
@@ -54,7 +57,7 @@ def _curve_min_dist(curve, z):
 
     r = minimize_scalar(f, bounds=(lo, hi), method="bounded",
                         options={"xatol": 1e-12})
-    return float(np.sqrt(max(r.fun, 0.0)))
+    return float(np.sqrt(max(r.fun, 0.0))), float(r.x % 1.0)
 
 
 class Domain:
@@ -70,7 +73,7 @@ class Domain:
         self.holes = tuple(holes)
         self.label = label
         self.primitive = primitive
-        self._dist = {}  # point -> dist_to_boundary
+        self._feet = {}  # point -> foot
         if self.outer.signed_area <= 0:
             raise GeometryError("outer curve must be counterclockwise")
         _, outer_poly = self.outer.polyline(_POLY_M)
@@ -117,20 +120,27 @@ class Domain:
             inside[ambiguous] = False
             if boundary == "raise":
                 for zz in z[ambiguous]:
-                    d = min(_curve_min_dist(c, complex(zz)) for c in self.curves)
+                    d = min(_curve_foot(c, complex(zz))[0] for c in self.curves)
                     if d < 1e-7:
                         raise GeometryError(
                             "point %s is on the boundary (dist %.3g)" % (zz, d)
                         )
         return inside
 
-    def dist_to_boundary(self, z):
+    def foot(self, z):
+        """(k, t, d): the nearest boundary point to the interior point z is
+        curves[k].point(t), at distance d."""
         z = complex(z)
-        if z not in self._dist:
+        if z not in self._feet:
             if not self.contains(z):
                 raise GeometryError("point %s is not inside the domain" % z)
-            self._dist[z] = min(_curve_min_dist(c, z) for c in self.curves)
-        return self._dist[z]
+            d, t, k = min(_curve_foot(c, z) + (k,)
+                          for k, c in enumerate(self.curves))
+            self._feet[z] = (k, t, d)
+        return self._feet[z]
+
+    def dist_to_boundary(self, z):
+        return self.foot(z)[2]
 
     def bounding_box(self):
         _, poly = self.outer.polyline(_POLY_M)

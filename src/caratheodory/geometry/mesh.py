@@ -9,6 +9,15 @@ grading substitution, clustering nodes at the corners where kernel
 densities lose smoothness.  Tangents follow the traversal that
 keeps the domain on the left: counterclockwise on the outer curve,
 clockwise on holes.
+
+A mesh may also be adapted to a base point near the boundary, given its
+foot: the nearest curve, the parameter t_p of the nearest point on it,
+and the distance d.  A smooth curve then gets the trapezoid rule
+through the circle Mobius map e^{2 pi i (t - t_p)} = M(e^{2 pi i
+(s - t_p)}), M(zeta) = (zeta + r) / (1 + r zeta), which is analytic and
+periodic, so the rule stays spectral (Tee and Trefethen, SISC 2006) while
+its nodes crowd at t_p; on a cornered curve t_p is one more break of the
+corner grading.  Every other curve is meshed as without a foot.
 """
 
 from __future__ import annotations
@@ -36,7 +45,9 @@ def _graded_map(xi, p):
 class BoundaryMesh:
     """Quadrature nodes, arclength weights and unit tangents on a boundary.
 
-    ``curve_slices[k]`` is the index range of curve k (outer first).
+    ``curve_slices[k]`` is the index range of curve k (outer first), and
+    ``spacing[j]`` the longer of the two chords at node j; h_max is the
+    largest.
     """
 
     def __init__(self, owner, nodes, weights, tangents, curve_slices):
@@ -45,12 +56,13 @@ class BoundaryMesh:
         self.weights = weights
         self.tangents = tangents
         self.curve_slices = tuple(curve_slices)
-        for a in (nodes, weights, tangents):
-            a.flags.writeable = False
-        self.h_max = 0.0
+        self.spacing = np.empty(nodes.size)
         for lo, hi in self.curve_slices:
-            z = nodes[lo:hi]
-            self.h_max = max(self.h_max, float(np.max(np.abs(np.roll(z, -1) - z))))
+            chord = np.abs(np.roll(nodes[lo:hi], -1) - nodes[lo:hi])
+            np.maximum(chord, np.roll(chord, 1), out=self.spacing[lo:hi])
+        for a in (nodes, weights, tangents, self.spacing):
+            a.flags.writeable = False
+        self.h_max = float(np.max(self.spacing))
 
     @property
     def size(self):
@@ -64,25 +76,31 @@ class BoundaryMesh:
         )
 
 
-def _runs_between_corners(curve):
-    """Parameter intervals between consecutive corners (whole curve if none)."""
-    cp = sorted(curve.corner_params)
-    if not cp:
-        return [(0.0, 1.0)]
-    runs = []
-    for i in range(len(cp)):
-        a = cp[i]
-        b = cp[i + 1] if i + 1 < len(cp) else cp[0] + 1.0
-        runs.append((a, b))
-    return runs
+def _runs_between(breaks):
+    """Parameter intervals between consecutive breaks, cyclically."""
+    cp = sorted(breaks)
+    return [(a, b) for a, b in zip(cp, cp[1:] + [cp[0] + 1.0])]
 
 
-def _mesh_curve(curve, n, flip):
+def _mobius_params(n, t_p, eps):
+    """Parameters t(s) at s = j/n under the circle map clustering at t_p
+    with density 1/eps there, and their derivatives t'(s)."""
+    r = (1.0 - eps) / (1.0 + eps)
+    zeta = np.exp(2j * np.pi * (np.arange(n) / n - t_p))
+    t = (t_p + np.angle((zeta + r) / (1.0 + r * zeta)) / (2.0 * np.pi)) % 1.0
+    return t, (1.0 - r * r) / np.abs(1.0 + r * zeta) ** 2
+
+
+def _mesh_curve(curve, n, flip, foot=None):
+    """Nodes, weights and tangents of one curve; foot is (t_p, d) or None."""
     if curve.corner_params:
-        runs = _runs_between_corners(curve)
+        breaks = list(curve.corner_params)
+        if foot is not None and all(
+                abs((foot[0] - c + 0.5) % 1.0 - 0.5) > 1e-9 for c in breaks):
+            breaks.append(foot[0])
         ts = []
         ws = []
-        for a, b in runs:
+        for a, b in _runs_between(breaks):
             m = max(8, int(round(n * (b - a))))
             xi = (np.arange(m) + 0.5) / m
             v, dv = _graded_map(xi, _GRADING)
@@ -90,11 +108,18 @@ def _mesh_curve(curve, n, flip):
             ws.append((b - a) * dv / m)
         t = np.concatenate(ts)
         dt = np.concatenate(ws)
+    elif foot is not None:
+        # eps weighs the peak's width, d over the speed at the foot in
+        # parameter units, against the far side's stretch by 1/eps
+        t_p, d = foot
+        eps = min(0.5, 2.0 * np.sqrt(d / abs(curve.velocity(t_p))))
+        t, dt = _mobius_params(n, t_p, eps)
+        dt /= n
     else:
         # smooth closed curve: uniform trapezoid in the parameter
         t = np.arange(n) / n
         dt = np.full(n, 1.0 / n)
-    if hasattr(curve, "uniform_eval"):
+    if foot is None and hasattr(curve, "uniform_eval"):
         # a trig curve, never cornered: its series at the j/n by FFT, the
         # points polyline(n) samples
         z = curve.uniform_eval(n, 0)
@@ -110,15 +135,18 @@ def _mesh_curve(curve, n, flip):
     return z, w, tang
 
 
-def mesh_boundary(domain, n_per_curve):
+def mesh_boundary(domain, n_per_curve, foot=None):
     """Quadrature mesh of all boundary curves of a domain.
 
     n_per_curve is the node budget for each curve (>= 32, even).  Corners
-    get the polynomial grading of exponent _GRADING.
+    get the polynomial grading of exponent _GRADING.  foot = (k, t_p, d),
+    as Domain.foot gives it, adapts curve k to a base point at distance d
+    from its point t_p (see the module docstring).
     """
     n = int(n_per_curve)
     if n < 32 or n % 2 != 0:
         raise GeometryError("n_per_curve must be even and at least 32, got %s" % n)
+    feet = {} if foot is None else {foot[0]: tuple(foot[1:])}
 
     nodes = []
     weights = []
@@ -126,7 +154,7 @@ def mesh_boundary(domain, n_per_curve):
     slices = []
     pos = 0
     for k, c in enumerate(domain.curves):
-        z, w, tg = _mesh_curve(c, n, flip=(k > 0))
+        z, w, tg = _mesh_curve(c, n, k > 0, feet.get(k))
         nodes.append(z)
         weights.append(w)
         tangents.append(tg)

@@ -6,12 +6,16 @@ harness sweeps don't care which authority (closed form or Szego solve,
 chosen by evaluator_for) produced the number.  LPEvaluator shares the
 interface as the certificate layer.
 
-Batch calls on the Szego evaluator share a single mesh pair chosen from
-the shallowest point of the batch, and a doubling failure at any point
-moves the whole batch up the ladder.  Curvature no longer needs that
+Batch calls on the Szego evaluator share a single uniform mesh pair
+chosen from the shallowest point of the batch, and a doubling failure at
+any point moves the whole batch up the ladder, where one LU serves an
+interior grid.  A batch that reaches past the ladder's top rung, 1024
+nodes per curve, is settled point by point on pairs of meshes adapted to
+each point's nearest boundary point, its foot, instead of on uniform
+meshes of 2048 or 4096 nodes.  Curvature no longer needs the batch's
 sharing (it comes from the kernel's derivative, not from differences of
-values); the pair stays because settling each point on its own pair
-would move values.
+values); the shared pair stays because settling each point on its own
+pair would move values.
 """
 
 from __future__ import annotations
@@ -101,25 +105,36 @@ class SectorPullbackEvaluator(_ClosedFormEvaluator):
 class SzegoEvaluator(_EvaluatorBase):
     """Caratheodory metric 2*pi*S(a,a) from the Kerzman-Stein solve.
 
-    Meshes and their solvers are cached per node count (a solver turns
-    from GMRES to one LU factorization once its mesh has served enough
-    solves), and each value is accepted only after a mesh-doubling
-    agreement check (1e-8 relative on smooth boundaries, 1e-5 with
-    corners) between the batch's mesh pair (n, 2n).  When any point
-    fails it, the whole batch climbs one rung to (2n, 4n) and is
-    evaluated again, up to a finer mesh of _CAP nodes per curve;
-    SolveError is raised only when the check fails there, or at once
-    when the caller pinned n.  The finer-mesh solution that settles a
-    value is kept, so its curvature costs one derivative solve more.
+    Each value is accepted only after a mesh-doubling agreement check
+    (1e-8 relative on smooth boundaries, 1e-5 with corners) between a
+    mesh pair (n, 2n).  A batch shares the pair of the first uniform
+    rung of _LADDER that keeps its shallowest point CLEARANCE node
+    spacings (h_max) from the boundary; uniform meshes and their solvers
+    are cached per node count (a solver turns from GMRES to one LU
+    factorization once its mesh has served enough solves).  When any
+    point fails the check, the whole batch climbs one rung, up to
+    (1024, 2048).
 
-    A pinned n pairs with min(2n, _CAP), and its mesh is built at
-    construction: an n that mesh_boundary refuses, or one above _CAP,
-    raises GeometryError there.  At n = _CAP the pair collapses to one
-    mesh, so each point is solved once and no doubling check runs.
+    A batch whose shallowest point is too near the boundary for the
+    top rung, or that fails the check there, is settled point by point
+    on meshes adapted to each point's foot (mesh_boundary's foot): the
+    pairs of _ADAPTED in turn, the first whose coarse mesh keeps the
+    point's local clearance.  SolveError is raised only when the last
+    adapted pair fails the check, or at once when the caller pinned n.
+    The finer-mesh solver and solution that settle a value are kept
+    together, so its curvature costs one derivative solve more, and
+    solution() returns that solution.
+
+    A pinned n pairs with min(2n, _CAP) on uniform meshes, and its mesh
+    is built at construction: an n that mesh_boundary refuses, or one
+    above _CAP, raises GeometryError there.  At n = _CAP the pair
+    collapses to one mesh, so each point is solved once and no doubling
+    check runs.
     """
 
     kind = "szego"
-    _LADDER = (256, 512, 1024, 2048)
+    _LADDER = (256, 512, 1024)
+    _ADAPTED = ((512, 1024), (1024, 2048))
     _CAP = 4096
 
     def __init__(self, domain, n=None):
@@ -131,6 +146,8 @@ class SzegoEvaluator(_EvaluatorBase):
         self.tol = 1e-5 if rough else 1e-8
         self._meshes = {}
         self._solvers = {}
+        # (z, n1, n2) on uniform pairs, (z, "foot") on adapted ones ->
+        # (finer solver, its solution)
         self._settled = {}
         if self.n_override is not None:
             if self.n_override > self._CAP:
@@ -148,29 +165,27 @@ class SzegoEvaluator(_EvaluatorBase):
         return self._solvers[n]
 
     def _pick_n(self, dist):
+        """The batch's coarse node count: the pin, else the first rung
+        whose h_max keeps CLEARANCE at dist, else None."""
         if self.n_override is not None:
             return self.n_override
         for n in self._LADDER:
             if CLEARANCE * self._mesh(n).h_max < dist:
                 return n
-        return self._LADDER[-1]
-
-    def _guarded_n(self, zs):
-        """The batch's coarse node count; every point must keep CLEARANCE
-        node spacings on its mesh."""
-        dists = [self.domain.dist_to_boundary(z) for z in zs]
-        n1 = self._pick_n(min(dists))
-        for z, d in zip(zs, dists):
-            require_clearance(self._mesh(n1), z, d)
-        return n1
+        return None
 
     def _settle(self, zs):
-        """The finer node count of the batch's mesh pair, and the kernel
-        solutions on it that settle the batch's values."""
+        """(solver, kernel solution) on the finer mesh of the pair that
+        settles each point of the batch."""
         zs = np.asarray(zs, dtype=complex).ravel()
         if zs.size == 0:
-            return None, []
-        n1 = self._guarded_n(zs)
+            return []
+        dists = [self.domain.dist_to_boundary(z) for z in zs]
+        n1 = self._pick_n(min(dists))
+        if n1 is None:
+            return [self._settle_at_foot(z) for z in zs]
+        for z, d in zip(zs, dists):
+            require_clearance(self._mesh(n1), z, d)
         while True:
             n2 = min(2 * n1, self._CAP)
             out = []
@@ -179,37 +194,75 @@ class SzegoEvaluator(_EvaluatorBase):
                 if key not in self._settled:
                     # one solve per distinct mesh: a collapsed pair has rel 0
                     sols = [self._solver(m).solve(z) for m in sorted({n1, n2})]
-                    v1, v2 = (2.0 * np.pi * sol.diag_value
-                              for sol in (sols[0], sols[-1]))
-                    rel = abs(v2 - v1) / abs(v2)
+                    rel = _doubling_change(sols[0], sols[-1])
                     if rel > self.tol:
                         break  # the whole batch climbs, see the docstring
-                    self._settled[key] = sols[-1]
+                    self._settled[key] = (self._solver(n2), sols[-1])
                 out.append(self._settled[key])
             else:
-                return n2, out
-            if self.n_override is not None or 2 * n2 > self._CAP:
+                return out
+            if self.n_override is not None:
                 raise SolveError(
                     "szego value did not settle at %s: n=%d vs %d changed "
                     "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
+            if n1 == self._LADDER[-1]:
+                return [self._settle_at_foot(z) for z in zs]
             n1 = n2
+
+    def _settle_at_foot(self, z):
+        """(solver, kernel solution) of z on the first adapted pair that
+        keeps its clearance and passes the doubling check."""
+        z = complex(z)
+        key = (z, "foot")
+        if key in self._settled:
+            return self._settled[key]
+        foot = self.domain.foot(z)
+        solved = {}
+        for n1, n2 in self._ADAPTED:
+            if n1 not in solved:
+                mesh = mesh_boundary(self.domain, n1, foot)
+                try:
+                    require_clearance(mesh, z, foot[2])
+                except GeometryError:
+                    if (n1, n2) == self._ADAPTED[-1]:
+                        raise
+                    continue
+                solved[n1] = _solved(mesh, z)
+            solved[n2] = _solved(mesh_boundary(self.domain, n2, foot), z)
+            rel = _doubling_change(solved[n1][1], solved[n2][1])
+            if rel <= self.tol:
+                self._settled[key] = solved[n2]
+                return solved[n2]
+        raise SolveError(
+            "szego value did not settle at %s: n=%d vs %d at its foot changed "
+            "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
 
     def values(self, zs):
         return np.array([2.0 * np.pi * sol.diag_value
-                         for sol in self._settle(zs)[1]], dtype=float)
+                         for _, sol in self._settle(zs)], dtype=float)
 
     def curvatures(self, zs):
         """SzegoSolver.kappa of the finer-mesh solutions that settle the
         values: one derivative solve per point."""
-        n2, sols = self._settle(zs)
-        return np.array([self._solver(n2).kappa(sol) for sol in sols],
+        return np.array([solver.kappa(sol) for solver, sol in self._settle(zs)],
                         dtype=float)
 
     def solution(self, a):
-        """Kernel solution at the base point on the finer mesh of its
-        pair, for Ahlfors map work; same clearance guard as values."""
-        a = complex(a)
-        return self._solver(min(2 * self._guarded_n([a]), self._CAP)).solve(a)
+        """The kernel solution that settles the value at the base point,
+        for Ahlfors map work; same clearance guard as values."""
+        return self._settle([a])[0][1]
+
+
+def _solved(mesh, z):
+    solver = SzegoSolver(mesh)
+    return solver, solver.solve(z)
+
+
+def _doubling_change(coarse, fine):
+    """Relative change of the metric value from the coarse solution to
+    the fine one."""
+    v1, v2 = (2.0 * np.pi * sol.diag_value for sol in (coarse, fine))
+    return abs(v2 - v1) / abs(v2)
 
 
 class LPEvaluator(_EvaluatorBase):

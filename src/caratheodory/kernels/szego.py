@@ -42,9 +42,9 @@ from ..errors import GeometryError, SolveError
 
 _TWO_PI_I = 2j * np.pi
 
-# node spacings (h_max) of clearance every base and evaluation point keeps
-# from the boundary; closer in, the near-singular Cauchy data poisons the
-# quadrature
+# node spacings of clearance every base and evaluation point keeps from
+# each node, counted in that node's own spacing; closer in, the
+# near-singular Cauchy data poisons the quadrature
 CLEARANCE = 3.0
 
 # matrix-vector products one LU factorization costs: its time over a
@@ -60,13 +60,19 @@ _TILE = 256
 
 
 def require_clearance(mesh, z, d):
-    """Raise GeometryError unless z, at distance d from the boundary,
-    keeps CLEARANCE node spacings of the mesh."""
-    if d <= CLEARANCE * mesh.h_max:
+    """Raise GeometryError unless z, at distance d from the boundary, is
+    farther than CLEARANCE local spacings (mesh.spacing) from every node.
+
+    No node is nearer than d, so d > CLEARANCE * h_max always passes.
+    """
+    gap = np.maximum(np.abs(mesh.nodes - z), d)
+    j = int(np.argmin(gap - CLEARANCE * mesh.spacing))
+    if gap[j] <= CLEARANCE * mesh.spacing[j]:
         raise GeometryError(
-            "point %s is too close to the boundary: distance %.3g, need > %g "
-            "node spacings (%.3g) of the %d-node mesh"
-            % (complex(z), d, CLEARANCE, CLEARANCE * mesh.h_max, mesh.size))
+            "point %s is too close to the boundary: distance %.3g from node "
+            "%d, need > %g node spacings (%.3g) of the %d-node mesh"
+            % (complex(z), gap[j], j, CLEARANCE, CLEARANCE * mesh.spacing[j],
+               mesh.size))
 
 
 class KernelSolution:

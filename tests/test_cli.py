@@ -132,6 +132,20 @@ def test_localize_defaults(capsys):
     ]
 
 
+def test_localize_on_the_ellipse_reaches_the_boundary(capsys):
+    # 0.005 from the top is past the uniform meshes' clearance; meshes
+    # adapted to the foot settle it, for the ellipse and the cornered piece
+    rc = run_cli(["localize", "--domain", _fx("ellipse.json"), "--t", "0.25",
+                  "--distances", "0.1,0.02,0.005"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == ["d=0.1", "d=0.02", "d=0.005"]
+    ratios = [float(ln.split("ratio=")[1]) for ln in lines]
+    assert all(r >= 1.0 for r in ratios)
+    gaps = [r - 1.0 for r in ratios]
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
 def test_localize_far_from_the_boundary_fails(capsys, tmp_path):
     out = tmp_path / "loc.csv"
     rc = run_cli(["localize", "--domain", _fx("disc.json"),

@@ -17,6 +17,7 @@ from caratheodory.kernels import (
 )
 from caratheodory.kernels import evaluators
 from caratheodory.kernels.szego import SzegoSolver
+from caratheodory.harness.reports import TREND_DISTANCES
 from caratheodory.harness import (
     annulus,
     blob_disc_pair,
@@ -142,15 +143,25 @@ def test_szego_evaluator_takes_an_empty_batch():
 
 
 def test_szego_evaluator_rejects_points_hugging_the_boundary():
+    # 0.99j, past the uniform ladder, settles on meshes adapted to its
+    # foot, at the value the uniform 4096-node pin gives
+    ev = SzegoEvaluator(ellipse())
+    assert ev.value(0.99j) * 0.01 == pytest.approx(0.500640, abs=1e-6)
+    # 1e-4 from the top, under 3 local spacings of the adapted 1024-node mesh
     with pytest.raises(GeometryError, match="need >"):
-        SzegoEvaluator(ellipse()).value(0.99j)
+        ev.value(0.9999j)
 
 
 def test_szego_solution_keeps_the_clearance_guard():
-    # 0.999j is 0.001 from the ellipse, under 3 node spacings of every
-    # mesh on the ladder; the kernel solution must refuse it like values
+    # the kernel solution is the one that settles the value ...
+    ev = SzegoEvaluator(ellipse())
+    sol = ev.solution(0.998j)
+    assert 2.0 * np.pi * sol.diag_value == ev.value(0.998j)
+    # ... and refuses what values refuses: at 0.999j the adapted 1024-node
+    # mesh stretches its far-side node at -1j to spacing 0.67, and
+    # 3 * 0.67 > 1.999
     with pytest.raises(GeometryError, match="need >"):
-        SzegoEvaluator(ellipse()).solution(0.999j)
+        ev.solution(0.999j)
 
 
 def test_szego_evaluator_climbs_the_mesh_ladder():
@@ -202,12 +213,83 @@ def test_disc_blowup_rate_at_the_boundary():
 
 def test_ellipse_blowup_rate_at_the_boundary():
     # marching toward the top of the ellipse, c * dist creeps toward 1/2.
-    # one big fixed mesh serves all three depths; the closest point needs
-    # node spacing under d/3, which is what n=4096 buys (about a minute).
-    ev = SzegoEvaluator(ellipse(), n=4096)
+    # the pins were taken on the uniform n=4096 mesh; auto routing meets
+    # them on the (1024, 2048) uniform pair at 0.04 and on meshes adapted
+    # to the foot below
+    ev = evaluator_for(ellipse())
     gaps = []
     for d, want in ((0.04, 0.502746), (0.02, 0.501311), (0.01, 0.500640)):
         cd = ev.value(1j * (1.0 - d)) * d
         assert cd == pytest.approx(want, abs=1e-6)
         gaps.append(cd - 0.5)
-    assert gaps[0] > gaps[1] > gaps[2] > 0
+    for d in (0.005, 0.002):
+        gaps.append(ev.value(1j * (1.0 - d)) * d - 0.5)
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] > 0
+
+
+# the localization march toward the ellipse's top, t = 0.25
+_MARCH = [0.9j, 0.95j, 0.98j]
+
+
+def _blob_trend():
+    # verify_suita's trend points, inward from the blob's point at t = 0
+    blob = fourier_blob()
+    v = blob.outer.velocity(0.0)
+    return blob, [blob.outer.point(0.0) + d * 1j * v / abs(v)
+                  for d in TREND_DISTANCES]
+
+
+def test_foot_adapted_values_match_the_uniform_2048_pin():
+    # 0.02 from the boundary is past the 1024 rung's clearance on both
+    # domains, so each batch settles point by point at its feet; the
+    # uniform pin at 2048 clears every point
+    blob, trend = _blob_trend()
+    for dom, zs in ((ellipse(), _MARCH), (blob, trend)):
+        ev = SzegoEvaluator(dom)
+        got = ev.values(zs)
+        assert list(ev._settled) == [(complex(z), "foot") for z in zs]
+        want = SzegoEvaluator(dom, n=2048).values(zs)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+        assert np.max(np.abs(ev.curvatures(zs) + 4.0)) <= 1e-12
+
+
+def test_the_cornered_piece_settles_at_its_feet():
+    # the foot is one more break of the corner grading
+    dom = ellipse()
+    piece = boolean_intersect(disc(dom.outer.point(0.25), 0.5), dom)[0]
+    ev = SzegoEvaluator(piece)
+    got = ev.values(_MARCH)
+    assert list(ev._settled) == [(z, "foot") for z in _MARCH]
+    want = SzegoEvaluator(piece, n=2048).values(_MARCH)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-8
+
+
+def test_near_boundary_batches_build_no_uniform_mesh_past_1024(monkeypatch):
+    built = []
+    real = evaluators.mesh_boundary
+
+    def meshing(domain, n, foot=None):
+        built.append((n, foot is not None))
+        return real(domain, n, foot)
+
+    monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
+    SzegoEvaluator(ellipse()).values(_MARCH)
+    # the uniform rungs only measure clearance; each point gets its own
+    # adapted (512, 1024) pair
+    assert built == [(256, False), (512, False), (1024, False)] + \
+        [(512, True), (1024, True)] * 3
+
+
+@pytest.mark.parametrize("zs, pair", [
+    ([0.3, -0.2 + 0.3j], (256, 512)),
+    ([0.3, 0.9j], (512, 1024)),
+    ([0.96j], (1024, 2048)),
+], ids=["256", "512", "1024"])
+def test_uniform_rung_batches_keep_their_keys_and_bits(zs, pair):
+    ev = SzegoEvaluator(ellipse())
+    got = ev.values(zs)
+    assert list(ev._settled) == [(complex(z),) + pair for z in zs]
+    solver = SzegoSolver(mesh_boundary(ellipse(), pair[1]))
+    want = [2.0 * np.pi * solver.solve(z).diag_value for z in zs]
+    assert np.array_equal(got, want)

@@ -23,6 +23,7 @@ from caratheodory.harness import (
     verify_suita,
 )
 from caratheodory.geometry import grid_sample
+from caratheodory.harness import reports
 from caratheodory.harness.reports import write_csv
 from curvature_reference import annulus_kappa, annulus_series
 
@@ -155,6 +156,15 @@ def test_solynin_is_the_product_sweep_on_discs(name, delta, spacing):
     assert np.array_equal(np.array(sol.rows), np.array(sub.rows))
     assert np.array_equal(sol.grid, sub.grid)
     assert sol.max_ratio == sub.max_ratio
+
+
+def test_solynin_takes_no_curvature(monkeypatch):
+    # the baseline has no C_hat, so its sweep skips the curvature pass
+    def refuse(ev, z):
+        raise AssertionError("curvature_at called")
+
+    monkeypatch.setattr(reports, "curvature_at", refuse)
+    assert verify_solynin_two_discs(*two_disc_pair("symmetric")).passed
 
 
 def test_submult_needs_an_overlap():

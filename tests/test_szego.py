@@ -229,12 +229,17 @@ def test_annulus_metric_matches_the_kernel_series():
 
 
 def test_doubling_rejects_an_unresolved_boundary():
-    # 3 nodes of clearance at n=256 but a failed doubling is a solver error;
-    # drive it with a base point hugging the boundary on the coarse ladder
+    # 0.999 p, 1.04e-3 from the blob, was past the uniform ladder; meshes
+    # adapted to its foot settle it on their (1024, 2048) pair
     dom = fourier_blob()
+    p = dom.outer.point(0.1)
     ev = SzegoEvaluator(dom)
+    assert ev.value(0.999 * p) == pytest.approx(482.99512, rel=1e-7)
+    assert list(ev._settled) == [(0.999 * p, "foot")]
+    assert ev.solution(0.999 * p).mesh.size == 2048
+    # 0.9999 p, 1.04e-4 away, is past the clearance of the last adapted pair
     with pytest.raises((GeometryError, SolveError)):
-        ev.value(dom.outer.point(0.1) * 0.999)
+        ev.value(0.9999 * p)
 
 
 def _off_tile_meshes():

@@ -83,6 +83,48 @@ def test_graded_lens_mesh_clusters_at_corners():
     assert np.max(gaps) < 0.12
 
 
+def _localization_piece():
+    dom = ellipse()
+    return boolean_intersect(disc(dom.outer.point(0.25), 0.5), dom)[0]
+
+
+def test_the_foot_is_the_nearest_boundary_point():
+    k, t, d = ellipse().foot(0.98j)
+    assert (k, t, d) == (0, pytest.approx(0.25, abs=1e-9),
+                         pytest.approx(0.02, abs=1e-9))
+    # nearer the hole than the outer circle
+    k, t, d = annulus().foot(0.7j)
+    assert k == 1 and d == pytest.approx(0.2, abs=1e-9)
+    assert annulus().curves[1].point(t) == pytest.approx(0.5j, abs=1e-9)
+
+
+@pytest.mark.parametrize("make, z", [
+    (ellipse, 0.98j), (fourier_blob, 0.98 * fourier_blob().outer.point(0.1)),
+    (annulus, 0.52j),
+], ids=["ellipse", "blob", "annulus hole"])
+def test_foot_adapted_weights_sum_to_the_curve_length(make, z):
+    dom = make()
+    mesh = mesh_boundary(dom, 512, dom.foot(z))
+    for (lo, hi), curve in zip(mesh.curve_slices, dom.curves):
+        assert abs(np.sum(mesh.weights[lo:hi]) - curve.length) <= \
+            1e-12 * curve.length
+    # the nodes crowd at the foot: the node nearest z sits far closer
+    # together than on the uniform mesh
+    j = np.argmin(np.abs(mesh.nodes - z))
+    assert mesh.spacing[j] < 0.2 * mesh_boundary(dom, 512).h_max
+
+
+def test_a_cornered_foot_is_one_more_grading_break():
+    piece = _localization_piece()
+    plain = mesh_boundary(piece, 512)
+    foot = piece.foot(0.98j)
+    mesh = mesh_boundary(piece, 512, foot)
+    assert abs(np.sum(mesh.weights) - np.sum(plain.weights)) < 1e-6
+    # cubic grading crowds the nodes at the foot as at a corner
+    gap = np.min(np.abs(mesh.nodes - piece.outer.point(foot[1])))
+    assert gap < 1e-4 * plain.h_max
+
+
 def test_dist_to_boundary_values():
     assert unit_disc().dist_to_boundary(0.3) == pytest.approx(0.7, abs=1e-9)
     assert annulus().dist_to_boundary(0.7) == pytest.approx(0.2, abs=1e-9)
