@@ -7,15 +7,16 @@ chosen by evaluator_for) produced the number.  LPEvaluator shares the
 interface as the certificate layer.
 
 Batch calls on the Szego evaluator share a single uniform mesh pair
-chosen from the shallowest point of the batch, and a doubling failure at
-any point moves the whole batch up the ladder, where one LU serves an
-interior grid.  A batch that reaches past the ladder's top rung, 1024
-nodes per curve, is settled point by point on pairs of meshes adapted to
-each point's nearest boundary point, its foot, instead of on uniform
-meshes of 2048 or 4096 nodes.  Curvature no longer needs the batch's
-sharing (it comes from the kernel's derivative, not from differences of
-values); the shared pair stays because settling each point on its own
-pair would move values.
+chosen from the shallowest point that the ladder's top rung, 1024 nodes
+per curve, clears, and a doubling failure at any of those points moves
+them all up the ladder, where one LU serves an interior grid.  The
+points past that rung's clearance, and those its pair does not settle,
+are settled one by one on pairs of meshes adapted to each point's
+nearest boundary point, its foot, instead of on uniform meshes of 2048
+or 4096 nodes.  Curvature no longer needs the batch's sharing (it comes
+from the kernel's derivative, not from differences of values); the
+shared pair stays because settling each point on its own pair would
+move values.
 """
 
 from __future__ import annotations
@@ -107,23 +108,24 @@ class SzegoEvaluator(_EvaluatorBase):
 
     Each value is accepted only after a mesh-doubling agreement check
     (1e-8 relative on smooth boundaries, 1e-5 with corners) between a
-    mesh pair (n, 2n).  A batch shares the pair of the first uniform
-    rung of _LADDER that keeps its shallowest point CLEARANCE node
-    spacings (h_max) from the boundary; uniform meshes and their solvers
-    are cached per node count (a solver turns from GMRES to one LU
-    factorization once its mesh has served enough solves).  When any
-    point fails the check, the whole batch climbs one rung, up to
-    (1024, 2048).
+    mesh pair (n, 2n).  The points of a batch that some uniform rung of
+    _LADDER keeps CLEARANCE node spacings (h_max) from the boundary
+    share the pair of the first rung that does so for the shallowest of
+    them; uniform meshes and their solvers are cached per node count (a
+    solver turns from GMRES to one LU factorization once its mesh has
+    served enough solves).  When any of them fails the check, they all
+    climb one rung, up to (1024, 2048).
 
-    A batch whose shallowest point is too near the boundary for the
-    top rung, or that fails the check there, is settled point by point
-    on meshes adapted to each point's foot (mesh_boundary's foot): the
-    pairs of _ADAPTED in turn, the first whose coarse mesh keeps the
-    point's local clearance.  SolveError is raised only when the last
-    adapted pair fails the check, or at once when the caller pinned n.
-    The finer-mesh solver and solution that settle a value are kept
-    together, so its curvature costs one derivative solve more, and
-    solution() returns that solution.
+    A point too near the boundary for the top rung, or that fails the
+    check there, is settled on its own, on meshes adapted to its foot
+    (mesh_boundary's foot): the pairs of _ADAPTED in turn, the first
+    whose coarse mesh keeps the point's local clearance.  SolveError is
+    raised only when the last adapted pair fails the check, or at once
+    when the caller pinned n.  The finer-mesh solution that settles a
+    value is kept, so its curvature costs one derivative solve more, and
+    solution() returns it.  The latest adapted point's finer solver is
+    kept with it (curvature_at asks for the curvature, then the value);
+    an earlier point's curvature builds its solver again.
 
     A pinned n pairs with min(2n, _CAP) on uniform meshes, and its mesh
     is built at construction: an n that mesh_boundary refuses, or one
@@ -147,8 +149,9 @@ class SzegoEvaluator(_EvaluatorBase):
         self._meshes = {}
         self._solvers = {}
         # (z, n1, n2) on uniform pairs, (z, "foot") on adapted ones ->
-        # (finer solver, its solution)
+        # the finer-mesh solution that settles z
         self._settled = {}
+        self._foot_solver = None  # the latest adapted finer solver
         if self.n_override is not None:
             if self.n_override > self._CAP:
                 raise GeometryError("n is past the mesh cap %d" % self._CAP)
@@ -165,8 +168,9 @@ class SzegoEvaluator(_EvaluatorBase):
         return self._solvers[n]
 
     def _pick_n(self, dist):
-        """The batch's coarse node count: the pin, else the first rung
-        whose h_max keeps CLEARANCE at dist, else None."""
+        """The coarse node count for points at dist or farther: the pin,
+        else the first rung whose h_max keeps CLEARANCE at dist, else
+        None."""
         if self.n_override is not None:
             return self.n_override
         for n in self._LADDER:
@@ -174,21 +178,36 @@ class SzegoEvaluator(_EvaluatorBase):
                 return n
         return None
 
-    def _settle(self, zs):
-        """(solver, kernel solution) on the finer mesh of the pair that
-        settles each point of the batch."""
+    def _route(self, zs):
+        """The _settled key of each point of the batch.
+
+        The points some rung clears climb the ladder together and are
+        settled here on their shared uniform pair, (z, n1, n2).  The
+        rest, and those the top rung's pair does not settle, are keyed
+        (z, "foot") and settled at their feet by _solution.
+        """
         zs = np.asarray(zs, dtype=complex).ravel()
-        if zs.size == 0:
-            return []
         dists = [self.domain.dist_to_boundary(z) for z in zs]
-        n1 = self._pick_n(min(dists))
-        if n1 is None:
-            return [self._settle_at_foot(z) for z in zs]
-        for z, d in zip(zs, dists):
-            require_clearance(self._mesh(n1), z, d)
+        if self.n_override is not None:
+            for z, d in zip(zs, dists):
+                require_clearance(self._mesh(self.n_override), z, d)
+        keys = [(complex(z), "foot") for z in zs]
+        climbing = [i for i, d in enumerate(dists)
+                    if keys[i] not in self._settled
+                    and self._pick_n(d) is not None]
+        if climbing:
+            n1 = self._pick_n(min(dists[i] for i in climbing))
+            for i, key in zip(climbing, self._climb(zs[climbing], n1)):
+                keys[i] = key or keys[i]
+        return keys
+
+    def _climb(self, zs, n1):
+        """Keys of the points settled on the first uniform pair from
+        (n1, 2 n1) up whose doubling check they all pass; at the top
+        rung, None for each point that still fails it."""
         while True:
             n2 = min(2 * n1, self._CAP)
-            out = []
+            keys = []
             for z in zs:
                 key = (complex(z), n1, n2)
                 if key not in self._settled:
@@ -196,30 +215,46 @@ class SzegoEvaluator(_EvaluatorBase):
                     sols = [self._solver(m).solve(z) for m in sorted({n1, n2})]
                     rel = _doubling_change(sols[0], sols[-1])
                     if rel > self.tol:
-                        break  # the whole batch climbs, see the docstring
-                    self._settled[key] = (self._solver(n2), sols[-1])
-                out.append(self._settled[key])
+                        if self.n_override is not None:
+                            raise SolveError(
+                                "szego value did not settle at %s: n=%d vs %d "
+                                "changed by %.3g (tol %.1g)"
+                                % (z, n1, n2, rel, self.tol))
+                        if n1 < self._LADDER[-1]:
+                            break  # the whole batch climbs, see the docstring
+                        key = None
+                    else:
+                        self._settled[key] = sols[-1]
+                keys.append(key)
             else:
-                return out
-            if self.n_override is not None:
-                raise SolveError(
-                    "szego value did not settle at %s: n=%d vs %d changed "
-                    "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
-            if n1 == self._LADDER[-1]:
-                return [self._settle_at_foot(z) for z in zs]
+                return keys
             n1 = n2
 
+    def _solution(self, key):
+        """The finer-mesh solution that settles a key's value; a foot key
+        is settled on first use."""
+        if key not in self._settled:
+            self._settle_at_foot(key[0])
+        return self._settled[key]
+
+    def _solver_of(self, key):
+        """The solver of a settled key's finer mesh.  Only the latest
+        adapted one is kept, so an earlier point's is built again."""
+        if key[1] != "foot":
+            return self._solver(key[2])
+        mesh = self._settled[key].mesh
+        if self._foot_solver is None or self._foot_solver.mesh is not mesh:
+            self._foot_solver = SzegoSolver(mesh)
+        return self._foot_solver
+
     def _settle_at_foot(self, z):
-        """(solver, kernel solution) of z on the first adapted pair that
-        keeps its clearance and passes the doubling check."""
-        z = complex(z)
-        key = (z, "foot")
-        if key in self._settled:
-            return self._settled[key]
+        """Settle z on the first adapted pair that keeps its clearance and
+        passes the doubling check; its finer solver becomes _foot_solver."""
         foot = self.domain.foot(z)
-        solved = {}
+        self._foot_solver = None
+        coarse = None  # (n, solver, solution)
         for n1, n2 in self._ADAPTED:
-            if n1 not in solved:
+            if coarse is None or coarse[0] != n1:
                 mesh = mesh_boundary(self.domain, n1, foot)
                 try:
                     require_clearance(mesh, z, foot[2])
@@ -227,30 +262,35 @@ class SzegoEvaluator(_EvaluatorBase):
                     if (n1, n2) == self._ADAPTED[-1]:
                         raise
                     continue
-                solved[n1] = _solved(mesh, z)
-            solved[n2] = _solved(mesh_boundary(self.domain, n2, foot), z)
-            rel = _doubling_change(solved[n1][1], solved[n2][1])
+                coarse = (n1,) + _solved(mesh, z)
+            fine = (n2,) + _solved(mesh_boundary(self.domain, n2, foot), z)
+            rel = _doubling_change(coarse[2], fine[2])
             if rel <= self.tol:
-                self._settled[key] = solved[n2]
-                return solved[n2]
+                self._foot_solver = fine[1]
+                self._settled[(z, "foot")] = fine[2]
+                return
+            coarse = fine
         raise SolveError(
             "szego value did not settle at %s: n=%d vs %d at its foot changed "
             "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
 
     def values(self, zs):
-        return np.array([2.0 * np.pi * sol.diag_value
-                         for _, sol in self._settle(zs)], dtype=float)
+        return np.array([2.0 * np.pi * self._solution(key).diag_value
+                         for key in self._route(zs)], dtype=float)
 
     def curvatures(self, zs):
         """SzegoSolver.kappa of the finer-mesh solutions that settle the
         values: one derivative solve per point."""
-        return np.array([solver.kappa(sol) for solver, sol in self._settle(zs)],
-                        dtype=float)
+        out = []
+        for key in self._route(zs):
+            sol = self._solution(key)  # a foot point keeps its solver
+            out.append(self._solver_of(key).kappa(sol))
+        return np.array(out, dtype=float)
 
     def solution(self, a):
         """The kernel solution that settles the value at the base point,
         for Ahlfors map work; same clearance guard as values."""
-        return self._settle([a])[0][1]
+        return self._solution(self._route([a])[0])
 
 
 def _solved(mesh, z):

@@ -242,13 +242,15 @@ def _blob_trend():
 
 def test_foot_adapted_values_match_the_uniform_2048_pin():
     # 0.02 from the boundary is past the 1024 rung's clearance on both
-    # domains, so each batch settles point by point at its feet; the
-    # uniform pin at 2048 clears every point
+    # domains, so that point settles at its foot while the farther two
+    # share the rung's uniform pair; the uniform pin at 2048 clears every
+    # point
     blob, trend = _blob_trend()
     for dom, zs in ((ellipse(), _MARCH), (blob, trend)):
         ev = SzegoEvaluator(dom)
         got = ev.values(zs)
-        assert list(ev._settled) == [(complex(z), "foot") for z in zs]
+        assert list(ev._settled) == [(complex(z), 1024, 2048)
+                                     for z in zs[:2]] + [(zs[2], "foot")]
         want = SzegoEvaluator(dom, n=2048).values(zs)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
         assert np.max(np.abs(ev.curvatures(zs) + 4.0)) <= 1e-12
@@ -260,9 +262,46 @@ def test_the_cornered_piece_settles_at_its_feet():
     piece = boolean_intersect(disc(dom.outer.point(0.25), 0.5), dom)[0]
     ev = SzegoEvaluator(piece)
     got = ev.values(_MARCH)
-    assert list(ev._settled) == [(z, "foot") for z in _MARCH]
+    assert list(ev._settled) == [(0.9j, 512, 1024), (0.95j, 512, 1024),
+                                 (0.98j, "foot")]
     want = SzegoEvaluator(piece, n=2048).values(_MARCH)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-8
+
+
+def test_a_batch_splits_at_the_top_rung_clearance():
+    # the points the 1024 rung clears share its uniform pair, with the
+    # bits that pair gives them; only 0.98j, past its clearance, settles
+    # at its foot, with the value it has alone
+    zs = [0.3, 0.95j, 0.98j]
+    ev = SzegoEvaluator(ellipse())
+    got = ev.values(zs)
+    assert list(ev._settled) == [(0.3 + 0j, 1024, 2048), (0.95j, 1024, 2048),
+                                 (0.98j, "foot")]
+    solver = SzegoSolver(mesh_boundary(ellipse(), 2048))
+    assert np.array_equal(
+        got[:2], [2.0 * np.pi * solver.solve(z).diag_value for z in zs[:2]])
+    assert got[2] == SzegoEvaluator(ellipse()).value(0.98j)
+
+
+def test_a_top_rung_doubling_failure_sends_only_that_point_to_its_foot():
+    # the uniform (1024, 2048) pair moves the value at 0.96j by 2.3e-9,
+    # and at 0.3 and 0.9j by under 3e-15: at a 1e-10 tolerance only 0.96j
+    # leaves the shared pair, and its adapted pair agrees to 1e-15
+    ev = SzegoEvaluator(ellipse())
+    ev.tol = 1e-10
+    ev.values([0.3, 0.9j, 0.96j])
+    assert list(ev._settled) == [(0.3 + 0j, 1024, 2048), (0.9j, 1024, 2048),
+                                 (0.96j, "foot")]
+
+
+def test_only_the_latest_foot_solver_is_kept():
+    zs = [0.97j, 0.98j]
+    ev = SzegoEvaluator(ellipse())
+    ev.values(zs)
+    assert ev._foot_solver.mesh is ev._settled[(0.98j, "foot")].mesh
+    # an earlier point's curvature builds its solver again, to the bit
+    alone = [SzegoEvaluator(ellipse()).curvatures([z])[0] for z in zs]
+    assert np.array_equal(ev.curvatures(zs), alone)
 
 
 def test_near_boundary_batches_build_no_uniform_mesh_past_1024(monkeypatch):
@@ -274,7 +313,7 @@ def test_near_boundary_batches_build_no_uniform_mesh_past_1024(monkeypatch):
         return real(domain, n, foot)
 
     monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
-    SzegoEvaluator(ellipse()).values(_MARCH)
+    SzegoEvaluator(ellipse()).values([0.97j, 0.98j, 0.99j])
     # the uniform rungs only measure clearance; each point gets its own
     # adapted (512, 1024) pair
     assert built == [(256, False), (512, False), (1024, False)] + \
