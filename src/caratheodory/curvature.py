@@ -3,7 +3,8 @@
 Every evaluator gives kappa itself through curvatures(zs): the closed
 forms are normalized to -4, the Szego solver differentiates the kernel
 in its base point, and LP certificates, being lower bounds, refuse.
-This module reads it at one point and scans it over an interior grid.
+This module reads it at one point and scans it over an interior grid,
+which the evaluator takes as one batch.
 """
 
 from __future__ import annotations
@@ -51,9 +52,16 @@ def curvature_at(evaluator, z):
 
 
 def scan_curvature(domain, evaluator, delta, spacing):
-    """Curvature, with its min and max, over a lattice of clearance delta."""
+    """Curvature, with its min and max, over a lattice of clearance delta.
+
+    The evaluator is asked for the grid's curvatures and then its values,
+    each once for the whole grid.
+    """
     grid = grid_sample(domain, delta, spacing)
     if len(grid) == 0:
         raise GeometryError("no grid points at clearance %g" % delta)
-    estimates = [curvature_at(evaluator, z) for z in grid]
+    kappas = evaluator.curvatures(grid)
+    values = evaluator.values(grid)
+    estimates = [CurvatureEstimate(complex(z), float(k), float(v))
+                 for z, k, v in zip(grid, kappas, values)]
     return CurvatureScan(domain, grid, estimates)

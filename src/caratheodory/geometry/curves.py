@@ -11,9 +11,12 @@ Two chart families cover everything the rest of the package needs:
   offsets produce; corners live at the junctions.
 
 Every chart has one method ``deriv(t, order)`` (the point at order 0, then
-parameter derivatives), read by ``point`` through ``jerk``; closed curves
-run over t in [0, 1) with a ``period``, arcs over u in [0, 1].  ``SubArc``
-is the one affine re-parameterization (booleans and offsets both cut with it).
+parameter derivatives), read by ``point`` through ``jerk``, and ``jet(t,
+order)``, the derivatives of orders 0 to ``order`` in one call with
+``deriv``'s bits (a trig curve builds one phase table for all of them);
+closed curves run over t in [0, 1) with a ``period``, arcs over u in
+[0, 1].  ``SubArc`` is the one affine re-parameterization (booleans and
+offsets both cut with it).
 
 Closed curves are stored counterclockwise (positive signed area).  Hole
 orientation is a bookkeeping concern of ``Domain`` and the mesher, never of
@@ -137,7 +140,17 @@ def polyline_self_intersects(pts):
 
 
 class _Chart:
-    """Point and parameter derivatives, all read from ``deriv(t, order)``."""
+    """Point and parameter derivatives, all read from ``deriv(t, order)``.
+
+    ``jet(t, order, rowwise)`` lists deriv(t, 0), ..., deriv(t, order).
+    With rowwise=True a trig series sums each parameter's terms on its
+    own, so a value never depends on the other parameters of the call (a
+    BLAS product of one row and of several can differ in the last bit);
+    the bits then differ from deriv's.  Charts without a series ignore it.
+    """
+
+    def jet(self, t, order, rowwise=False):
+        return [self.deriv(t, k) for k in range(order + 1)]
 
     def point(self, t):
         return self.deriv(t, 0)
@@ -200,18 +213,26 @@ class TrigCurve(_Chart):
 
     # -- series evaluation ------------------------------------------------
 
-    def deriv(self, t, order):
+    def _series(self, t, orders, rowwise=False):
+        """The derivatives of the given orders at t, from one phase table."""
         t, scalar = _as_param_array(t)
-        coef = self._coef * (2j * np.pi * self._k) ** order
-        out = np.empty(t.shape, dtype=np.complex128)
+        coefs = [self._coef * (2j * np.pi * self._k) ** k for k in orders]
+        outs = [np.empty(t.shape, dtype=np.complex128) for _ in coefs]
         flat_t = t.ravel()
-        flat_o = out.ravel()
         step = max(1, 2_000_000 // max(1, self._n))
         for i in range(0, flat_t.size, step):
             block = flat_t[i : i + step]
             phase = np.exp(2j * np.pi * np.outer(block, self._k))
-            flat_o[i : i + step] = phase @ coef
-        return complex(out[0]) if scalar else out
+            for out, coef in zip(outs, coefs):
+                out.ravel()[i : i + step] = (
+                    np.sum(phase * coef, axis=1) if rowwise else phase @ coef)
+        return [complex(out[0]) if scalar else out for out in outs]
+
+    def deriv(self, t, order):
+        return self._series(t, (order,))[0]
+
+    def jet(self, t, order, rowwise=False):
+        return self._series(t, range(order + 1), rowwise)
 
     def uniform_eval(self, n, order=0):
         """Derivative of given order at the n uniform nodes j/n (FFT resampling)."""
@@ -292,10 +313,18 @@ class SubArc(_ArcBase):
         self.t1 = float(t1)
         self._wrap = hasattr(base, "period")
 
-    def deriv(self, u, order):
+    def _base_params(self, u):
         t = self.t0 + np.asarray(u, float) * (self.t1 - self.t0)
-        out = self.base.deriv(t % 1.0 if self._wrap else t, order)
+        return t % 1.0 if self._wrap else t
+
+    def deriv(self, u, order):
+        out = self.base.deriv(self._base_params(u), order)
         return (self.t1 - self.t0) ** order * out if order else out
+
+    def jet(self, u, order, rowwise=False):
+        outs = self.base.jet(self._base_params(u), order, rowwise)
+        return [(self.t1 - self.t0) ** k * out if k else out
+                for k, out in enumerate(outs)]
 
     def reversed(self):
         return SubArc(self.base, self.t1, self.t0)
@@ -343,23 +372,27 @@ class OffsetArc(_ArcBase):
         self.dist = float(dist)
 
     def deriv(self, u, order):
-        """Base derivative plus dist times that of the normal -i v/|v|."""
+        return self.jet(u, order)[order]
+
+    def jet(self, u, order, rowwise=False):
+        """Base derivatives plus dist times those of the normal -i v/|v|."""
         if order > 2:
             raise GeometryError("third derivative of an offset arc is not available")
-        v = self.base.velocity(u)
+        base = self.base.jet(u, order + 1, rowwise)
+        v = base[1]
         s = np.abs(v)
-        dn = -1j * v / s
+        dn = [-1j * v / s]
         if order > 0:
-            a = self.base.acceleration(u)
+            a = base[2]
             sp = np.real(np.conj(v) * a) / s
-            dn = -1j * (a / s - v * sp / s**2)
+            dn.append(-1j * (a / s - v * sp / s**2))
         if order > 1:
-            j = self.base.jerk(u)
+            j = base[3]
             spp = (np.abs(a) ** 2 + np.real(np.conj(v) * j) - sp**2) / s
-            dn = -1j * (
+            dn.append(-1j * (
                 j / s - 2.0 * a * sp / s**2 - v * spp / s**2 + 2.0 * v * sp**2 / s**3
-            )
-        return self.base.deriv(u, order) + self.dist * dn
+            ))
+        return [b + self.dist * n for b, n in zip(base, dn)]
 
     def reversed(self):
         return OffsetArc(self.base.reversed(), -self.dist)
@@ -428,14 +461,18 @@ class PiecewiseCurve(_Chart):
         return idx, u, width
 
     def deriv(self, t, order):
+        return self.jet(t, order)[order]
+
+    def jet(self, t, order, rowwise=False):
         t, scalar = _as_param_array(t)
         idx, u, width = self._locate(t)
-        out = np.empty(t.shape, dtype=np.complex128)
+        outs = [np.empty(t.shape, dtype=np.complex128) for _ in range(order + 1)]
         for i in np.unique(idx):
             sel = idx == i
-            d = self.segments[i].deriv(u[sel], order)
-            out[sel] = np.asarray(d) / width[sel] ** order
-        return complex(out[0]) if scalar else out
+            ds = self.segments[i].jet(u[sel], order, rowwise)
+            for k, (out, d) in enumerate(zip(outs, ds)):
+                out[sel] = np.asarray(d) / width[sel] ** k
+        return [complex(out[0]) if scalar else out for out in outs]
 
     @property
     def signed_area(self):

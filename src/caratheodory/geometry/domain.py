@@ -2,14 +2,19 @@
 
 All curves are stored counterclockwise.  A point is inside the domain when
 it is inside the outer curve and outside every hole.  Containment uses the
-winding number of a fine cached polyline.  ``Domain.foot`` is the
-package's one boundary-distance code: it polishes the nearest node of
-that polyline with a bounded scalar minimization, which gives the
-distance and the nearest boundary point's parameter at once.
-``dist_to_boundary`` reads its distance for grid clearance and solver
-clearance guards, and the solver meshes near-boundary points at the foot.
-Each domain remembers the feet it has computed: a grid point is asked
-again when the solver picks its mesh.
+winding number of a fine cached polyline.  ``Domain.feet`` is the
+package's one boundary-distance code, and ``foot`` asks it for one point.
+For a batch of points it seeds each curve's nearest point at the nearest
+node of that polyline, then runs Newton's method on the stationarity
+condition Re(conj(gamma(t) - z) gamma'(t)) = 0 for all of them at once,
+inside the bracket of the seed's two neighbour nodes.  A point whose
+iterate leaves its bracket or does not converge, as at a corner, is
+polished by a bounded scalar minimization instead.  Each point's
+iterates depend on that point alone, so a foot has the same bits in any
+batch.  ``dist_to_boundary`` reads the distance for clearance guards,
+grids take theirs from one ``feet`` call, and the solver meshes
+near-boundary points at the foot.  Each domain remembers the feet it has
+computed: a grid point is asked again when the solver picks its mesh.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ from scipy.optimize import minimize_scalar
 from ..errors import GeometryError
 
 _POLY_M = 2048  # nodes per curve for winding tests and distance seeds
+# Newton steps a foot may take, and the parameter step that ends them:
+# from the seed's 1/4096 the quadratic rate needs about three
+_NEWTON_STEPS = 20
+_NEWTON_TOL = 1e-8
 
 
 def _winding_many(poly, z):
@@ -41,16 +50,9 @@ def _winding_many(poly, z):
     return out
 
 
-def _curve_foot(curve, z):
-    """Distance from z to the curve, polished to ~1e-10 relative, and the
-    parameter of the nearest point."""
-    params, pts = curve.polyline(_POLY_M)
-    d = np.abs(pts - z)
-    j = int(np.argmin(d))
-    lo = params[j - 1] if j > 0 else params[-1] - 1.0
-    hi = params[(j + 1) % len(params)]
-    if hi <= lo:
-        hi += 1.0
+def _bounded_foot(curve, z, lo, hi):
+    """Distance from z to the curve and the parameter of the nearest
+    point in [lo, hi], polished to ~1e-10 relative."""
 
     def f(t):
         return abs(curve.point(t % 1.0) - z) ** 2
@@ -58,6 +60,49 @@ def _curve_foot(curve, z):
     r = minimize_scalar(f, bounds=(lo, hi), method="bounded",
                         options={"xatol": 1e-12})
     return float(np.sqrt(max(r.fun, 0.0))), float(r.x % 1.0)
+
+
+def _curve_feet(curve, zs):
+    """Arrays (d, t): the distance from each point of zs to the curve and
+    the parameter of the nearest point (see the module docstring)."""
+    params, pts = curve.polyline(_POLY_M)
+    m = params.size
+    j = np.empty(zs.size, dtype=int)
+    step = max(1, 4_000_000 // m)
+    for i in range(0, zs.size, step):
+        j[i : i + step] = np.argmin(np.abs(pts - zs[i : i + step, None]),
+                                    axis=1)
+    lo = np.where(j > 0, params[j - 1], params[-1] - 1.0)
+    hi = params[(j + 1) % m]
+    hi = np.where(hi <= lo, hi + 1.0, hi)
+
+    d = np.empty(zs.size)
+    t = params[j].copy()
+    active = np.arange(zs.size)
+    missed = []
+    for _ in range(_NEWTON_STEPS):
+        if not active.size:
+            break
+        p, v, a = curve.jet(t[active] % 1.0, 2, rowwise=True)
+        r = p - zs[active]
+        g = np.real(np.conj(r) * v)
+        gp = np.abs(v) ** 2 + np.real(np.conj(r) * a)
+        dt = g / gp
+        t_new = t[active] - dt
+        # a nan fails every comparison, so it leaves the bracket
+        ok = (gp > 0.0) & (t_new > lo[active]) & (t_new < hi[active])
+        done = ok & (np.abs(dt) <= _NEWTON_TOL)
+        # past the tolerance the new iterate's error is O(dt^2), which
+        # moves the distance only at second order again; a second-order
+        # Taylor sum moves r there without another evaluation
+        h = dt[done]
+        d[active[done]] = np.abs(r[done] - h * v[done] + 0.5 * h * h * a[done])
+        missed.extend(active[~ok])
+        t[active[ok]] = t_new[ok]
+        active = active[ok & ~done]
+    for i in sorted(missed + list(active)):
+        d[i], t[i] = _bounded_foot(curve, zs[i], lo[i], hi[i])
+    return d, t % 1.0
 
 
 class Domain:
@@ -119,25 +164,39 @@ class Domain:
             # winding failed to resolve; point sits essentially on a curve
             inside[ambiguous] = False
             if boundary == "raise":
-                for zz in z[ambiguous]:
-                    d = min(_curve_foot(c, complex(zz))[0] for c in self.curves)
-                    if d < 1e-7:
-                        raise GeometryError(
-                            "point %s is on the boundary (dist %.3g)" % (zz, d)
-                        )
+                near = z[ambiguous]
+                d = np.min([_curve_feet(c, near)[0] for c in self.curves],
+                           axis=0)
+                if np.any(d < 1e-7):
+                    i = int(np.argmax(d < 1e-7))
+                    raise GeometryError(
+                        "point %s is on the boundary (dist %.3g)"
+                        % (near[i], d[i]))
         return inside
 
+    def feet(self, zs):
+        """[(k, t, d)] for the interior points zs: the nearest boundary
+        point to each is curves[k].point(t), at distance d.  The points
+        not asked before are checked for containment and solved as one
+        batch; a point outside raises GeometryError."""
+        zs = [complex(z) for z in np.ravel(zs)]
+        new = np.array([z for z in dict.fromkeys(zs) if z not in self._feet],
+                       dtype=complex)
+        if new.size:
+            inside = self.contains_many(new)
+            if not np.all(inside):
+                raise GeometryError("point %s is not inside the domain"
+                                    % new[~inside][0])
+            per = [_curve_feet(c, new) for c in self.curves]
+            nearest = np.argmin([d for d, _ in per], axis=0)
+            for i, (z, k) in enumerate(zip(new, nearest)):
+                d, t = per[k]
+                self._feet[complex(z)] = (int(k), float(t[i]), float(d[i]))
+        return [self._feet[z] for z in zs]
+
     def foot(self, z):
-        """(k, t, d): the nearest boundary point to the interior point z is
-        curves[k].point(t), at distance d."""
-        z = complex(z)
-        if z not in self._feet:
-            if not self.contains(z):
-                raise GeometryError("point %s is not inside the domain" % z)
-            d, t, k = min(_curve_foot(c, z) + (k,)
-                          for k, c in enumerate(self.curves))
-            self._feet[z] = (k, t, d)
-        return self._feet[z]
+        """(k, t, d) of one interior point z; see feet."""
+        return self.feet([z])[0]
 
     def dist_to_boundary(self, z):
         return self.foot(z)[2]

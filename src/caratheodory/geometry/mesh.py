@@ -125,8 +125,8 @@ def _mesh_curve(curve, n, flip, foot=None):
         z = curve.uniform_eval(n, 0)
         v = curve.uniform_eval(n, 1)
     else:
-        z = np.asarray(curve.point(t), dtype=complex)
-        v = np.asarray(curve.velocity(t), dtype=complex)
+        # points and velocities from one phase table, deriv's bits
+        z, v = (np.asarray(x, dtype=complex) for x in curve.jet(t, 1))
     speed = np.abs(v)
     w = speed * dt
     tang = v / speed

@@ -2,9 +2,10 @@
 
 Lattice points are integer multiples of the spacing, so two domains that
 overlap share the exact same candidate points.  No randomness anywhere.
-Clearance is measured by ``Domain.dist_to_boundary``, the one distance
-code of the package, so a kept point passes every later clearance guard
-that asks for at most delta.
+Clearance is measured by one ``Domain.feet`` call on the lattice points
+inside, the one distance code of the package; the domain keeps those
+feet, so a kept point passes every later clearance guard that asks for
+at most delta, and the solver's routing reads them again for free.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ def grid_sample(domain, delta, spacing):
 
     Returns the points of the grid spacing*(Z x Z) that lie inside the
     domain with distance at least delta from the boundary, as measured by
-    Domain.dist_to_boundary.  Row-major order, y increasing then x.
+    Domain.feet.  Row-major order, y increasing then x.
     """
     if spacing <= 0:
         raise GeometryError("spacing must be positive, got %s" % spacing)
@@ -38,6 +39,6 @@ def grid_sample(domain, delta, spacing):
     keep = domain.contains_many(pts, boundary="exclude")
     pts = pts[keep]
     if delta > 0 and pts.size:
-        dists = np.array([domain.dist_to_boundary(z) for z in pts])
+        dists = np.array([d for _, _, d in domain.feet(pts)])
         pts = pts[dists >= delta]
     return pts

@@ -190,6 +190,11 @@ def _values_or_nan(ev, pts):
 
 
 def _kappa_or_nan(ev, pts):
+    # batch fast path, as in _values_or_nan
+    try:
+        return np.asarray(ev.curvatures(pts), dtype=float)
+    except (ExtremalError, GeometryError, SolveError):
+        pass
     out = np.full(pts.size, np.nan)
     for i, z in enumerate(pts):
         try:

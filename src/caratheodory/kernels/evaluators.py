@@ -9,14 +9,13 @@ interface as the certificate layer.
 Batch calls on the Szego evaluator share a single uniform mesh pair
 chosen from the shallowest point that the ladder's top rung, 1024 nodes
 per curve, clears, and a doubling failure at any of those points moves
-them all up the ladder, where one LU serves an interior grid.  The
+them all up the ladder.  Each mesh of the pair solves the batch as one
+block, values and curvatures alike, so an interior grid costs one LU
+per mesh and a few triangular solves with many right-hand sides.  The
 points past that rung's clearance, and those its pair does not settle,
 are settled one by one on pairs of meshes adapted to each point's
 nearest boundary point, its foot, instead of on uniform meshes of 2048
-or 4096 nodes.  Curvature no longer needs the batch's sharing (it comes
-from the kernel's derivative, not from differences of values); the
-shared pair stays because settling each point on its own pair would
-move values.
+or 4096 nodes.
 """
 
 from __future__ import annotations
@@ -111,10 +110,11 @@ class SzegoEvaluator(_EvaluatorBase):
     mesh pair (n, 2n).  The points of a batch that some uniform rung of
     _LADDER keeps CLEARANCE node spacings (h_max) from the boundary
     share the pair of the first rung that does so for the shallowest of
-    them; uniform meshes and their solvers are cached per node count (a
+    them, and each mesh solves them, and later their curvatures, as one
+    block; uniform meshes and their solvers are cached per node count (a
     solver turns from GMRES to one LU factorization once its mesh has
-    served enough solves).  When any of them fails the check, they all
-    climb one rung, up to (1024, 2048).
+    served, or is about to serve, enough solves).  When any of them fails
+    the check, they all climb one rung, up to (1024, 2048).
 
     A point too near the boundary for the top rung, or that fails the
     check there, is settled on its own, on meshes adapted to its foot
@@ -187,7 +187,7 @@ class SzegoEvaluator(_EvaluatorBase):
         (z, "foot") and settled at their feet by _solution.
         """
         zs = np.asarray(zs, dtype=complex).ravel()
-        dists = [self.domain.dist_to_boundary(z) for z in zs]
+        dists = [d for _, _, d in self.domain.feet(zs)]
         if self.n_override is not None:
             for z, d in zip(zs, dists):
                 require_clearance(self._mesh(self.n_override), z, d)
@@ -204,31 +204,34 @@ class SzegoEvaluator(_EvaluatorBase):
     def _climb(self, zs, n1):
         """Keys of the points settled on the first uniform pair from
         (n1, 2 n1) up whose doubling check they all pass; at the top
-        rung, None for each point that still fails it."""
+        rung, None for each point that still fails it.  Each mesh solves
+        the points it has not settled as one block."""
         while True:
             n2 = min(2 * n1, self._CAP)
-            keys = []
-            for z in zs:
-                key = (complex(z), n1, n2)
+            keys = [(complex(z), n1, n2) for z in zs]
+            first = {}
+            for i, key in enumerate(keys):
                 if key not in self._settled:
-                    # one solve per distinct mesh: a collapsed pair has rel 0
-                    sols = [self._solver(m).solve(z) for m in sorted({n1, n2})]
-                    rel = _doubling_change(sols[0], sols[-1])
-                    if rel > self.tol:
-                        if self.n_override is not None:
-                            raise SolveError(
-                                "szego value did not settle at %s: n=%d vs %d "
-                                "changed by %.3g (tol %.1g)"
-                                % (z, n1, n2, rel, self.tol))
-                        if n1 < self._LADDER[-1]:
-                            break  # the whole batch climbs, see the docstring
-                        key = None
-                    else:
-                        self._settled[key] = sols[-1]
-                keys.append(key)
-            else:
+                    first.setdefault(key, i)
+            todo = list(first.values())
+            if not todo:
                 return keys
-            n1 = n2
+            # one block per distinct mesh: a collapsed pair has rel 0
+            sols = [self._solver(m).solve(zs[todo]) for m in sorted({n1, n2})]
+            rels = [_doubling_change(c, f) for c, f in zip(sols[0], sols[-1])]
+            failed = [(i, rel) for i, rel in zip(todo, rels) if rel > self.tol]
+            if failed and self.n_override is not None:
+                i, rel = failed[0]
+                raise SolveError(
+                    "szego value did not settle at %s: n=%d vs %d changed by "
+                    "%.3g (tol %.1g)" % (zs[i], n1, n2, rel, self.tol))
+            if failed and n1 < self._LADDER[-1]:
+                n1 = n2  # the whole batch climbs, see the docstring
+                continue
+            for i, rel, sol in zip(todo, rels, sols[-1]):
+                if rel <= self.tol:
+                    self._settled[keys[i]] = sol
+            return [key if key in self._settled else None for key in keys]
 
     def _solution(self, key):
         """The finer-mesh solution that settles a key's value; a foot key
@@ -237,11 +240,9 @@ class SzegoEvaluator(_EvaluatorBase):
             self._settle_at_foot(key[0])
         return self._settled[key]
 
-    def _solver_of(self, key):
-        """The solver of a settled key's finer mesh.  Only the latest
-        adapted one is kept, so an earlier point's is built again."""
-        if key[1] != "foot":
-            return self._solver(key[2])
+    def _foot_solver_of(self, key):
+        """The finer solver of a point settled at its foot.  Only the
+        latest one is kept, so an earlier point's is built again."""
         mesh = self._settled[key].mesh
         if self._foot_solver is None or self._foot_solver.mesh is not mesh:
             self._foot_solver = SzegoSolver(mesh)
@@ -280,12 +281,22 @@ class SzegoEvaluator(_EvaluatorBase):
 
     def curvatures(self, zs):
         """SzegoSolver.kappa of the finer-mesh solutions that settle the
-        values: one derivative solve per point."""
-        out = []
-        for key in self._route(zs):
-            sol = self._solution(key)  # a foot point keeps its solver
-            out.append(self._solver_of(key).kappa(sol))
-        return np.array(out, dtype=float)
+        values: one derivative solve per point, as one block per uniform
+        mesh."""
+        keys = self._route(zs)
+        out = np.empty(len(keys))
+        blocks = {}  # uniform finer node count -> {key: indices}
+        for i, key in enumerate(keys):
+            if key[1] == "foot":
+                sol = self._solution(key)  # a foot point keeps its solver
+                out[i] = self._foot_solver_of(key).kappa(sol)
+            else:
+                blocks.setdefault(key[2], {}).setdefault(key, []).append(i)
+        for n2, block in blocks.items():
+            kappas = self._solver(n2).kappa([self._settled[k] for k in block])
+            for idx, kappa in zip(block.values(), kappas):
+                out[idx] = kappa
+        return out
 
     def solution(self, a):
         """The kernel solution that settles the value at the base point,

@@ -144,6 +144,22 @@ def test_each_derivative_is_the_slope_of_the_one_below(make, u, top):
         assert reads[k](u) == chart.deriv(u, k)
 
 
+@pytest.mark.parametrize("make, u, top", [c[1:] for c in _CHARTS],
+                         ids=[c[0] for c in _CHARTS])
+def test_a_jet_has_the_bits_of_each_derivative(make, u, top):
+    chart = make()
+    lo, hi = (0.0, 1.0) if u is not None else (chart.breaks[0], chart.breaks[2])
+    us = np.linspace(lo, hi, 37)
+    for order in range(top + 1):
+        jet = chart.jet(us, order)
+        assert len(jet) == order + 1
+        for k, got in enumerate(jet):
+            assert np.array_equal(got, chart.deriv(us, k))
+        # summed row by row, the series moves only in the last bits
+        for got, want in zip(chart.jet(us, order, rowwise=True), jet):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_an_offset_arc_has_no_third_derivative():
     arc = OffsetArc(SubArc(ellipse().outer, 0.1, 0.3), 0.05)
     with pytest.raises(GeometryError, match="third derivative"):

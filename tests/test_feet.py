@@ -1,0 +1,92 @@
+"""Boundary feet: Newton's batch against single points and a bounded
+polish, and the fallback at corners."""
+
+import numpy as np
+import pytest
+from scipy.optimize import minimize_scalar
+
+from caratheodory.errors import GeometryError
+from caratheodory.geometry import boolean_intersect, grid_sample
+from caratheodory.geometry import domain as domain_module
+from caratheodory.harness import annulus, disc, ellipse, fourier_blob
+
+
+def _localization_piece():
+    dom = ellipse()
+    return boolean_intersect(disc(dom.outer.point(0.25), 0.5), dom)[0]
+
+
+def _polished(curve, z):
+    """Distance from z to the curve by a bounded scalar minimization of
+    |gamma(t) - z|^2 between the neighbours of the nearest node of the
+    2048-node polyline."""
+    params, pts = curve.polyline(2048)
+    j = int(np.argmin(np.abs(pts - z)))
+    lo = params[j - 1] if j > 0 else params[-1] - 1.0
+    hi = params[(j + 1) % len(params)]
+    if hi <= lo:
+        hi += 1.0
+    r = minimize_scalar(lambda t: abs(curve.point(t % 1.0) - z) ** 2,
+                        bounds=(lo, hi), method="bounded",
+                        options={"xatol": 1e-12})
+    return float(np.sqrt(r.fun))
+
+
+@pytest.mark.parametrize("make, delta", [
+    (fourier_blob, 0.15), (_localization_piece, 0.0), (annulus, 0.02),
+], ids=["blob", "cornered piece", "annulus"])
+def test_a_batch_foot_has_the_bits_of_a_lone_one(make, delta):
+    # each point's Newton iterates sum its own series terms only, so the
+    # batch it rides in never moves its last bit
+    zs = grid_sample(make(), delta, 0.05)[::7]
+    batch = make().feet(zs)
+    assert len(batch) > 10
+    for z, foot in zip(zs, batch):
+        assert make().foot(z) == foot
+
+
+@pytest.mark.parametrize("make, delta", [
+    (fourier_blob, 0.15), (ellipse, 0.02), (annulus, 0.02),
+], ids=["blob", "ellipse", "annulus"])
+def test_newton_feet_match_a_bounded_polish(make, delta):
+    dom = make()
+    zs = grid_sample(dom, delta, 0.1)
+    got = np.array([d for _, _, d in dom.feet(zs)])
+    want = np.array([min(_polished(c, z) for c in dom.curves) for z in zs])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+    # the polish stops short of the minimum; Newton is never above it
+    # by more than the rounding of one distance
+    assert np.max(got - want) <= 1e-15
+
+
+def test_a_foot_at_a_corner_takes_the_bounded_fallback(monkeypatch):
+    polished = []
+    real = domain_module._bounded_foot
+
+    def spying(curve, z, lo, hi):
+        polished.append(z)
+        return real(curve, z, lo, hi)
+
+    monkeypatch.setattr(domain_module, "_bounded_foot", spying)
+    curve = _localization_piece().outer
+    corner = curve.corner_params[1]
+    p = curve.point(corner)
+    v_in, v_out = curve.velocity(corner - 1e-9), curve.velocity(corner + 1e-9)
+    outward = -1j * (v_in / abs(v_in) + v_out / abs(v_out))
+    outward /= abs(outward)
+    # just outside the corner, and just inside it, where the nearest
+    # point lies on a side
+    zs = np.array([p + 1e-3 * outward, p - 1e-3 * outward])
+    d, t = domain_module._curve_feet(curve, zs)
+    assert polished == [zs[0]]
+    # the polish's own accuracy at a kink, as before Newton took over
+    assert d[0] == pytest.approx(1e-3, rel=1e-4)
+    assert t[0] == pytest.approx(corner, abs=1e-6)
+    assert d[1] < 1e-3 and abs(t[1] - corner) > 1e-5
+
+
+def test_feet_refuse_a_point_outside():
+    with pytest.raises(GeometryError, match="not inside"):
+        ellipse().feet([0.3, 2.5])
+    dom = ellipse()
+    assert dom.feet([0.3, 0.3, 0.5j]) == [dom.foot(0.3)] * 2 + [dom.foot(0.5j)]

@@ -25,6 +25,7 @@ from caratheodory.harness import (
 from caratheodory.geometry import grid_sample
 from caratheodory.harness import reports
 from caratheodory.harness.reports import write_csv
+from caratheodory.kernels import SzegoEvaluator
 from curvature_reference import annulus_kappa, annulus_series
 
 
@@ -165,6 +166,43 @@ def test_solynin_takes_no_curvature(monkeypatch):
 
     monkeypatch.setattr(reports, "curvature_at", refuse)
     assert verify_solynin_two_discs(*two_disc_pair("symmetric")).passed
+
+
+def test_the_sweep_asks_each_curvature_batch_once(monkeypatch):
+    # one curvatures call per domain and component, no per-point reads
+    asked = []
+    real = SzegoEvaluator.curvatures
+
+    def spying(self, zs):
+        asked.append(np.size(zs))
+        return real(self, zs)
+
+    def refuse(ev, z):
+        raise AssertionError("curvature_at called")
+
+    monkeypatch.setattr(SzegoEvaluator, "curvatures", spying)
+    monkeypatch.setattr(reports, "curvature_at", refuse)
+    rep = verify_submult(*two_disc_pair("symmetric"), method="szego",
+                         spacing=0.5)
+    assert rep.dropped == 0
+    assert asked == [len(rep.rows)] * 2
+
+
+def test_a_failed_curvature_batch_falls_back_point_by_point():
+    class OneBadPoint:
+        kind = "test"
+
+        def curvatures(self, zs):
+            zs = np.asarray(zs)
+            if np.any(zs == 2.0):
+                raise GeometryError("bad point")
+            return np.full(zs.size, -4.0)
+
+        def values(self, zs):
+            return np.ones(np.size(zs))
+
+    got = reports._kappa_or_nan(OneBadPoint(), np.array([1.0, 2.0, 3.0]))
+    assert np.array_equal(got, [-4.0, np.nan, -4.0], equal_nan=True)
 
 
 def test_submult_needs_an_overlap():

@@ -364,5 +364,55 @@ def test_the_suita_grid_meshes_factor_once_each(monkeypatch):
     # the grid batch settles on its (256, 512) pair; the trend points'
     # finer meshes serve a few solves each and stay on GMRES
     sizes = _count_factorizations(monkeypatch)
+    # GMRES runs per solver; a grid mesh prices its block after the first
+    runs, solving = {}, []
+    real_solve, real_gmres = SzegoSolver._solve, szego.gmres
+
+    def tracking(self, rhs):
+        solving.append(self)
+        try:
+            return real_solve(self, rhs)
+        finally:
+            solving.pop()
+
+    def counting(op, rhs, **kwargs):
+        runs[solving[-1]] = runs.get(solving[-1], 0) + 1
+        return real_gmres(op, rhs, **kwargs)
+
+    monkeypatch.setattr(SzegoSolver, "_solve", tracking)
+    monkeypatch.setattr(szego, "gmres", counting)
     verify_suita(fourier_blob(), 0.15, spacing=0.1)
     assert sorted(sizes) == [256, 512]
+    factored = [solver for solver in runs if solver._lu is not None]
+    assert sorted(solver.mesh.size for solver in factored) == [256, 512]
+    assert all(runs[solver] == 1 for solver in factored)
+
+
+def test_a_grid_block_matches_point_by_point_solves():
+    # one block per mesh, past GMRES one lu_solve for its columns,
+    # against each point settled and differentiated on its own
+    blob = fourier_blob()
+    grid = grid_sample(blob, 0.15, 0.1)
+    ev = SzegoEvaluator(blob)
+    kappas, values = ev.curvatures(grid), ev.values(grid)
+    alone = SzegoEvaluator(blob)
+    want_k = np.array([alone.curvatures([z])[0] for z in grid])
+    want_v = np.array([alone.value(z) for z in grid])
+    assert np.max(np.abs(values / want_v - 1.0)) <= 1e-14
+    assert np.max(np.abs(kappas / want_k - 1.0)) <= 1e-14
+    assert np.max(np.abs(kappas + 4.0)) <= 1e-12
+
+
+def test_a_block_of_three_on_a_fresh_solver_keeps_the_gmres_bits():
+    mesh = mesh_boundary(fourier_blob(), 256)
+    pts = [0.1, 0.2j, -0.3 + 0.1j]
+    block = SzegoSolver(mesh)
+    sols = block.solve(pts)
+    kappas = block.kappa(sols)
+    assert block._lu is None and block.matvecs < LU_MATVECS
+    single = SzegoSolver(mesh)
+    for a, sol, k in zip(pts, sols, kappas):
+        want = single.solve(a)
+        assert np.array_equal(sol.szego_boundary, want.szego_boundary)
+        assert sol.diag_value == want.diag_value
+        assert k == single.kappa(want)

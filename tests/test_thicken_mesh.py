@@ -125,6 +125,31 @@ def test_a_cornered_foot_is_one_more_grading_break():
     assert gap < 1e-4 * plain.h_max
 
 
+@pytest.mark.parametrize("make, z", [
+    (ellipse, 0.98j), (_localization_piece, None),
+], ids=["ellipse foot", "cornered piece"])
+def test_mesh_points_and_velocities_come_from_one_jet(make, z):
+    # one phase table for both, with the bits of separate point and
+    # velocity calls at the same parameters
+    dom = make()
+    foot = None if z is None else dom.foot(z)
+    curve = dom.outer
+    asked = []
+    real = curve.jet
+
+    def spying(t, order, rowwise=False):
+        asked.append((np.copy(t), order))
+        return real(t, order, rowwise)
+
+    curve.jet = spying
+    mesh = mesh_boundary(dom, 512, foot)
+    ((t, order),) = asked
+    assert order == 1
+    v = curve.velocity(t)
+    assert np.array_equal(mesh.nodes, curve.point(t))
+    assert np.array_equal(mesh.tangents, v / np.abs(v))
+
+
 def test_dist_to_boundary_values():
     assert unit_disc().dist_to_boundary(0.3) == pytest.approx(0.7, abs=1e-9)
     assert annulus().dist_to_boundary(0.7) == pytest.approx(0.2, abs=1e-9)
