@@ -209,28 +209,27 @@ class SzegoEvaluator(_EvaluatorBase):
         while True:
             n2 = min(2 * n1, self._CAP)
             keys = [(complex(z), n1, n2) for z in zs]
-            first = {}
-            for i, key in enumerate(keys):
-                if key not in self._settled:
-                    first.setdefault(key, i)
-            todo = list(first.values())
+            todo = [key for key in dict.fromkeys(keys)
+                    if key not in self._settled]
             if not todo:
                 return keys
             # one block per distinct mesh: a collapsed pair has rel 0
-            sols = [self._solver(m).solve(zs[todo]) for m in sorted({n1, n2})]
+            sols = [self._solver(m).solve([key[0] for key in todo])
+                    for m in sorted({n1, n2})]
             rels = [_doubling_change(c, f) for c, f in zip(sols[0], sols[-1])]
-            failed = [(i, rel) for i, rel in zip(todo, rels) if rel > self.tol]
+            failed = [(key[0], rel) for key, rel in zip(todo, rels)
+                      if rel > self.tol]
             if failed and self.n_override is not None:
-                i, rel = failed[0]
                 raise SolveError(
                     "szego value did not settle at %s: n=%d vs %d changed by "
-                    "%.3g (tol %.1g)" % (zs[i], n1, n2, rel, self.tol))
+                    "%.3g (tol %.1g)" % (failed[0][0], n1, n2, failed[0][1],
+                                         self.tol))
             if failed and n1 < self._LADDER[-1]:
                 n1 = n2  # the whole batch climbs, see the docstring
                 continue
-            for i, rel, sol in zip(todo, rels, sols[-1]):
+            for key, rel, sol in zip(todo, rels, sols[-1]):
                 if rel <= self.tol:
-                    self._settled[keys[i]] = sol
+                    self._settled[key] = sol
             return [key if key in self._settled else None for key in keys]
 
     def _solution(self, key):
@@ -284,19 +283,21 @@ class SzegoEvaluator(_EvaluatorBase):
         values: one derivative solve per point, as one block per uniform
         mesh."""
         keys = self._route(zs)
-        out = np.empty(len(keys))
-        blocks = {}  # uniform finer node count -> {key: indices}
-        for i, key in enumerate(keys):
+        blocks = {}  # uniform finer node count -> its distinct keys
+        for key in dict.fromkeys(keys):
+            if key[1] != "foot":
+                blocks.setdefault(key[2], []).append(key)
+        kappas = {}
+        for n2, block in blocks.items():
+            sols = [self._settled[key] for key in block]
+            kappas.update(zip(block, self._solver(n2).kappa(sols)))
+        out = []
+        for key in keys:
             if key[1] == "foot":
                 sol = self._solution(key)  # a foot point keeps its solver
-                out[i] = self._foot_solver_of(key).kappa(sol)
-            else:
-                blocks.setdefault(key[2], {}).setdefault(key, []).append(i)
-        for n2, block in blocks.items():
-            kappas = self._solver(n2).kappa([self._settled[k] for k in block])
-            for idx, kappa in zip(block.values(), kappas):
-                out[idx] = kappa
-        return out
+                kappas[key] = self._foot_solver_of(key).kappa(sol)
+            out.append(kappas[key])
+        return np.array(out, dtype=float)
 
     def solution(self, a):
         """The kernel solution that settles the value at the base point,

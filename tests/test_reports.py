@@ -190,8 +190,6 @@ def test_the_sweep_asks_each_curvature_batch_once(monkeypatch):
 
 def test_a_failed_curvature_batch_falls_back_point_by_point():
     class OneBadPoint:
-        kind = "test"
-
         def curvatures(self, zs):
             zs = np.asarray(zs)
             if np.any(zs == 2.0):
