@@ -226,13 +226,16 @@ def _product_sweep(D1, D2, comps, delta, spacing, method, kappa=True):
         pts = grid_sample(comp, delta, spacing)
         c_int = _values_or_nan(evaluator_for(comp, method), pts)
         c_uni = _values_or_nan(ev_uni, pts)
+        if kappa:
+            # curvatures first, as in scan_curvature: a point settled at
+            # its foot takes kappa from the solver that settled it
+            k_1 = _kappa_or_nan(ev1, pts)
+            k_2 = _kappa_or_nan(ev2, pts)
         c_1 = _values_or_nan(ev1, pts)
         c_2 = _values_or_nan(ev2, pts)
         ok = np.isfinite(c_int) & np.isfinite(c_uni) & np.isfinite(c_1)
         ok &= np.isfinite(c_2)
         if kappa:
-            k_1 = _kappa_or_nan(ev1, pts)
-            k_2 = _kappa_or_nan(ev2, pts)
             ok &= np.isfinite(k_1) & np.isfinite(k_2)
         dropped += int(np.count_nonzero(~ok))
         if not np.any(ok):

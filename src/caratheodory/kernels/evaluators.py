@@ -6,16 +6,14 @@ harness sweeps don't care which authority (closed form or Szego solve,
 chosen by evaluator_for) produced the number.  LPEvaluator shares the
 interface as the certificate layer.
 
-Batch calls on the Szego evaluator share a single uniform mesh pair
-chosen from the shallowest point that the ladder's top rung, 1024 nodes
-per curve, clears, and a doubling failure at any of those points moves
-them all up the ladder.  Each mesh of the pair solves the batch as one
-block, values and curvatures alike, so an interior grid costs one LU
-per mesh and a few triangular solves with many right-hand sides.  The
-points past that rung's clearance, and those its pair does not settle,
-are settled one by one on pairs of meshes adapted to each point's
-nearest boundary point, its foot, instead of on uniform meshes of 2048
-or 4096 nodes.
+The Szego evaluator settles every value on one mesh-doubling ladder,
+from a pair (n, 2n) up to (1024, 2048) nodes per curve.  The new points
+of a batch that a uniform rung clears climb it together, from the rung
+of the shallowest of them; each mesh solves them as one block, values
+and curvatures alike, so an interior grid costs one LU per mesh and a
+few triangular solves with many right-hand sides.  Every other point
+climbs the same ladder alone on meshes adapted to its nearest boundary
+point, its foot, instead of on uniform meshes of 2048 or 4096 nodes.
 """
 
 from __future__ import annotations
@@ -107,25 +105,27 @@ class SzegoEvaluator(_EvaluatorBase):
 
     Each value is accepted only after a mesh-doubling agreement check
     (1e-8 relative on smooth boundaries, 1e-5 with corners) between a
-    mesh pair (n, 2n).  The points of a batch that some uniform rung of
-    _LADDER keeps CLEARANCE node spacings (h_max) from the boundary
-    share the pair of the first rung that does so for the shallowest of
-    them, and each mesh solves them, and later their curvatures, as one
-    block; uniform meshes and their solvers are cached per node count (a
-    solver turns from GMRES to one LU factorization once its mesh has
-    served, or is about to serve, enough solves).  When any of them fails
-    the check, they all climb one rung, up to (1024, 2048).
+    mesh pair (n, 2n), and every pair comes from one doubling ladder,
+    _climb: each mesh solves its points as one block, a failure moves
+    them all up one rung, the finer solutions becoming the coarser
+    ones, and the climb stops at (1024, 2048).
 
-    A point too near the boundary for the top rung, or that fails the
-    check there, is settled on its own, on meshes adapted to its foot
-    (mesh_boundary's foot): the pairs of _ADAPTED in turn, the first
-    whose coarse mesh keeps the point's local clearance.  SolveError is
-    raised only when the last adapted pair fails the check, or at once
-    when the caller pinned n.  The finer-mesh solution that settles a
-    value is kept, so its curvature costs one derivative solve more, and
-    solution() returns it.  The latest adapted point's finer solver is
-    kept with it (curvature_at asks for the curvature, then the value);
-    an earlier point's curvature builds its solver again.
+    The new points of a batch that some uniform rung of _LADDER keeps
+    CLEARANCE node spacings (h_max) from the boundary climb together
+    from the first rung that does so for the shallowest of them, on
+    uniform meshes and solvers cached per node count (a solver turns
+    from GMRES to one LU factorization once its mesh has served, or is
+    about to serve, enough solves).  Every other new point, and each
+    that fails the check at the top, climbs alone on meshes adapted to
+    its foot (mesh_boundary's foot), from the first rung from
+    _FOOT_START up whose coarse mesh keeps the point's local clearance;
+    its solvers are dropped once it settles.  SolveError is raised only
+    when an adapted climb fails at the top, or at once when the caller
+    pinned n.
+
+    The finer-mesh solution that settles a point is kept under the
+    point, so a later batch reuses it and its curvature costs one
+    derivative solve more; solution() returns it.
 
     A pinned n pairs with min(2n, _CAP) on uniform meshes, and its mesh
     is built at construction: an n that mesh_boundary refuses, or one
@@ -136,7 +136,7 @@ class SzegoEvaluator(_EvaluatorBase):
 
     kind = "szego"
     _LADDER = (256, 512, 1024)
-    _ADAPTED = ((512, 1024), (1024, 2048))
+    _FOOT_START = 512
     _CAP = 4096
 
     def __init__(self, domain, n=None):
@@ -148,10 +148,7 @@ class SzegoEvaluator(_EvaluatorBase):
         self.tol = 1e-5 if rough else 1e-8
         self._meshes = {}
         self._solvers = {}
-        # (z, n1, n2) on uniform pairs, (z, "foot") on adapted ones ->
-        # the finer-mesh solution that settles z
-        self._settled = {}
-        self._foot_solver = None  # the latest adapted finer solver
+        self._settled = {}  # point -> the finer-mesh solution that settles it
         if self.n_override is not None:
             if self.n_override > self._CAP:
                 raise GeometryError("n is past the mesh cap %d" % self._CAP)
@@ -178,136 +175,110 @@ class SzegoEvaluator(_EvaluatorBase):
                 return n
         return None
 
-    def _route(self, zs):
-        """The _settled key of each point of the batch.
-
-        The points some rung clears climb the ladder together and are
-        settled here on their shared uniform pair, (z, n1, n2).  The
-        rest, and those the top rung's pair does not settle, are keyed
-        (z, "foot") and settled at their feet by _solution.
-        """
-        zs = np.asarray(zs, dtype=complex).ravel()
-        dists = [d for _, _, d in self.domain.feet(zs)]
+    def _settle(self, zs, kappa=False):
+        """Settle the points of zs not settled yet (see the class
+        docstring); with kappa, return the curvature of each point
+        settled at its foot, by point, from the solver that settled it."""
+        new = [z for z in dict.fromkeys(zs.tolist()) if z not in self._settled]
+        feet = self.domain.feet(new)
+        rungs = [self._pick_n(d) for _, _, d in feet]
         if self.n_override is not None:
-            for z, d in zip(zs, dists):
+            for z, (_, _, d) in zip(new, feet):
                 require_clearance(self._mesh(self.n_override), z, d)
-        keys = [(complex(z), "foot") for z in zs]
-        climbing = [i for i, d in enumerate(dists)
-                    if keys[i] not in self._settled
-                    and self._pick_n(d) is not None]
-        if climbing:
-            n1 = self._pick_n(min(dists[i] for i in climbing))
-            for i, key in zip(climbing, self._climb(zs[climbing], n1)):
-                keys[i] = key or keys[i]
-        return keys
+        shared = [z for z, n in zip(new, rungs) if n is not None]
+        failed = {}
+        if shared:
+            top = self.n_override or self._LADDER[-1]
+            _, failed = self._climb(shared, max(n for n in rungs if n),
+                                    top, self._solver)
+        if failed and self.n_override is not None:
+            raise next(iter(failed.values()))
+        kappas = {}
+        for z, foot, n in zip(new, feet, rungs):
+            if n is None or z in failed:
+                solver = self._settle_at_foot(z, foot)
+                if kappa:
+                    kappas[z] = solver.kappa(self._settled[z])
+        return kappas
 
-    def _climb(self, zs, n1):
-        """Keys of the points settled on the first uniform pair from
-        (n1, 2 n1) up whose doubling check they all pass; at the top
-        rung, None for each point that still fails it.  Each mesh solves
-        the points it has not settled as one block."""
+    def _settle_at_foot(self, z, foot):
+        """Climb z alone on meshes adapted to its foot; return the finer
+        solver that settles it."""
+        for n1 in (n for n in self._LADDER if n >= self._FOOT_START):
+            mesh = mesh_boundary(self.domain, n1, foot)
+            try:
+                require_clearance(mesh, z, foot[2])
+                break
+            except GeometryError:
+                if n1 == self._LADDER[-1]:
+                    raise
+        solver, failed = self._climb(
+            [z], n1, self._LADDER[-1],
+            lambda n: SzegoSolver(
+                mesh if n == n1 else mesh_boundary(self.domain, n, foot)))
+        if failed:
+            raise failed[z]
+        return solver
+
+    def _climb(self, zs, n1, top, solver):
+        """Settle the points zs on the first pair from (n1, 2 n1) up to
+        (top, 2 top) whose doubling check they all pass; solver(n) gives
+        the solver of the n-node mesh.  Returns the finer solver and a
+        SolveError by point for each point that fails at the top."""
+        coarse = solver(n1).solve(zs)
         while True:
             n2 = min(2 * n1, self._CAP)
-            keys = [(complex(z), n1, n2) for z in zs]
-            todo = [key for key in dict.fromkeys(keys)
-                    if key not in self._settled]
-            if not todo:
-                return keys
-            # one block per distinct mesh: a collapsed pair has rel 0
-            sols = [self._solver(m).solve([key[0] for key in todo])
-                    for m in sorted({n1, n2})]
-            rels = [_doubling_change(c, f) for c, f in zip(sols[0], sols[-1])]
-            failed = [(key[0], rel) for key, rel in zip(todo, rels)
-                      if rel > self.tol]
-            if failed and self.n_override is not None:
-                raise SolveError(
-                    "szego value did not settle at %s: n=%d vs %d changed by "
-                    "%.3g (tol %.1g)" % (failed[0][0], n1, n2, failed[0][1],
-                                         self.tol))
-            if failed and n1 < self._LADDER[-1]:
-                n1 = n2  # the whole batch climbs, see the docstring
+            fine_solver = solver(n2)
+            # a collapsed pair has one mesh and rel 0
+            fine = coarse if n2 == n1 else fine_solver.solve(zs)
+            rels = [_doubling_change(c, f) for c, f in zip(coarse, fine)]
+            if n1 < top and any(rel > self.tol for rel in rels):
+                n1, coarse = n2, fine  # the whole batch climbs
                 continue
-            for key, rel, sol in zip(todo, rels, sols[-1]):
+            failed = {}
+            for z, rel, sol in zip(zs, rels, fine):
                 if rel <= self.tol:
-                    self._settled[key] = sol
-            return [key if key in self._settled else None for key in keys]
-
-    def _solution(self, key):
-        """The finer-mesh solution that settles a key's value; a foot key
-        is settled on first use."""
-        if key not in self._settled:
-            self._settle_at_foot(key[0])
-        return self._settled[key]
-
-    def _foot_solver_of(self, key):
-        """The finer solver of a point settled at its foot.  Only the
-        latest one is kept, so an earlier point's is built again."""
-        mesh = self._settled[key].mesh
-        if self._foot_solver is None or self._foot_solver.mesh is not mesh:
-            self._foot_solver = SzegoSolver(mesh)
-        return self._foot_solver
-
-    def _settle_at_foot(self, z):
-        """Settle z on the first adapted pair that keeps its clearance and
-        passes the doubling check; its finer solver becomes _foot_solver."""
-        foot = self.domain.foot(z)
-        self._foot_solver = None
-        coarse = None  # (n, solver, solution)
-        for n1, n2 in self._ADAPTED:
-            if coarse is None or coarse[0] != n1:
-                mesh = mesh_boundary(self.domain, n1, foot)
-                try:
-                    require_clearance(mesh, z, foot[2])
-                except GeometryError:
-                    if (n1, n2) == self._ADAPTED[-1]:
-                        raise
-                    continue
-                coarse = (n1,) + _solved(mesh, z)
-            fine = (n2,) + _solved(mesh_boundary(self.domain, n2, foot), z)
-            rel = _doubling_change(coarse[2], fine[2])
-            if rel <= self.tol:
-                self._foot_solver = fine[1]
-                self._settled[(z, "foot")] = fine[2]
-                return
-            coarse = fine
-        raise SolveError(
-            "szego value did not settle at %s: n=%d vs %d at its foot changed "
-            "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
+                    self._settled[z] = sol
+                else:
+                    failed[z] = SolveError(
+                        "szego value did not settle at %s: n=%d vs %d changed "
+                        "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
+            return fine_solver, failed
 
     def values(self, zs):
-        return np.array([2.0 * np.pi * self._solution(key).diag_value
-                         for key in self._route(zs)], dtype=float)
+        zs = np.asarray(zs, dtype=complex).ravel()
+        self._settle(zs)
+        return np.array([2.0 * np.pi * self._settled[z].diag_value
+                         for z in zs.tolist()], dtype=float)
 
     def curvatures(self, zs):
         """SzegoSolver.kappa of the finer-mesh solutions that settle the
-        values: one derivative solve per point, as one block per uniform
-        mesh."""
-        keys = self._route(zs)
-        blocks = {}  # uniform finer node count -> its distinct keys
-        for key in dict.fromkeys(keys):
-            if key[1] != "foot":
-                blocks.setdefault(key[2], []).append(key)
-        kappas = {}
-        for n2, block in blocks.items():
-            sols = [self._settled[key] for key in block]
-            kappas.update(zip(block, self._solver(n2).kappa(sols)))
-        out = []
-        for key in keys:
-            if key[1] == "foot":
-                sol = self._solution(key)  # a foot point keeps its solver
-                kappas[key] = self._foot_solver_of(key).kappa(sol)
-            out.append(kappas[key])
-        return np.array(out, dtype=float)
+        values: one derivative solve per point.  A point settled at its
+        foot during the call takes it from the solver that settled it;
+        the others solve one block per mesh, on the cached uniform solver
+        of that mesh, or on a new solver of an earlier adapted one."""
+        zs = np.asarray(zs, dtype=complex).ravel()
+        kappas = self._settle(zs, kappa=True)
+        blocks = {}  # id of a settling mesh -> its distinct points
+        for z in dict.fromkeys(zs.tolist()):
+            if z not in kappas:
+                blocks.setdefault(id(self._settled[z].mesh), []).append(z)
+        for block in blocks.values():
+            sols = [self._settled[z] for z in block]
+            mesh = sols[0].mesh
+            # found by its mesh: _solvers is keyed by nodes per curve,
+            # which is not mesh.size on several curves
+            solver = next((s for s in self._solvers.values()
+                           if s.mesh is mesh), None) or SzegoSolver(mesh)
+            kappas.update(zip(block, solver.kappa(sols)))
+        return np.array([kappas[z] for z in zs.tolist()], dtype=float)
 
     def solution(self, a):
         """The kernel solution that settles the value at the base point,
         for Ahlfors map work; same clearance guard as values."""
-        return self._solution(self._route([a])[0])
-
-
-def _solved(mesh, z):
-    solver = SzegoSolver(mesh)
-    return solver, solver.solve(z)
+        a = complex(a)
+        self._settle(np.array([a]))
+        return self._settled[a]
 
 
 def _doubling_change(coarse, fine):

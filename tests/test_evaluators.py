@@ -103,6 +103,18 @@ def _count_work(monkeypatch):
     return built, solved
 
 
+def _pairs(ev):
+    """Each settled point with the pair that settled it, in settling
+    order: (z, n1, n2) when the finer mesh is the uniform one of n2 nodes
+    per curve in ev._meshes, (z, "foot") when it is adapted to z's foot."""
+    per_curve = {id(mesh): n for n, mesh in ev._meshes.items()}
+    out = []
+    for z, sol in ev._settled.items():
+        n2 = per_curve.get(id(sol.mesh))
+        out.append((z, "foot") if n2 is None else (z, n2 // 2, n2))
+    return out
+
+
 def test_a_pin_at_the_cap_solves_each_point_once(monkeypatch):
     # the pair (cap, cap) collapses: one solve, no doubling check
     monkeypatch.setattr(SzegoEvaluator, "_CAP", 512)
@@ -171,7 +183,7 @@ def test_szego_evaluator_climbs_the_mesh_ladder():
     ev = SzegoEvaluator(grown)
     got = ev.value(0.0)
     assert got == pytest.approx(1.7000316, rel=1e-7)
-    assert list(ev._settled) == [(0j, 512, 1024)]
+    assert _pairs(ev) == [(0j, 512, 1024)]
     assert got == pytest.approx(SzegoEvaluator(grown, n=1024).value(0.0),
                                 rel=1e-6)
     # the certificate is a lower bound on the settled value
@@ -179,6 +191,57 @@ def test_szego_evaluator_climbs_the_mesh_ladder():
     # a pinned mesh never climbs
     with pytest.raises(SolveError, match="did not settle"):
         SzegoEvaluator(grown, n=256).value(0.0)
+
+
+def test_the_climb_solves_each_mesh_once(monkeypatch):
+    # the 512-node solution that fails the (256, 512) check is the coarse
+    # one of (512, 1024), so no mesh solves the point twice
+    grown = thicken(boolean_intersect(*two_disc_pair("symmetric"))[0], 0.01)
+    _, solved = _count_work(monkeypatch)
+    SzegoEvaluator(grown).value(0.0)
+    assert solved == [256, 512, 1024]
+
+
+def test_a_settled_point_keeps_its_value_in_a_later_batch(monkeypatch):
+    ev = SzegoEvaluator(ellipse())
+    first = ev.value(0.3)
+    _, solved = _count_work(monkeypatch)
+    got = ev.values([0.3, 0.95j])
+    # 0.3 keeps its (256, 512) value; only 0.95j is solved, on its rung
+    assert got[0] == first
+    assert solved == [1024, 2048]
+    assert _pairs(ev) == [(0.3 + 0j, 256, 512), (0.95j, 1024, 2048)]
+    assert ev.value(0.3) == first and solved == [1024, 2048]
+
+
+def _localization_piece():
+    # the ellipse cut by the radius-0.5 disc about its boundary point i
+    dom = ellipse()
+    return boolean_intersect(disc(dom.outer.point(0.25), 0.5), dom)[0]
+
+
+@pytest.mark.parametrize("make, zs", [
+    (annulus, [0.75, -0.7j]),
+    (_localization_piece, [0.9j, 0.95j]),
+], ids=["annulus", "cornered_piece"])
+def test_curvatures_after_values_build_no_solver(monkeypatch, make, zs):
+    # the settling solvers are found among the cached uniform ones by
+    # their mesh: _solvers is keyed by nodes per curve, and the annulus's
+    # meshes hold two curves' worth
+    ev = SzegoEvaluator(make())
+    ev.values(zs)
+    built = []
+    real = SzegoSolver.__init__
+
+    def init(self, mesh):
+        built.append(mesh.size)
+        real(self, mesh)
+
+    monkeypatch.setattr(SzegoSolver, "__init__", init)
+    got = ev.curvatures(zs)
+    assert built == []
+    monkeypatch.undo()
+    assert np.array_equal(got, SzegoEvaluator(make()).curvatures(zs))
 
 
 def test_metric_shrinks_when_the_domain_grows():
@@ -249,8 +312,8 @@ def test_foot_adapted_values_match_the_uniform_2048_pin():
     for dom, zs in ((ellipse(), _MARCH), (blob, trend)):
         ev = SzegoEvaluator(dom)
         got = ev.values(zs)
-        assert list(ev._settled) == [(complex(z), 1024, 2048)
-                                     for z in zs[:2]] + [(zs[2], "foot")]
+        assert _pairs(ev) == [(complex(z), 1024, 2048)
+                              for z in zs[:2]] + [(zs[2], "foot")]
         want = SzegoEvaluator(dom, n=2048).values(zs)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
         assert np.max(np.abs(ev.curvatures(zs) + 4.0)) <= 1e-12
@@ -258,12 +321,11 @@ def test_foot_adapted_values_match_the_uniform_2048_pin():
 
 def test_the_cornered_piece_settles_at_its_feet():
     # the foot is one more break of the corner grading
-    dom = ellipse()
-    piece = boolean_intersect(disc(dom.outer.point(0.25), 0.5), dom)[0]
+    piece = _localization_piece()
     ev = SzegoEvaluator(piece)
     got = ev.values(_MARCH)
-    assert list(ev._settled) == [(0.9j, 512, 1024), (0.95j, 512, 1024),
-                                 (0.98j, "foot")]
+    assert _pairs(ev) == [(0.9j, 512, 1024), (0.95j, 512, 1024),
+                          (0.98j, "foot")]
     want = SzegoEvaluator(piece, n=2048).values(_MARCH)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-8
 
@@ -275,8 +337,8 @@ def test_a_batch_splits_at_the_top_rung_clearance():
     zs = [0.3, 0.95j, 0.98j]
     ev = SzegoEvaluator(ellipse())
     got = ev.values(zs)
-    assert list(ev._settled) == [(0.3 + 0j, 1024, 2048), (0.95j, 1024, 2048),
-                                 (0.98j, "foot")]
+    assert _pairs(ev) == [(0.3 + 0j, 1024, 2048), (0.95j, 1024, 2048),
+                          (0.98j, "foot")]
     solver = SzegoSolver(mesh_boundary(ellipse(), 2048))
     assert np.array_equal(
         got[:2], [2.0 * np.pi * solver.solve(z).diag_value for z in zs[:2]])
@@ -290,16 +352,15 @@ def test_a_top_rung_doubling_failure_sends_only_that_point_to_its_foot():
     ev = SzegoEvaluator(ellipse())
     ev.tol = 1e-10
     ev.values([0.3, 0.9j, 0.96j])
-    assert list(ev._settled) == [(0.3 + 0j, 1024, 2048), (0.9j, 1024, 2048),
-                                 (0.96j, "foot")]
+    assert _pairs(ev) == [(0.3 + 0j, 1024, 2048), (0.9j, 1024, 2048),
+                          (0.96j, "foot")]
 
 
 def test_only_the_latest_foot_solver_is_kept():
     zs = [0.97j, 0.98j]
     ev = SzegoEvaluator(ellipse())
     ev.values(zs)
-    assert ev._foot_solver.mesh is ev._settled[(0.98j, "foot")].mesh
-    # an earlier point's curvature builds its solver again, to the bit
+    # each point's curvature builds its adapted solver again, to the bit
     alone = [SzegoEvaluator(ellipse()).curvatures([z])[0] for z in zs]
     assert np.array_equal(ev.curvatures(zs), alone)
 
@@ -328,7 +389,7 @@ def test_near_boundary_batches_build_no_uniform_mesh_past_1024(monkeypatch):
 def test_uniform_rung_batches_keep_their_keys_and_bits(zs, pair):
     ev = SzegoEvaluator(ellipse())
     got = ev.values(zs)
-    assert list(ev._settled) == [(complex(z),) + pair for z in zs]
+    assert _pairs(ev) == [(complex(z),) + pair for z in zs]
     solver = SzegoSolver(mesh_boundary(ellipse(), pair[1]))
     want = [2.0 * np.pi * solver.solve(z).diag_value for z in zs]
     assert np.array_equal(got, want)

@@ -235,8 +235,11 @@ def test_doubling_rejects_an_unresolved_boundary():
     p = dom.outer.point(0.1)
     ev = SzegoEvaluator(dom)
     assert ev.value(0.999 * p) == pytest.approx(482.99512, rel=1e-7)
-    assert list(ev._settled) == [(0.999 * p, "foot")]
-    assert ev.solution(0.999 * p).mesh.size == 2048
+    sol = ev.solution(0.999 * p)
+    assert list(ev._settled) == [0.999 * p]
+    # its finer mesh is no uniform one
+    assert all(sol.mesh is not mesh for mesh in ev._meshes.values())
+    assert sol.mesh.size == 2048
     # 0.9999 p, 1.04e-4 away, is past the clearance of the last adapted pair
     with pytest.raises((GeometryError, SolveError)):
         ev.value(0.9999 * p)

@@ -57,6 +57,20 @@ def test_tracer_install_and_uninstall_restore_every_site():
     assert {spans.VALUES, spans.PROBLEM} <= mesh_parents
 
 
+def test_adapted_meshes_are_traced_under_values():
+    # meshes adapted to a point's foot are built through
+    # evaluators.mesh_boundary, the name the tracer wraps
+    tracer = spans.Tracer()
+    with tracer:
+        SzegoEvaluator(ellipse()).value(0.98j)
+    by_id = {s.id: s for s in tracer.spans}
+    nodes = [s.attrs["nodes"] for s in tracer.spans
+             if s.name == spans.MESH and by_id[s.parent].name == spans.VALUES]
+    # the cached uniform rungs only measure clearance; 0.98j, past the
+    # 1024 rung's, settles on its adapted (512, 1024) pair
+    assert nodes == [256, 512, 1024, 512, 1024]
+
+
 class _ThreadTracer(spans.Tracer):
     """Tracer that also records the thread each span opens on."""
 
