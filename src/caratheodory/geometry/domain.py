@@ -119,6 +119,7 @@ class Domain:
         self.label = label
         self.primitive = primitive
         self._feet = {}  # point -> foot
+        self._inside = set()  # points contains_many has found inside
         if self.outer.signed_area <= 0:
             raise GeometryError("outer curve must be counterclockwise")
         _, outer_poly = self.outer.polyline(_POLY_M)
@@ -172,21 +173,24 @@ class Domain:
                     raise GeometryError(
                         "point %s is on the boundary (dist %.3g)"
                         % (near[i], d[i]))
+        self._inside.update(z[inside].tolist())
         return inside
 
     def feet(self, zs):
         """[(k, t, d)] for the interior points zs: the nearest boundary
         point to each is curves[k].point(t), at distance d.  The points
-        not asked before are checked for containment and solved as one
+        not asked before are checked for containment, unless
+        contains_many has found them inside already, and solved as one
         batch; a point outside raises GeometryError."""
         zs = [complex(z) for z in np.ravel(zs)]
         new = np.array([z for z in dict.fromkeys(zs) if z not in self._feet],
                        dtype=complex)
         if new.size:
-            inside = self.contains_many(new)
-            if not np.all(inside):
+            doubt = new[[z not in self._inside for z in new.tolist()]]
+            out = doubt[~self.contains_many(doubt)] if doubt.size else doubt
+            if out.size:
                 raise GeometryError("point %s is not inside the domain"
-                                    % new[~inside][0])
+                                    % out[0])
             per = [_curve_feet(c, new) for c in self.curves]
             nearest = np.argmin([d for d, _ in per], axis=0)
             for i, (z, k) in enumerate(zip(new, nearest)):

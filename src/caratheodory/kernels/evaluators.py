@@ -8,12 +8,13 @@ interface as the certificate layer.
 
 The Szego evaluator settles every value on one mesh-doubling ladder,
 from a pair (n, 2n) up to (1024, 2048) nodes per curve.  The new points
-of a batch that a uniform rung clears climb it together, from the rung
-of the shallowest of them; each mesh solves them as one block, values
-and curvatures alike, so an interior grid costs one LU per mesh and a
-few triangular solves with many right-hand sides.  Every other point
-climbs the same ladder alone on meshes adapted to its nearest boundary
-point, its foot, instead of on uniform meshes of 2048 or 4096 nodes.
+of a batch that the 256 or 512 rung clears climb it together, from the
+rung of the shallowest of them; each mesh solves them as one block,
+values and curvatures alike, so an interior grid costs one LU per mesh
+and a few triangular solves with many right-hand sides.  The points
+nearer the boundary climb in groups on meshes adapted to the nearest
+boundary point, the foot, of each group's nearest point, one block per
+mesh, instead of on uniform meshes of 2048 or 4096 nodes.
 """
 
 from __future__ import annotations
@@ -110,18 +111,20 @@ class SzegoEvaluator(_EvaluatorBase):
     them all up one rung, the finer solutions becoming the coarser
     ones, and the climb stops at (1024, 2048).
 
-    The new points of a batch that some uniform rung of _LADDER keeps
-    CLEARANCE node spacings (h_max) from the boundary climb together
-    from the first rung that does so for the shallowest of them, on
-    uniform meshes and solvers cached per node count (a solver turns
-    from GMRES to one LU factorization once its mesh has served, or is
-    about to serve, enough solves).  Every other new point, and each
-    that fails the check at the top, climbs alone on meshes adapted to
-    its foot (mesh_boundary's foot), from the first rung from
-    _FOOT_START up whose coarse mesh keeps the point's local clearance;
-    its solvers are dropped once it settles.  SolveError is raised only
-    when an adapted climb fails at the top, or at once when the caller
-    pinned n.
+    The new points of a batch that the 256 or 512 rung of _LADDER
+    clears (CLEARANCE node spacings, h_max, from the boundary) climb
+    together from the rung of the shallowest of them, on uniform meshes
+    and solvers cached per node count (a solver turns from GMRES to one
+    LU once its mesh has served, or is about to serve, enough solves).
+    The other new points, and those that fail at the top, settle in foot
+    groups, nearest first: a group is the nearest pending point and each
+    pending one that its coarse adapted mesh (the first from _FOOT_START
+    up that clears it) also clears, and it climbs on meshes adapted to
+    that point's foot (mesh_boundary's foot), solvers dropped once it
+    settles.  A member failing at the top climbs again alone at its own
+    foot; a point its own foot cannot clear or settle climbs the uniform
+    (1024, 2048) pair if that rung clears it and it did not fail there.
+    Whatever is left raises, as does a failure when the caller pinned n.
 
     The finer-mesh solution that settles a point is kept under the
     point, so a later batch reuses it and its curvature costs one
@@ -166,59 +169,83 @@ class SzegoEvaluator(_EvaluatorBase):
 
     def _pick_n(self, dist):
         """The coarse node count for points at dist or farther: the pin,
-        else the first rung whose h_max keeps CLEARANCE at dist, else
-        None."""
+        else the first rung below the top whose h_max keeps CLEARANCE at
+        dist, else None."""
         if self.n_override is not None:
             return self.n_override
-        for n in self._LADDER:
+        for n in self._LADDER[:-1]:
             if CLEARANCE * self._mesh(n).h_max < dist:
                 return n
         return None
 
     def _settle(self, zs, kappa=False):
-        """Settle the points of zs not settled yet (see the class
-        docstring); with kappa, return the curvature of each point
-        settled at its foot, by point, from the solver that settled it."""
+        """Settle the new points of zs (see the class docstring); with
+        kappa, return the curvatures of those settled at a foot, by point."""
         new = [z for z in dict.fromkeys(zs.tolist()) if z not in self._settled]
-        feet = self.domain.feet(new)
-        rungs = [self._pick_n(d) for _, _, d in feet]
+        feet = dict(zip(new, self.domain.feet(new)))
+        rungs = {z: self._pick_n(feet[z][2]) for z in new}
         if self.n_override is not None:
-            for z, (_, _, d) in zip(new, feet):
-                require_clearance(self._mesh(self.n_override), z, d)
-        shared = [z for z, n in zip(new, rungs) if n is not None]
+            for z in new:
+                require_clearance(self._mesh(self.n_override), z, feet[z][2])
+        shared = [z for z in new if rungs[z] is not None]
         failed = {}
+        top = self.n_override or self._LADDER[-1]
         if shared:
-            top = self.n_override or self._LADDER[-1]
-            _, failed = self._climb(shared, max(n for n in rungs if n),
+            _, failed = self._climb(shared, max(rungs[z] for z in shared),
                                     top, self._solver)
         if failed and self.n_override is not None:
             raise next(iter(failed.values()))
-        kappas = {}
-        for z, foot, n in zip(new, feet, rungs):
-            if n is None or z in failed:
-                solver = self._settle_at_foot(z, foot)
-                if kappa:
-                    kappas[z] = solver.kappa(self._settled[z])
+        kappas, errors = ({} if kappa else None), {}
+        # nearest first; the sort is stable, so ties keep the input order
+        near = sorted((z for z in new if rungs[z] is None or z in failed),
+                      key=lambda z: feet[z][2])
+        while near:
+            group, lost = self._foot_climb(near, feet, kappas)
+            for z in [z for z in group[1:] if z in lost]:
+                del lost[z]  # it climbs again alone at its own foot
+                lost.update(self._foot_climb([z], feet, kappas)[1])
+            errors.update(lost)
+            near = [z for z in near if z not in group]
+        # the top uniform pair takes what it clears and has not refused
+        back = [z for z in new if z in errors and z not in failed
+                and CLEARANCE * self._mesh(top).h_max < feet[z][2]]
+        if back:
+            errors.update(self._climb(back, top, top, self._solver)[1])
+        for z in new:
+            if z not in self._settled:
+                raise errors[z]
         return kappas
 
-    def _settle_at_foot(self, z, foot):
-        """Climb z alone on meshes adapted to its foot; return the finer
-        solver that settles it."""
+    def _foot_climb(self, zs, feet, kappas):
+        """Climb zs[0] on meshes adapted to its foot, from the first rung
+        from _FOOT_START up that clears it, with each other point of zs
+        that this coarse mesh clears too.  Returns the group and the error
+        of each member left; the others' curvatures go into kappas, if any."""
+        foot = feet[zs[0]]
         for n1 in (n for n in self._LADDER if n >= self._FOOT_START):
             mesh = mesh_boundary(self.domain, n1, foot)
             try:
-                require_clearance(mesh, z, foot[2])
+                require_clearance(mesh, zs[0], foot[2])
                 break
-            except GeometryError:
+            except GeometryError as exc:
                 if n1 == self._LADDER[-1]:
-                    raise
+                    return zs[:1], {zs[0]: exc}
+        # require_clearance's test for the other points, 1024 rows at a time
+        ds, group = np.array([feet[z][2] for z in zs]), zs[:1]
+        for i in range(1, len(zs), 1024):
+            rows = np.array(zs[i:i + 1024])[:, None]
+            gaps = np.maximum(np.abs(mesh.nodes - rows), ds[i:i + 1024, None])
+            clear = np.all(gaps > CLEARANCE * mesh.spacing, axis=1)
+            group += [z for z, ok in zip(zs[i:i + 1024], clear) if ok]
         solver, failed = self._climb(
-            [z], n1, self._LADDER[-1],
+            group, n1, self._LADDER[-1],
             lambda n: SzegoSolver(
                 mesh if n == n1 else mesh_boundary(self.domain, n, foot)))
-        if failed:
-            raise failed[z]
-        return solver
+        done = [z for z in group if z not in failed]
+        if kappas is not None and done:
+            kappas.update(zip(done, solver.kappa(
+                [self._settled[z] for z in done])))
+        return group, failed
 
     def _climb(self, zs, n1, top, solver):
         """Settle the points zs on the first pair from (n1, 2 n1) up to
@@ -253,10 +280,11 @@ class SzegoEvaluator(_EvaluatorBase):
 
     def curvatures(self, zs):
         """SzegoSolver.kappa of the finer-mesh solutions that settle the
-        values: one derivative solve per point.  A point settled at its
-        foot during the call takes it from the solver that settled it;
-        the others solve one block per mesh, on the cached uniform solver
-        of that mesh, or on a new solver of an earlier adapted one."""
+        values: one derivative solve per point.  The points settled at a
+        foot during the call take it from their group's finer solver, in
+        one block; the others solve one block per mesh, on the cached
+        uniform solver of that mesh, or on a new solver of an earlier
+        adapted one."""
         zs = np.asarray(zs, dtype=complex).ravel()
         kappas = self._settle(zs, kappa=True)
         blocks = {}  # id of a settling mesh -> its distinct points

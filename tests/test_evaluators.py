@@ -90,9 +90,9 @@ def _count_work(monkeypatch):
     built, solved = [], []
     real_mesh, real_solve = evaluators.mesh_boundary, SzegoSolver._solve
 
-    def meshing(domain, n):
+    def meshing(domain, n, foot=None):
         built.append(n)
-        return real_mesh(domain, n)
+        return real_mesh(domain, n, foot)
 
     def solving(self, rhs):
         solved.append(self.mesh.size)
@@ -207,11 +207,12 @@ def test_a_settled_point_keeps_its_value_in_a_later_batch(monkeypatch):
     first = ev.value(0.3)
     _, solved = _count_work(monkeypatch)
     got = ev.values([0.3, 0.95j])
-    # 0.3 keeps its (256, 512) value; only 0.95j is solved, on its rung
+    # 0.3 keeps its (256, 512) value; only 0.95j is solved, on the
+    # (512, 1024) pair adapted to its foot
     assert got[0] == first
-    assert solved == [1024, 2048]
-    assert _pairs(ev) == [(0.3 + 0j, 256, 512), (0.95j, 1024, 2048)]
-    assert ev.value(0.3) == first and solved == [1024, 2048]
+    assert solved == [512, 1024]
+    assert _pairs(ev) == [(0.3 + 0j, 256, 512), (0.95j, "foot")]
+    assert ev.value(0.3) == first and solved == [512, 1024]
 
 
 def _localization_piece():
@@ -277,8 +278,7 @@ def test_disc_blowup_rate_at_the_boundary():
 def test_ellipse_blowup_rate_at_the_boundary():
     # marching toward the top of the ellipse, c * dist creeps toward 1/2.
     # the pins were taken on the uniform n=4096 mesh; auto routing meets
-    # them on the (1024, 2048) uniform pair at 0.04 and on meshes adapted
-    # to the foot below
+    # them on meshes adapted to the foot
     ev = evaluator_for(ellipse())
     gaps = []
     for d, want in ((0.04, 0.502746), (0.02, 0.501311), (0.01, 0.500640)):
@@ -304,16 +304,17 @@ def _blob_trend():
 
 
 def test_foot_adapted_values_match_the_uniform_2048_pin():
-    # 0.02 from the boundary is past the 1024 rung's clearance on both
-    # domains, so that point settles at its foot while the farther two
-    # share the rung's uniform pair; the uniform pin at 2048 clears every
-    # point
+    # the farthest point takes the 512 rung's uniform pair on both
+    # domains; the nearer two are past its clearance and share the pair
+    # adapted to the nearest one's foot; the uniform pin at 2048 clears
+    # every point
     blob, trend = _blob_trend()
     for dom, zs in ((ellipse(), _MARCH), (blob, trend)):
         ev = SzegoEvaluator(dom)
         got = ev.values(zs)
-        assert _pairs(ev) == [(complex(z), 1024, 2048)
-                              for z in zs[:2]] + [(zs[2], "foot")]
+        assert _pairs(ev) == [(complex(zs[0]), 512, 1024), (zs[2], "foot"),
+                              (zs[1], "foot")]
+        assert ev._settled[zs[1]].mesh is ev._settled[zs[2]].mesh
         want = SzegoEvaluator(dom, n=2048).values(zs)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
         assert np.max(np.abs(ev.curvatures(zs) + 4.0)) <= 1e-12
@@ -331,24 +332,28 @@ def test_the_cornered_piece_settles_at_its_feet():
 
 
 def test_a_batch_splits_at_the_top_rung_clearance():
-    # the points the 1024 rung clears share its uniform pair, with the
-    # bits that pair gives them; only 0.98j, past its clearance, settles
-    # at its foot, with the value it has alone
+    # 0.3, which the 256 rung clears, takes its uniform pair with the
+    # bits that pair gives it; 0.95j and 0.98j, past the 512 rung's
+    # clearance, settle at 0.98j's foot, each with the value it has there
+    # alone (its block's right-hand sides run GMRES one by one)
     zs = [0.3, 0.95j, 0.98j]
     ev = SzegoEvaluator(ellipse())
     got = ev.values(zs)
-    assert _pairs(ev) == [(0.3 + 0j, 1024, 2048), (0.95j, 1024, 2048),
-                          (0.98j, "foot")]
-    solver = SzegoSolver(mesh_boundary(ellipse(), 2048))
-    assert np.array_equal(
-        got[:2], [2.0 * np.pi * solver.solve(z).diag_value for z in zs[:2]])
+    assert _pairs(ev) == [(0.3 + 0j, 256, 512), (0.98j, "foot"),
+                          (0.95j, "foot")]
+    solver = SzegoSolver(mesh_boundary(ellipse(), 512))
+    assert got[0] == 2.0 * np.pi * solver.solve(0.3).diag_value
     assert got[2] == SzegoEvaluator(ellipse()).value(0.98j)
 
 
-def test_a_top_rung_doubling_failure_sends_only_that_point_to_its_foot():
+def test_a_top_rung_doubling_failure_sends_only_that_point_to_its_foot(
+        monkeypatch):
     # the uniform (1024, 2048) pair moves the value at 0.96j by 2.3e-9,
     # and at 0.3 and 0.9j by under 3e-15: at a 1e-10 tolerance only 0.96j
-    # leaves the shared pair, and its adapted pair agrees to 1e-15
+    # leaves the shared pair, and its adapted pair agrees to 1e-15.  The
+    # 1024 rung clears no point for the shared climb, so the whole batch
+    # is sent to that climb from it here
+    monkeypatch.setattr(SzegoEvaluator, "_pick_n", lambda self, dist: 1024)
     ev = SzegoEvaluator(ellipse())
     ev.tol = 1e-10
     ev.values([0.3, 0.9j, 0.96j])
@@ -357,12 +362,15 @@ def test_a_top_rung_doubling_failure_sends_only_that_point_to_its_foot():
 
 
 def test_only_the_latest_foot_solver_is_kept():
-    zs = [0.97j, 0.98j]
-    ev = SzegoEvaluator(ellipse())
-    ev.values(zs)
-    # each point's curvature builds its adapted solver again, to the bit
-    alone = [SzegoEvaluator(ellipse()).curvatures([z])[0] for z in zs]
-    assert np.array_equal(ev.curvatures(zs), alone)
+    # no foot group's solver outlives its settling: curvatures build
+    # each group's adapted solver again, to the bits the same batch gets
+    # when its curvatures come first
+    for zs in ([0.97j, 0.98j], [0.95j, 0.97j, 0.99j],
+               [0.3, 0.96j, 0.98j, -1.97]):
+        ev = SzegoEvaluator(ellipse())
+        ev.values(zs)
+        first = SzegoEvaluator(ellipse()).curvatures(zs)
+        assert np.array_equal(ev.curvatures(zs), first)
 
 
 def test_near_boundary_batches_build_no_uniform_mesh_past_1024(monkeypatch):
@@ -375,21 +383,71 @@ def test_near_boundary_batches_build_no_uniform_mesh_past_1024(monkeypatch):
 
     monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
     SzegoEvaluator(ellipse()).values([0.97j, 0.98j, 0.99j])
-    # the uniform rungs only measure clearance; each point gets its own
-    # adapted (512, 1024) pair
-    assert built == [(256, False), (512, False), (1024, False)] + \
-        [(512, True), (1024, True)] * 3
+    # the uniform 256 and 512 rungs only measure clearance; the three
+    # points share one (512, 1024) pair adapted to the foot of 0.99j
+    assert built == [(256, False), (512, False), (512, True), (1024, True)]
 
 
-@pytest.mark.parametrize("zs, pair", [
-    ([0.3, -0.2 + 0.3j], (256, 512)),
-    ([0.3, 0.9j], (512, 1024)),
-    ([0.96j], (1024, 2048)),
-], ids=["256", "512", "1024"])
-def test_uniform_rung_batches_keep_their_keys_and_bits(zs, pair):
+def _grown_lens():
+    return thicken(boolean_intersect(*two_disc_pair("symmetric"))[0], 0.01)
+
+
+def test_a_point_its_foot_cannot_clear_falls_back_to_the_top_pair(
+        monkeypatch):
+    # meshes adapted to the far side of the ellipse leave 0.96j too
+    # little clearance on both rungs, so its foot path cannot start; the
+    # uniform 1024 rung clears it, so it climbs the (1024, 2048) pair
+    real = evaluators.mesh_boundary
+
+    def far_side(domain, n, foot=None):
+        if foot is not None:
+            foot = (foot[0], (foot[1] + 0.5) % 1.0, foot[2])
+        return real(domain, n, foot)
+
+    monkeypatch.setattr(evaluators, "mesh_boundary", far_side)
     ev = SzegoEvaluator(ellipse())
+    got = ev.value(0.96j)
+    assert _pairs(ev) == [(0.96j, 1024, 2048)]
+    solver = SzegoSolver(real(ellipse(), 2048))
+    assert got == 2.0 * np.pi * solver.solve(0.96j).diag_value
+    # 0.98j is past the 1024 rung's clearance too, so it is refused
+    with pytest.raises(GeometryError, match="need >"):
+        ev.value(0.98j)
+
+
+def test_a_ring_of_near_points_settles_in_foot_groups(monkeypatch):
+    # 24 points 0.025 inside the ellipse, past the 1024 rung's clearance
+    dom = ellipse()
+    ring = []
+    for t in np.arange(24) / 24:
+        v = dom.outer.velocity(t)
+        ring.append(dom.outer.point(t) + 0.025j * v / abs(v))
+    adapted = []
+    real = evaluators.mesh_boundary
+
+    def meshing(domain, n, foot=None):
+        if foot is not None:
+            adapted.append(n)
+        return real(domain, n, foot)
+
+    monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
+    got = SzegoEvaluator(dom).values(ring)
+    assert len(adapted) < 2 * len(ring)
+    want = SzegoEvaluator(ellipse(), n=2048).values(ring)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("make, zs, pair", [
+    (ellipse, [0.3, -0.2 + 0.3j], (256, 512)),
+    (ellipse, [0.3, 0.9j], (512, 1024)),
+    # the C1 cap joins move the value at 0.584j by 4.9e-5 and 2.3e-5 on
+    # the lower pairs, and by 1.4e-6 on (1024, 2048), against 1e-5
+    (_grown_lens, [0.584j], (1024, 2048)),
+], ids=["256", "512", "1024"])
+def test_uniform_rung_batches_keep_their_keys_and_bits(make, zs, pair):
+    ev = SzegoEvaluator(make())
     got = ev.values(zs)
     assert _pairs(ev) == [(complex(z),) + pair for z in zs]
-    solver = SzegoSolver(mesh_boundary(ellipse(), pair[1]))
+    solver = SzegoSolver(mesh_boundary(make(), pair[1]))
     want = [2.0 * np.pi * solver.solve(z).diag_value for z in zs]
     assert np.array_equal(got, want)

@@ -90,3 +90,23 @@ def test_feet_refuse_a_point_outside():
         ellipse().feet([0.3, 2.5])
     dom = ellipse()
     assert dom.feet([0.3, 0.3, 0.5j]) == [dom.foot(0.3)] * 2 + [dom.foot(0.5j)]
+
+
+def test_feet_skip_the_winding_for_points_found_inside(monkeypatch):
+    # a grid's feet test containment only for the points that its own
+    # contains_many call has not found inside: none
+    wound = []
+    real = domain_module._winding_many
+
+    def spying(poly, z):
+        wound.append(np.size(z))
+        return real(poly, z)
+
+    monkeypatch.setattr(domain_module, "_winding_many", spying)
+    dom = fourier_blob()
+    zs = grid_sample(dom, 0.15, 0.1)
+    assert len(wound) == 1 and wound[0] > zs.size
+    # the feet keep their bits; a fresh domain tests every point once
+    fresh = fourier_blob()
+    assert fresh.feet(zs) == dom.feet(zs)
+    assert wound[1:] == [zs.size]

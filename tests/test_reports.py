@@ -25,11 +25,35 @@ from caratheodory.harness import (
 from caratheodory.geometry import grid_sample
 from caratheodory.harness import reports
 from caratheodory.harness.reports import write_csv
-from caratheodory.kernels import SzegoEvaluator
+from caratheodory.kernels import SzegoEvaluator, evaluators
 from curvature_reference import annulus_kappa, annulus_series
 
 
 # -- suita ---------------------------------------------------------------
+
+def test_the_suita_scan_builds_no_uniform_mesh_past_1024(monkeypatch):
+    # the trend's near points settle at their feet, and its curvatures
+    # are asked as one batch, after the grid's
+    uniform, asked = [], []
+    real_mesh, real_kappa = evaluators.mesh_boundary, SzegoEvaluator.curvatures
+
+    def meshing(domain, n, foot=None):
+        if foot is None:
+            uniform.append(n)
+        return real_mesh(domain, n, foot)
+
+    def spying(self, zs):
+        asked.append(np.size(zs))
+        return real_kappa(self, zs)
+
+    monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
+    monkeypatch.setattr(SzegoEvaluator, "curvatures", spying)
+    rep = verify_suita(fourier_blob(), 0.15, spacing=0.1)
+    assert rep.passed
+    assert max(uniform) <= 1024
+    assert len(asked) == 2 and asked[1] == len(reports.TREND_DISTANCES)
+    assert all(type(v) is float for v in rep.trend_values)
+
 
 def test_suita_bound_on_the_ellipse():
     rep = verify_suita(ellipse(), 0.15, spacing=0.35)
