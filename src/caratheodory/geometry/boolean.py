@@ -250,8 +250,8 @@ def _assemble(loops, whole, d1, d2):
         best = None
         for g in groups:
             _, poly = g["outer"].polyline(1024)
-            w = _winding_many(poly, np.asarray([zh]))[0]
-            if abs(w - 1.0) < 0.25:
+            w = _winding_many(poly, np.asarray([zh]))[0][0]
+            if w == 1.0:
                 if best is None or g["area"] < best["area"]:
                     best = g
         if best is None:

@@ -13,10 +13,11 @@ Two chart families cover everything the rest of the package needs:
 Every chart has one method ``deriv(t, order)`` (the point at order 0, then
 parameter derivatives), read by ``point`` through ``jerk``, and ``jet(t,
 order)``, the derivatives of orders 0 to ``order`` in one call with
-``deriv``'s bits (a trig curve builds one phase table for all of them);
+``deriv``'s bits (a trig curve shares its phase factors among them);
 closed curves run over t in [0, 1) with a ``period``, arcs over u in
 [0, 1].  ``SubArc`` is the one affine re-parameterization (booleans and
-offsets both cut with it).
+offsets both cut with it).  Each parameter's value is computed from that
+parameter alone, so it has the same bits alone or in any batch.
 
 Closed curves are stored counterclockwise (positive signed area).  Hole
 orientation is a bookkeeping concern of ``Domain`` and the mesher, never of
@@ -26,6 +27,7 @@ the curve itself.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import isqrt
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -35,6 +37,8 @@ from ..errors import GeometryError
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 _GL_U = 0.5 * (_GL_X + 1.0)  # Gauss-Legendre nodes on [0, 1]
 _GL_WU = 0.5 * _GL_W
+
+_SERIES_TERMS = 2**16  # series terms per block of TrigCurve._series (1 MB)
 
 CurveEval = namedtuple("CurveEval", ["point", "tangent", "normal", "curvature"])
 
@@ -139,17 +143,32 @@ def polyline_self_intersects(pts):
     return bool(np.any((diff != 0) & (diff != 1) & (diff != m - 1)))
 
 
+def _phases(m, hi, lo):
+    """e^{2 pi i m t} for the integers m and t = hi + lo, hi on the 2^-20
+    grid: m * hi is exact, so its whole turns drop before any rounding."""
+    x = np.outer(m, hi)
+    x -= np.round(x)
+    x += np.outer(m, lo)
+    return np.exp(2j * np.pi * x)
+
+
+def _in_order(terms):
+    """Sum over the first axis, one term at a time from the first, so that
+    each element's sum never depends on the others."""
+    out = terms[0] + terms[1]
+    for term in terms[2:]:
+        out += term
+    return out
+
+
 class _Chart:
     """Point and parameter derivatives, all read from ``deriv(t, order)``.
 
-    ``jet(t, order, rowwise)`` lists deriv(t, 0), ..., deriv(t, order).
-    With rowwise=True a trig series sums each parameter's terms on its
-    own, so a value never depends on the other parameters of the call (a
-    BLAS product of one row and of several can differ in the last bit);
-    the bits then differ from deriv's.  Charts without a series ignore it.
+    ``jet(t, order)`` lists deriv(t, 0), ..., deriv(t, order), with
+    deriv's bits.
     """
 
-    def jet(self, t, order, rowwise=False):
+    def jet(self, t, order):
         return [self.deriv(t, k) for k in range(order + 1)]
 
     def point(self, t):
@@ -170,6 +189,16 @@ class TrigCurve(_Chart):
 
     Samples must be counterclockwise, distinct, and at least 8 in number.
     The interpolant passes through every sample exactly.
+
+    At arbitrary parameters the series is summed through a split of each
+    mode k = q*a + b, q = ceil(sqrt(n)), with b centred in [-q/2, q/2):
+    sum_k c_k e^{2 pi i t k} = sum_a e^{2 pi i t q a} sum_b C[a, b]
+    e^{2 pi i t b}, about 2 sqrt(n) exponentials per parameter.  Centring
+    b keeps the dominant low modes on low-frequency factors, and each
+    phase drops its whole turns before it is rounded.  Both sums
+    run in a fixed order over the batch, so a parameter's value never
+    depends on the others.  At the uniform nodes j/n, ``uniform_eval``
+    resamples by FFT instead.
     """
 
     period = 1.0
@@ -195,6 +224,7 @@ class TrigCurve(_Chart):
         # exact signed area of the interpolant from its Fourier modes
         self._area = float(np.pi * np.sum(self._k * np.abs(self._coef) ** 2))
         self._poly_cache = {}
+        self._block_cache = {}
         self._length = None
         if validate:
             if self._area <= 0.0:
@@ -213,31 +243,51 @@ class TrigCurve(_Chart):
 
     # -- series evaluation ------------------------------------------------
 
-    def _series(self, t, orders, rowwise=False):
-        """The derivatives of the given orders at t, from one phase table."""
+    def _blocks(self, orders):
+        """(q, m, C) of the split for the given orders, cached: m lists the
+        inner frequencies b, then the outer ones q*a, and C[j, a, o, 0] is
+        the coefficient of mode k = q*a + m[j] times (2 pi i k)^orders[o],
+        zero where no mode lands."""
+        if orders not in self._block_cache:
+            q = isqrt(self._n - 1) + 1
+            k = self._k.astype(int)
+            b = (k + q // 2) % q - q // 2
+            a = (k - b) // q
+            blocks = np.zeros((q, a.max() - a.min() + 1, len(orders), 1),
+                              dtype=np.complex128)
+            for o, order in enumerate(orders):
+                blocks[b + q // 2, a - a.min(), o, 0] = (
+                    self._coef * (2j * np.pi * self._k) ** order)
+            m = np.concatenate([np.arange(q) - q // 2,
+                                q * np.arange(a.min(), a.max() + 1)])
+            self._block_cache[orders] = (q, m.astype(float), blocks)
+        return self._block_cache[orders]
+
+    def _series(self, t, orders):
+        """The derivatives of the given orders at t (see the class docstring)."""
         t, scalar = _as_param_array(t)
-        coefs = [self._coef * (2j * np.pi * self._k) ** k for k in orders]
-        outs = [np.empty(t.shape, dtype=np.complex128) for _ in coefs]
-        flat_t = t.ravel()
-        step = max(1, 2_000_000 // max(1, self._n))
-        for i in range(0, flat_t.size, step):
-            block = flat_t[i : i + step]
-            phase = np.exp(2j * np.pi * np.outer(block, self._k))
-            for out, coef in zip(outs, coefs):
-                out.ravel()[i : i + step] = (
-                    np.sum(phase * coef, axis=1) if rowwise else phase @ coef)
-        return [complex(out[0]) if scalar else out for out in outs]
+        q, m, blocks = self._blocks(tuple(orders))
+        flat = t.ravel()
+        outs = np.empty((blocks.shape[2], flat.size), dtype=np.complex128)
+        step = max(1, _SERIES_TERMS // blocks.size)
+        for i in range(0, flat.size, step):
+            s = flat[i : i + step]
+            hi = np.round(s * 2.0**20) / 2.0**20
+            phases = _phases(m, hi, s - hi)
+            inner = _in_order(blocks * phases[:q, None, None])
+            outs[:, i : i + step] = _in_order(inner * phases[q:, None])
+        return [complex(out[0]) if scalar else out.reshape(t.shape)
+                for out in outs]
 
     def deriv(self, t, order):
         return self._series(t, (order,))[0]
 
-    def jet(self, t, order, rowwise=False):
-        return self._series(t, range(order + 1), rowwise)
+    def jet(self, t, order):
+        return self._series(t, range(order + 1))
 
     def uniform_eval(self, n, order=0):
-        """Derivative of given order at the n uniform nodes j/n (FFT resampling)."""
-        if n < self._n:
-            return self.deriv(np.arange(n) / n, order)
+        """Derivative of given order at the n uniform nodes j/n (FFT
+        resampling; modes past n/2 fold onto their aliases exactly)."""
         coef = self._coef * (2j * np.pi * self._k) ** order
         spec = np.zeros(n, dtype=np.complex128)
         idx = self._k.astype(int) % n
@@ -321,8 +371,8 @@ class SubArc(_ArcBase):
         out = self.base.deriv(self._base_params(u), order)
         return (self.t1 - self.t0) ** order * out if order else out
 
-    def jet(self, u, order, rowwise=False):
-        outs = self.base.jet(self._base_params(u), order, rowwise)
+    def jet(self, u, order):
+        outs = self.base.jet(self._base_params(u), order)
         return [(self.t1 - self.t0) ** k * out if k else out
                 for k, out in enumerate(outs)]
 
@@ -374,11 +424,11 @@ class OffsetArc(_ArcBase):
     def deriv(self, u, order):
         return self.jet(u, order)[order]
 
-    def jet(self, u, order, rowwise=False):
+    def jet(self, u, order):
         """Base derivatives plus dist times those of the normal -i v/|v|."""
         if order > 2:
             raise GeometryError("third derivative of an offset arc is not available")
-        base = self.base.jet(u, order + 1, rowwise)
+        base = self.base.jet(u, order + 1)
         v = base[1]
         s = np.abs(v)
         dn = [-1j * v / s]
@@ -463,13 +513,13 @@ class PiecewiseCurve(_Chart):
     def deriv(self, t, order):
         return self.jet(t, order)[order]
 
-    def jet(self, t, order, rowwise=False):
+    def jet(self, t, order):
         t, scalar = _as_param_array(t)
         idx, u, width = self._locate(t)
         outs = [np.empty(t.shape, dtype=np.complex128) for _ in range(order + 1)]
         for i in np.unique(idx):
             sel = idx == i
-            ds = self.segments[i].jet(u[sel], order, rowwise)
+            ds = self.segments[i].jet(u[sel], order)
             for k, (out, d) in enumerate(zip(outs, ds)):
                 out[sel] = np.asarray(d) / width[sel] ** k
         return [complex(out[0]) if scalar else out for out in outs]

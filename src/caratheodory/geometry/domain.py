@@ -2,7 +2,10 @@
 
 All curves are stored counterclockwise.  A point is inside the domain when
 it is inside the outer curve and outside every hole.  Containment uses the
-winding number of a fine cached polyline.  ``Domain.feet`` is the
+winding number of a fine cached polyline; a point within one node spacing
+of a polyline, where the polyline may pass on either side of the curve,
+is on the boundary when its distance to the curve is under 1e-7.
+``Domain.feet`` is the
 package's one boundary-distance code, and ``foot`` asks it for one point.
 For a batch of points it seeds each curve's nearest point at the nearest
 node of that polyline, then runs Newton's method on the stationarity
@@ -29,25 +32,45 @@ _POLY_M = 2048  # nodes per curve for winding tests and distance seeds
 # from the seed's 1/4096 the quadratic rate needs about three
 _NEWTON_STEPS = 20
 _NEWTON_TOL = 1e-8
+_WINDING_TERMS = 2**16  # point-node pairs per block of _winding_many
+_ON_CURVE = 1e-7  # a point nearer a curve than this is on the boundary
 
 
 def _winding_many(poly, z):
-    """Winding numbers of a closed polyline around each point of z (complex array)."""
-    out = np.zeros(z.shape, dtype=float)
+    """Winding numbers of a closed polyline around each point of z (complex
+    array), and a mask of the points whose nearest node lies within one
+    node spacing, where the polyline may pass on either side of the curve.
+
+    The winding counts the signed crossings of the rightward horizontal
+    ray from each point (an upward edge counts where the point is on its
+    left, a downward one where it is on its right); the node distances
+    come from the same differences.
+    """
     a = poly
-    b = np.roll(poly, -1)
-    step = max(1, 4_000_000 // max(1, poly.size))
+    e = np.roll(poly, -1) - a
+    h2 = np.max(np.abs(e)) ** 2
     flat = z.ravel()
-    res = out.ravel()
+    wind = np.zeros(flat.size)
+    near = np.zeros(flat.size, dtype=bool)
+    step = max(1, _WINDING_TERMS // max(1, poly.size))
     for i in range(0, flat.size, step):
         w = flat[i : i + step, None]
-        # a point sitting on a polyline node divides by zero here; the
-        # resulting nan makes the winding ambiguous, which the caller
-        # resolves with a distance check, so keep the pass quiet
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ang = np.angle((b[None, :] - w) / (a[None, :] - w))
-        res[i : i + step] = np.sum(ang, axis=1) / (2.0 * np.pi)
-    return out
+        dx = a.real - w.real
+        dy = a.imag - w.imag
+        above = dy > 0.0
+        cross = np.empty_like(above)
+        np.not_equal(above[:, :-1], above[:, 1:], out=cross[:, :-1])
+        np.not_equal(above[:, -1], above[:, 0], out=cross[:, -1])
+        r, j = np.nonzero(cross)
+        left = dx[r, j] * e.imag[j] - dy[r, j] * e.real[j]
+        sense = np.where(above[r, j], -1.0, 1.0)  # +1 for an upward edge
+        wind[i : i + step] = np.bincount(r, sense * (sense * left > 0.0),
+                                         minlength=w.shape[0])
+        dx *= dx
+        dy *= dy
+        dx += dy
+        near[i : i + step] = np.min(dx, axis=1) <= h2
+    return wind.reshape(z.shape), near.reshape(z.shape)
 
 
 def _bounded_foot(curve, z, lo, hi):
@@ -83,7 +106,7 @@ def _curve_feet(curve, zs):
     for _ in range(_NEWTON_STEPS):
         if not active.size:
             break
-        p, v, a = curve.jet(t[active] % 1.0, 2, rowwise=True)
+        p, v, a = curve.jet(t[active] % 1.0, 2)
         r = p - zs[active]
         g = np.real(np.conj(r) * v)
         gp = np.abs(v) ** 2 + np.real(np.conj(r) * a)
@@ -127,13 +150,13 @@ class Domain:
             if h.signed_area <= 0:
                 raise GeometryError("hole curves are stored counterclockwise")
             _, hp = h.polyline(256)
-            w = _winding_many(outer_poly, hp)
-            if not np.all(np.abs(w - 1.0) < 0.25):
+            w, _ = _winding_many(outer_poly, hp)
+            if not np.all(w == 1.0):
                 raise GeometryError("hole %d is not inside the outer curve" % i)
             for g in self.holes[:i]:
                 _, gp = g.polyline(_POLY_M)
-                w2 = _winding_many(gp, hp)
-                if np.any(np.abs(w2) > 0.25):
+                w2, _ = _winding_many(gp, hp)
+                if np.any(w2 != 0.0):
                     raise GeometryError("holes overlap or nest")
 
     # -- queries -----------------------------------------------------------
@@ -150,29 +173,27 @@ class Domain:
 
         boundary="raise" errors out on points that sit on a curve;
         boundary="exclude" silently marks them outside (grid sampling).
+        A point is on a curve when its distance to it is under 1e-7; the
+        distance is computed only for the points that the winding pass
+        finds within one node spacing of some curve's polyline.
         """
         z = np.asarray(z, dtype=complex)
-        _, poly = self.outer.polyline(_POLY_M)
-        w = _winding_many(poly, z)
-        inside = np.abs(w - 1.0) < 0.25
-        ambiguous = ~(np.minimum(np.abs(w), np.abs(w - 1.0)) < 0.25)
-        for h in self.holes:
-            _, hp = h.polyline(_POLY_M)
-            wh = _winding_many(hp, z)
-            inside &= np.abs(wh) < 0.25
-            ambiguous |= ~(np.minimum(np.abs(wh), np.abs(wh - 1.0)) < 0.25)
-        if np.any(ambiguous):
-            # winding failed to resolve; point sits essentially on a curve
-            inside[ambiguous] = False
-            if boundary == "raise":
-                near = z[ambiguous]
-                d = np.min([_curve_feet(c, near)[0] for c in self.curves],
-                           axis=0)
-                if np.any(d < 1e-7):
-                    i = int(np.argmax(d < 1e-7))
-                    raise GeometryError(
-                        "point %s is on the boundary (dist %.3g)"
-                        % (near[i], d[i]))
+        inside = np.ones(z.shape, dtype=bool)
+        near = np.zeros(z.shape, dtype=bool)
+        for k, curve in enumerate(self.curves):
+            _, poly = curve.polyline(_POLY_M)
+            w, close = _winding_many(poly, z)
+            inside &= w == (1.0 if k == 0 else 0.0)
+            near |= close
+        if np.any(near):
+            zs = z[near]
+            d = np.min([_curve_feet(c, zs)[0] for c in self.curves], axis=0)
+            on = d < _ON_CURVE
+            if boundary == "raise" and np.any(on):
+                i = int(np.argmax(on))
+                raise GeometryError("point %s is on the boundary (dist %.3g)"
+                                    % (zs[i], d[i]))
+            inside[near] &= ~on
         self._inside.update(z[inside].tolist())
         return inside
 

@@ -125,7 +125,7 @@ def _mesh_curve(curve, n, flip, foot=None):
         z = curve.uniform_eval(n, 0)
         v = curve.uniform_eval(n, 1)
     else:
-        # points and velocities from one phase table, deriv's bits
+        # points and velocities from one jet, with deriv's bits
         z, v = (np.asarray(x, dtype=complex) for x in curve.jet(t, 1))
     speed = np.abs(v)
     w = speed * dt

@@ -14,7 +14,13 @@ from caratheodory.geometry import (
     curve_from_samples,
 )
 from caratheodory.geometry.curves import crossing_pairs, polyline_self_intersects
-from caratheodory.harness import blob_disc_pair, ellipse, two_disc_pair
+from caratheodory.harness import (
+    blob_disc_pair,
+    blob_with_hole,
+    ellipse,
+    fourier_blob,
+    two_disc_pair,
+)
 from crossing_reference import all_pairs_crossings, count_tested_pairs
 
 
@@ -155,9 +161,42 @@ def test_a_jet_has_the_bits_of_each_derivative(make, u, top):
         assert len(jet) == order + 1
         for k, got in enumerate(jet):
             assert np.array_equal(got, chart.deriv(us, k))
-        # summed row by row, the series moves only in the last bits
-        for got, want in zip(chart.jet(us, order, rowwise=True), jet):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+_TRIG_CURVES = [
+    ("ellipse", lambda: ellipse().outer),
+    ("blob", lambda: fourier_blob().outer),
+    ("hole", lambda: blob_with_hole().holes[0]),
+]
+
+
+@pytest.mark.parametrize("make", [c[1] for c in _TRIG_CURVES],
+                         ids=[c[0] for c in _TRIG_CURVES])
+def test_a_trig_series_matches_an_extended_precision_sum(make):
+    # the dense sum in long double; an uncentred split (low modes riding
+    # on high-frequency factors) with unreduced phase arguments misses
+    # this bound about thirtyfold
+    curve = make()
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    t = np.random.default_rng(11).uniform(0.0, 1.0, 300)
+    k = curve._k.astype(np.longdouble)
+    phase = np.exp(2j * pi * np.outer(t.astype(np.longdouble), k))
+    for order in range(4):
+        want = phase @ (curve._coef.astype(np.clongdouble)
+                        * (2j * pi * k) ** order)
+        got = curve.deriv(t, order)
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("make", [c[1] for c in _TRIG_CURVES],
+                         ids=[c[0] for c in _TRIG_CURVES])
+def test_a_trig_series_has_the_same_bits_alone_and_in_a_batch(make):
+    curve = make()
+    t = np.random.default_rng(12).uniform(0.0, 1.0, 1000)
+    batch = curve.jet(t, 3)
+    for i in range(t.size):
+        alone = curve.jet(t[i], 3)
+        assert all(a == b[i] for a, b in zip(alone, batch))
 
 
 def test_an_offset_arc_has_no_third_derivative():

@@ -14,11 +14,13 @@ from caratheodory.geometry import (
     curve_from_samples,
     curves,
 )
+from caratheodory.geometry import domain as domain_module
 from caratheodory.harness import (
     annulus,
     blob_disc_pair,
     disc,
     ellipse,
+    fourier_blob,
     two_disc_pair,
     unit_disc,
 )
@@ -43,6 +45,36 @@ def test_point_on_boundary_is_rejected():
         d.contains(z)
     got = d.contains_many(np.array([0.5, z, 2.0]), boundary="exclude")
     assert list(got) == [True, False, False]
+
+
+@pytest.mark.parametrize("make", [unit_disc, ellipse])
+def test_points_on_the_curve_between_polyline_nodes_are_rejected(make):
+    # every 7th node parameter of the 2048-node polyline, and the middle
+    # of each of those chords: none need share a node's bits
+    d = make()
+    j = np.arange(0, 2048, 7)
+    for t in np.concatenate([j, j + 0.5]) / 2048:
+        with pytest.raises(GeometryError, match="on the boundary"):
+            d.contains(d.outer.point(t))
+    on = d.outer.point(np.concatenate([j, j + 0.5]) / 2048)
+    assert not np.any(d.contains_many(on, boundary="exclude"))
+
+
+@pytest.mark.parametrize("make", [
+    fourier_blob, lambda: boolean_intersect(*two_disc_pair("symmetric"))[0],
+], ids=["blob", "lens"])
+def test_ray_crossings_count_the_winding_of_the_angle_sum(make):
+    # off the nodes the angle sum is an integer up to rounding
+    _, poly = make().outer.polyline(2048)
+    xs = np.linspace(-1.7, 1.7, 61)
+    z = (xs[None, :] + 1j * xs[:, None]).ravel()
+    w, near = domain_module._winding_many(poly, z)
+    ang = np.angle((np.roll(poly, -1) - z[:, None]) / (poly - z[:, None]))
+    assert np.array_equal(w, np.round(np.sum(ang, axis=1) / (2 * np.pi)))
+    assert set(w) == {0.0, 1.0}
+    gap = np.min(np.abs(poly - z[:, None]), axis=1)
+    h = np.max(np.abs(np.roll(poly, -1) - poly))
+    assert np.all(near[gap < 0.99 * h]) and not np.any(near[gap > 1.01 * h])
 
 
 def test_intersection_of_crossing_discs_is_a_lens():

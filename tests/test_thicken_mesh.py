@@ -6,6 +6,8 @@ from scipy.special import ellipe
 
 from caratheodory.errors import GeometryError
 from caratheodory.geometry import (
+    Domain,
+    TrigCurve,
     boolean_intersect,
     boolean_union,
     grid_sample,
@@ -47,15 +49,18 @@ def test_annulus_mesh_covers_both_curves():
 
 @pytest.mark.parametrize("n", [64, 256, 4096])
 def test_smooth_mesh_nodes_are_the_polyline_points(n):
-    # fewer nodes than samples, as many, and past them: the FFT nodes are
-    # polyline(n)'s, and the tangents those of the dense series
-    mesh = mesh_boundary(blob_with_hole(), n)
-    for k, curve in enumerate(mesh.owner.curves):
-        lo, hi = mesh.curve_slices[k]
-        assert np.array_equal(mesh.nodes[lo:hi], curve.polyline(n)[1])
-        v = curve.velocity(np.arange(n) / n)
-        want = v / np.abs(v) if k == 0 else -v / np.abs(v)
-        assert np.max(np.abs(mesh.tangents[lo:hi] - want)) <= 1e-13
+    # fewer nodes than samples, as many, and past them (a 512-sample
+    # curve folds its high modes onto their aliases): the FFT nodes are
+    # polyline(n)'s, and the tangents those of the series
+    fine = Domain(TrigCurve(fourier_blob().outer.uniform_eval(512)))
+    for dom in (blob_with_hole(), fine):
+        mesh = mesh_boundary(dom, n)
+        for k, curve in enumerate(mesh.owner.curves):
+            lo, hi = mesh.curve_slices[k]
+            assert np.array_equal(mesh.nodes[lo:hi], curve.polyline(n)[1])
+            v = curve.velocity(np.arange(n) / n)
+            want = v / np.abs(v) if k == 0 else -v / np.abs(v)
+            assert np.max(np.abs(mesh.tangents[lo:hi] - want)) <= 1e-13
 
 
 def test_mesh_size_validation():
@@ -129,7 +134,7 @@ def test_a_cornered_foot_is_one_more_grading_break():
     (ellipse, 0.98j), (_localization_piece, None),
 ], ids=["ellipse foot", "cornered piece"])
 def test_mesh_points_and_velocities_come_from_one_jet(make, z):
-    # one phase table for both, with the bits of separate point and
+    # one jet for both, with the bits of separate point and
     # velocity calls at the same parameters
     dom = make()
     foot = None if z is None else dom.foot(z)
@@ -137,9 +142,9 @@ def test_mesh_points_and_velocities_come_from_one_jet(make, z):
     asked = []
     real = curve.jet
 
-    def spying(t, order, rowwise=False):
+    def spying(t, order):
         asked.append((np.copy(t), order))
-        return real(t, order, rowwise)
+        return real(t, order)
 
     curve.jet = spying
     mesh = mesh_boundary(dom, 512, foot)
