@@ -2,9 +2,10 @@
 
 Computes the Caratheodory metric through the Szego kernel of the
 boundary, closed-form Poincare metrics where available, certified lower
-bounds through linear programming over normalized holomorphic families,
-and curvature diagnostics; the harness subpackage drives the metric
-comparison experiments and the command line tool.
+bounds 2 pi sum_k |phi_k(a)|^2 over a basis orthonormal on the boundary
+(polynomials and one Laurent block per hole), and curvature diagnostics;
+the harness subpackage drives the metric comparison experiments and the
+command line tool.
 """
 
 from .curvature import (

@@ -2,7 +2,8 @@
 
 Every evaluator gives kappa itself through curvatures(zs): the closed
 forms are normalized to -4, the Szego solver differentiates the kernel
-in its base point, and LP certificates, being lower bounds, refuse.
+in its base point, and certificates (LPEvaluator), being lower bounds
+from a finite orthonormal basis, refuse.
 This module reads it at one point and scans it over an interior grid,
 which the evaluator takes as one batch.
 """

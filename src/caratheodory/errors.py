@@ -16,5 +16,5 @@ class SolveError(RuntimeError):
 
 
 class ExtremalError(RuntimeError):
-    """The linear-program lower bound could not be certified (infeasible or
-    unbounded LP, degenerate basis)."""
+    """A certificate could not be certified: its two quadrature meshes
+    disagree."""

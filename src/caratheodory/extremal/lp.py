@@ -1,227 +1,119 @@
-"""Certified lower bounds on the Caratheodory metric by linear programming.
+"""Certified lower bounds on the Caratheodory metric from one basis.
 
-The metric is a supremum of |f'(a)| over holomorphic f: D -> unit disc
-with f(a) = 0, so any explicit competitor gives a lower bound.  We
-maximize Re f'(a) over a finite basis (recentered monomials plus, for
-each hole, negative powers anchored at an interior point of the hole),
-with the disc constraint |f| <= 1 enforced at boundary samples through
-K half-plane cuts Re(e^{-i theta} f) <= 1.  The polyhedral relaxation
-and the finite sampling both inflate the optimum, so the reported value
-is rescaled by cos(pi/K) and by the sup of |f| on a 10x denser boundary
-grid, which turns the LP output into a certified lower bound.  The gap
-to the metric is ~0.1-0.5% on smooth domains and far larger on cornered
-ones: on the union of blob_disc_pair() at 1+0j the certificate is
-1.343502 against the Szego value 1.468978, 8.5% low.
+The bound rests on the identity the package computes by, c_D(a) = 2 pi
+S(a, a), with S the Szego kernel of the boundary arclength ds: S(a, a) is
+the largest |h(a)|^2 over h holomorphic on the closure of D with boundary
+norm ||h|| = 1.  So for any phi_k orthonormal in L^2(boundary, ds),
+2 pi sum_k |phi_k(a)|^2 <= c_D(a), and the sum never falls as the span
+grows.  The span is the polynomials of degree <= N plus, for each hole,
+(s/(z - p))^k for k = 1..N, with p the hole's centroid and s its
+distance to the hole curve, so |s/(z - p)| <= 1 off the hole.  On the
+unit disc the bound is (1 - r^(2N+2))/(1 - r^2).
+
+The basis is orthonormalised on the boundary quadrature by Arnoldi, a
+weighted QR (Brubeck, Nakatsukasa and Trefethen, SIAM Rev. 2021), and
+evaluated at a by the same recurrence.  The quadrature is the one
+inexact step: the bound is the smaller of its values on meshes of m and
+2m nodes per curve, refused when they differ by over _MESH_AGREEMENT
+(the uniform rule converges only algebraically over C1 joins).
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
+
 import numpy as np
-from scipy.optimize import linprog
+# only perfbench's trace table reaches this name; no certificate solves an LP
+from scipy.optimize import linprog  # noqa: F401
 
 from ..errors import ExtremalError, GeometryError
 from ..geometry.mesh import mesh_boundary
+
+_NODES = 2048  # nodes per curve of the coarser of the two meshes
+_MESH_AGREEMENT = 1e-7  # seen: ~1e-12, and up to 1.6e-8 over C1 joins
 
 
 def choose_poles(domain):
     """One anchor point per hole, at the hole's area centroid."""
     poles = []
     for h in domain.holes:
-        _, poly = h.polyline(2048)
-        a = poly
-        b = np.roll(poly, -1)
+        a = h.polyline(2048)[1]
+        b = np.roll(a, -1)
         cross = a.real * b.imag - b.real * a.imag
-        area = 0.5 * np.sum(cross)
-        cx = np.sum((a.real + b.real) * cross) / (6.0 * area)
-        cy = np.sum((a.imag + b.imag) * cross) / (6.0 * area)
-        poles.append(complex(cx, cy))
+        poles.append(complex(np.sum((a + b) * cross) / (3.0 * np.sum(cross))))
     return poles
 
 
-def _boundary_diameter(domain):
-    _, poly = domain.outer.polyline(256)
-    return float(np.max(np.abs(poly[:, None] - poly[None, :])))
-
-
 class ExtremalProblem:
-    """Data of one LP instance: basis, boundary samples, constraint angles."""
+    """The basis of one certificate, orthonormalised on the m and 2m meshes.
 
-    def __init__(self, domain, a, degree=24, samples_per_curve=512,
-                 angle_count=64):
+    Column c > 0 is multiplier i times column j for (i, j) = steps[c - 1]:
+    multiplier 0 is z, multiplier i > 0 is s/(z - p) for hole i.  bases[l]
+    holds mesh l's Gram-Schmidt coefficients, an upper triangular matrix.
+    """
+
+    def __init__(self, domain, a, degree=24):
         a = complex(a)
         if degree < 1:
             raise GeometryError("degree must be at least 1")
-        if angle_count < 16:
-            raise GeometryError("need at least 16 constraint angles")
         if not domain.contains(a):
             raise GeometryError("base point %s is not inside the domain" % a)
         self.domain = domain
         self.a = a
-        self.degree = int(degree)
+        self.degree = n = int(degree)
         self.poles = tuple(choose_poles(domain))
-        self.angle_count = int(angle_count)
-        self.rho = 0.5 * _boundary_diameter(domain)
-        # per-pole scale: distance from the pole to its own hole curve,
-        # which bounds |s/(w-p)| by 1 on all of the boundary
-        self.pole_scales = []
-        for p, h in zip(self.poles, domain.holes):
-            _, poly = h.polyline(2048)
-            self.pole_scales.append(float(np.min(np.abs(poly - p))))
+        self.pole_scales = tuple(float(np.min(np.abs(h.polyline(2048)[1] - p)))
+                                 for p, h in zip(self.poles, domain.holes))
+        self.steps = [(0, k) for k in range(n)]
+        for i in range(1, len(self.poles) + 1):  # hole i's columns from 1 + n i
+            self.steps += [(i, 0)] + [(i, n * i + k) for k in range(1, n)]
+        self.bases = [self._arnoldi(mesh_boundary(domain, m))
+                      for m in (_NODES, 2 * _NODES)]
 
-        m = max(32, samples_per_curve + samples_per_curve % 2)
-        self.samples_per_curve = m
-        mesh = mesh_boundary(domain, m)
-        self.boundary_samples = mesh.nodes
-        dim = 2 * self.basis_count()
-        if self.boundary_samples.size < 8 * dim:
-            raise GeometryError(
-                "need at least %d boundary samples for a basis of real "
-                "dimension %d, got %d" % (8 * dim, dim, self.boundary_samples.size)
-            )
+    def _multipliers(self, z):
+        return [z] + [s / (z - p) for p, s in zip(self.poles, self.pole_scales)]
 
-    # -- basis -------------------------------------------------------------
-    # Simply connected: recentered monomials ((w-a)/rho)^k, k >= 1; these
-    # vanish at a by construction so no equality rows are needed and the
-    # constant is redundant.  With holes the pole blocks do NOT vanish at
-    # a, f(a) = 0 is imposed as an equality, and the constant term must be
-    # kept: without it the span inside {f(a) = 0} is one complex dimension
-    # short of the full Laurent space and the optimum stalls well below
-    # c_D(a) (6.5% low on the annulus at degree 20).
+    def _arnoldi(self, mesh):
+        w = mesh.weights
+        mult = self._multipliers(mesh.nodes)
+        size = 1 + len(self.steps)
+        q = np.empty((size, mesh.size), dtype=complex)  # row c: column c
+        r = np.zeros((size, size), dtype=complex)
+        r[0, 0] = np.sqrt(np.sum(w))
+        q[0] = 1.0 / r[0, 0]
+        for c, (i, j) in enumerate(self.steps, 1):
+            v = mult[i] * q[j]
+            for _ in range(2):  # twice is enough to keep q orthonormal
+                h = q[:c].conj() @ (w * v)
+                v = v - h @ q[:c]
+                r[:c, c] += h
+            r[c, c] = np.sqrt(np.sum(w * np.abs(v) ** 2))
+            q[c] = v / r[c, c]
+        return r
 
-    def basis_count(self):
-        extra = 1 if self.poles else 0
-        return extra + self.degree * (1 + len(self.poles))
-
-    def basis_at(self, pts):
-        """Matrix of basis values, len(pts) x basis_count."""
-        pts = np.asarray(pts, dtype=complex).ravel()
-        cols = []
-        if self.poles:
-            cols.append(np.ones((pts.size, 1), dtype=complex))
-        u = (pts - self.a) / self.rho
-        powers = u[:, None] ** np.arange(1, self.degree + 1)[None, :]
-        cols.append(powers)
-        for p, s in zip(self.poles, self.pole_scales):
-            v = s / (pts - p)
-            cols.append(v[:, None] ** np.arange(1, self.degree + 1)[None, :])
-        return np.concatenate(cols, axis=1)
-
-    def basis_deriv_at_a(self):
-        """Basis derivatives at the base point (objective vector)."""
-        d = np.zeros(self.basis_count(), dtype=complex)
-        off = 1 if self.poles else 0  # constant column differentiates to 0
-        d[off] = 1.0 / self.rho  # only the linear monomial survives at a
-        k = np.arange(1, self.degree + 1)
-        for i, (p, s) in enumerate(zip(self.poles, self.pole_scales)):
-            v = s / (self.a - p)
-            block = -k * v ** (k + 1) / s
-            lo = off + self.degree * (i + 1)
-            d[lo : lo + self.degree] = block
-        return d
-
-    def basis_at_a(self):
-        """Basis values at the base point (the f(a) = 0 equality rows)."""
-        return self.basis_at(np.array([self.a]))[0]
+    def basis_at(self, r, z):
+        """The orthonormal basis of coefficients r at the point z."""
+        mult = self._multipliers(complex(z))
+        phi = np.empty(r.shape[0], dtype=complex)
+        phi[0] = 1.0 / r[0, 0]
+        for c, (i, j) in enumerate(self.steps, 1):
+            phi[c] = (mult[i] * phi[j] - phi[:c] @ r[:c, c]) / r[c, c]
+        return phi
 
 
-class ExtremalCertificate:
-    """LP solution plus the data turning it into a rigorous lower bound."""
-
-    def __init__(self, coefficients, raw_lp_value, certified_value, sup_check):
-        self.coefficients = coefficients
-        self.raw_lp_value = float(raw_lp_value)
-        self.certified_value = float(certified_value)
-        self.sup_check = float(sup_check)
-
-    def __repr__(self):
-        return "ExtremalCertificate(raw=%.8g, certified=%.8g, sup=%.6g)" % (
-            self.raw_lp_value,
-            self.certified_value,
-            self.sup_check,
-        )
-
-
-def _real_rows(mat):
-    """Complex rows -> interleaved real constraint rows on (Re c, Im c)."""
-    out = np.empty((mat.shape[0], 2 * mat.shape[1]))
-    out[:, 0::2] = mat.real
-    out[:, 1::2] = -mat.imag
-    return out
+# a lower bound on c_D(a) and the two meshes' values it was read from
+ExtremalCertificate = namedtuple("ExtremalCertificate",
+                                 ["certified_value", "mesh_values"])
 
 
 def lp_caratheodory_lower(problem):
-    """Maximize Re f'(a) over the basis; certify against the true sup.
-
-    The constraint set is Re(e^{-i theta_l} f(w_m)) <= 1 over all K angles
-    and all M boundary samples.  Rows are generated lazily: we seed with 4
-    angles per sample, solve, then add the most violated (angle, sample)
-    rows and re-solve until the full grid is satisfied, which gives the
-    same optimum as the dense LP at a fraction of the cost (the binding
-    angles cluster near the phase of f at each sample).
-
-    Returns an ExtremalCertificate whose certified_value is a lower bound
-    for c_D(a): the LP optimum is deflated by cos(pi/K) for the angular
-    polyhedralization and divided by the max of |f| on a boundary grid
-    10x denser than the constraint samples.
-    """
-    nb = problem.basis_count()
-    phi = problem.basis_at(problem.boundary_samples)
-    k = problem.angle_count
-    m = phi.shape[0]
-    thetas = 2.0 * np.pi * np.arange(k) / k
-
-    d = problem.basis_deriv_at_a()
-    obj = np.zeros(2 * nb)
-    obj[0::2] = -d.real
-    obj[1::2] = d.imag
-
-    a_eq = b_eq = None
-    if problem.poles:
-        at_a = problem.basis_at_a()[None, :]
-        a_eq = np.vstack([_real_rows(at_a),
-                          _real_rows(1j * at_a)])
-        b_eq = np.zeros(2)
-
-    # active row bookkeeping: angle index per sample, -1 marks unused
-    active = np.zeros((m, k), dtype=bool)
-    seed = (np.arange(4) * (k // 4)) % k
-    active[:, seed] = True
-
-    res = None
-    for _ in range(60):
-        rows_m, rows_l = np.nonzero(active)
-        a_ub = _real_rows(np.exp(-1j * thetas[rows_l])[:, None] * phi[rows_m])
-        b_ub = np.ones(len(rows_m))
-        res = linprog(obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=(None, None), method="highs")
-        if res.status == 3:
-            if active.all():
-                raise ExtremalError(
-                    "LP unbounded with every constraint active: bad basis")
-            active[:] = True  # relaxation too loose, fall back to dense
-            continue
-        if not res.success:
-            # status 4 here usually means the monomial columns overflowed
-            # double precision; degrees past ~24 need a better-scaled basis
-            raise ExtremalError(
-                "LP solve failed (status %d, degree %d): %s"
-                % (res.status, problem.degree, res.message))
-        f = phi @ (res.x[0::2] + 1j * res.x[1::2])
-        # violation over the full K x M grid, worst angle per sample
-        viol = np.abs(f)[:, None] * np.cos(np.angle(f)[:, None] - thetas[None, :]) - 1.0
-        viol[active] = -np.inf
-        worst = np.argmax(viol, axis=1)
-        grow = np.nonzero(viol[np.arange(m), worst] > 1e-7)[0]
-        if grow.size == 0:
-            break
-        active[grow, worst[grow]] = True
-    else:
-        raise ExtremalError("constraint generation failed to settle")
-
-    coeff = res.x[0::2] + 1j * res.x[1::2]
-    raw = -res.fun
-
-    check_mesh = mesh_boundary(problem.domain, 10 * problem.samples_per_curve)
-    sup_check = float(np.max(np.abs(problem.basis_at(check_mesh.nodes) @ coeff)))
-    certified = raw * np.cos(np.pi / k) / sup_check
-    return ExtremalCertificate(coeff, raw, certified, sup_check)
+    """The certificate of the problem's base point (see the module docstring)."""
+    vals = [2.0 * np.pi * math.fsum(np.abs(problem.basis_at(r, problem.a)) ** 2)
+            for r in problem.bases]
+    spread = abs(vals[1] - vals[0]) / max(vals)
+    if spread > _MESH_AGREEMENT:
+        raise ExtremalError(
+            "certificate at %s moves by %.3g from %d to %d nodes per curve"
+            % (problem.a, spread, _NODES, 2 * _NODES))
+    return ExtremalCertificate(min(vals), tuple(vals))

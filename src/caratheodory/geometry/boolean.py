@@ -30,11 +30,9 @@ _PARAM_EPS = 1e-12
 def _refine_crossing(c1, c2, t1, t2, scale):
     """Newton-polish a crossing seed; returns (t1, t2, point)."""
     for _ in range(60):
-        z1 = c1.point(t1 % 1.0)
-        z2 = c2.point(t2 % 1.0)
+        z1, v1 = c1.jet(t1 % 1.0, 1)
+        z2, v2 = c2.jet(t2 % 1.0, 1)
         f = z1 - z2
-        v1 = c1.velocity(t1 % 1.0)
-        v2 = c2.velocity(t2 % 1.0)
         det = _cross(v1, v2)
         if abs(det) < 1e-14 * abs(v1) * abs(v2):
             raise TangencyError("boundary curves meet tangentially near %s" % z1)

@@ -471,8 +471,9 @@ class PiecewiseCurve(_Chart):
         self.breaks[-1] = 1.0
         self.breaks.flags.writeable = False
 
-        ends = np.array([seg.point(1.0) for seg in segments])
-        starts = np.array([seg.point(0.0) for seg in segments])
+        # jets[i, order, end]: segment i's point and velocity at u = 0, 1
+        jets = np.array([seg.jet(np.array([0.0, 1.0]), 1) for seg in segments])
+        (starts, ends), (v_starts, v_ends) = jets.transpose(1, 2, 0)
         scale = max(np.max(np.abs(ends)), 1.0)
         gaps = np.abs(ends - np.roll(starts, -1))
         if validate and np.any(gaps > 1e-7 * scale):
@@ -482,8 +483,8 @@ class PiecewiseCurve(_Chart):
             )
         corners = []
         for i in range(len(segments)):
-            t_out = _normalized(segments[i - 1].velocity(1.0))
-            t_in = _normalized(segments[i].velocity(0.0))
+            t_out = _normalized(v_ends[i - 1])
+            t_in = _normalized(v_starts[i])
             if abs(np.angle(t_in / t_out)) > self._CORNER_ANGLE:
                 corners.append(self.breaks[i])
         self.corner_params = tuple(sorted(corners))

@@ -17,7 +17,8 @@ iterates depend on that point alone, so a foot has the same bits in any
 batch.  ``dist_to_boundary`` reads the distance for clearance guards,
 grids take theirs from one ``feet`` call, and the solver meshes
 near-boundary points at the foot.  Each domain remembers the feet it has
-computed: a grid point is asked again when the solver picks its mesh.
+computed, those of the interior points that containment measured too: a
+grid point is asked again when the solver picks its mesh.
 """
 
 from __future__ import annotations
@@ -187,22 +188,35 @@ class Domain:
             near |= close
         if np.any(near):
             zs = z[near]
-            d = np.min([_curve_feet(c, zs)[0] for c in self.curves], axis=0)
+            feet = self._nearest_feet(zs)
+            d = np.array([f[2] for f in feet])
             on = d < _ON_CURVE
             if boundary == "raise" and np.any(on):
                 i = int(np.argmax(on))
                 raise GeometryError("point %s is on the boundary (dist %.3g)"
                                     % (zs[i], d[i]))
             inside[near] &= ~on
+            # feet do not depend on the batch, so feet may serve these
+            self._feet.update((complex(p), f) for p, f, keep
+                              in zip(zs, feet, inside[near]) if keep)
         self._inside.update(z[inside].tolist())
         return inside
+
+    def _nearest_feet(self, zs):
+        """[(k, t, d)] of the points zs: the nearest curve k, the parameter
+        t of its nearest point and the distance d, solved as one batch."""
+        per = [_curve_feet(c, zs) for c in self.curves]
+        nearest = np.argmin([d for d, _ in per], axis=0)
+        return [(int(k), float(per[k][1][i]), float(per[k][0][i]))
+                for i, k in enumerate(nearest)]
 
     def feet(self, zs):
         """[(k, t, d)] for the interior points zs: the nearest boundary
         point to each is curves[k].point(t), at distance d.  The points
         not asked before are checked for containment, unless
-        contains_many has found them inside already, and solved as one
-        batch; a point outside raises GeometryError."""
+        contains_many has found them inside already, and those it has not
+        measured are solved as one batch; a point outside raises
+        GeometryError."""
         zs = [complex(z) for z in np.ravel(zs)]
         new = np.array([z for z in dict.fromkeys(zs) if z not in self._feet],
                        dtype=complex)
@@ -212,11 +226,9 @@ class Domain:
             if out.size:
                 raise GeometryError("point %s is not inside the domain"
                                     % out[0])
-            per = [_curve_feet(c, new) for c in self.curves]
-            nearest = np.argmin([d for d, _ in per], axis=0)
-            for i, (z, k) in enumerate(zip(new, nearest)):
-                d, t = per[k]
-                self._feet[complex(z)] = (int(k), float(t[i]), float(d[i]))
+            new = new[[z not in self._feet for z in new.tolist()]]
+            if new.size:
+                self._feet.update(zip(new.tolist(), self._nearest_feet(new)))
         return [self._feet[z] for z in zs]
 
     def foot(self, z):

@@ -42,11 +42,20 @@ def _trim_pair(arc_a, arc_b, d, corner):
     Returns (u on arc_a, u on arc_b)."""
     # seed from the overlap length of straight offsets, d*tan(theta/2)
     ua, ub = 1.0, 0.0
-    f = arc_a.point(ua) - arc_b.point(ub)
     scale = abs(corner) + 1.0
-    for _ in range(80):
-        va = arc_a.velocity(ua)
-        vb = arc_b.velocity(ub)
+    step = np.inf
+    # 80 Newton steps, each checked at the jets that start the next pass
+    for _ in range(81):
+        za, va = arc_a.jet(ua, 1)
+        zb, vb = arc_b.jet(ub, 1)
+        f = za - zb
+        if abs(f) < 1e-13 * scale and step < 1e-11:
+            if not (0.0 < ua <= 1.0 + 1e-9 and -1e-9 <= ub < 1.0):
+                raise GeometryError(
+                    "offset trim escaped its segment near %s; offset too large"
+                    % corner
+                )
+            return min(ua, 1.0), max(ub, 0.0)
         det = _cross(va, vb)
         if det == 0.0:
             break
@@ -58,14 +67,6 @@ def _trim_pair(arc_a, arc_b, d, corner):
             dub *= 0.2 / step
         ua += dua
         ub += dub
-        f = arc_a.point(ua) - arc_b.point(ub)
-        if abs(f) < 1e-13 * scale and step < 1e-11:
-            if not (0.0 < ua <= 1.0 + 1e-9 and -1e-9 <= ub < 1.0):
-                raise GeometryError(
-                    "offset trim escaped its segment near %s; offset too large"
-                    % corner
-                )
-            return min(ua, 1.0), max(ub, 0.0)
     raise GeometryError("offset arcs fail to meet near corner %s" % corner)
 
 

@@ -4,7 +4,8 @@ Every evaluator exposes value(z) -> float, values(zs) -> array and
 curvatures(zs) -> array for one fixed domain, so curvature scans and
 harness sweeps don't care which authority (closed form or Szego solve,
 chosen by evaluator_for) produced the number.  LPEvaluator shares the
-interface as the certificate layer.
+interface as the certificate layer: lower bounds from an orthonormal
+boundary basis, with no Szego solve.
 
 The Szego evaluator settles every value on one mesh-doubling ladder,
 from a pair (n, 2n) up to (1024, 2048) nodes per curve.  The new points
@@ -317,33 +318,30 @@ def _doubling_change(coarse, fine):
 
 
 class LPEvaluator(_EvaluatorBase):
-    """On-demand LP certificates: certified lower bounds on the metric.
+    """On-demand certificates: certified lower bounds on the metric.
 
     Not a metric authority, so evaluator_for never returns it; build it
-    directly to check a closed-form or Szego value from below.  On smooth
-    domains certificates sit ~0.1-0.5% below the truth (polyhedral
-    deflation plus the sup rescale); on cornered ones they can fall far
-    lower, e.g. 1.343502 against the Szego 1.468978 (8.5% low) on the
-    blob-disc union at 1+0j.
+    directly to check a closed-form or Szego value from below.  Each
+    value is 2 pi sum_k |phi_k(z)|^2 over a basis orthonormal on the
+    boundary, polynomials of degree <= degree plus as many powers of
+    1/(z - p) per hole (see extremal.lp).  It rises with the degree.  At
+    degree 24 it is 2.2e-5 below the Szego value on the Fourier blob at
+    0.1, but points near the boundary or a corner fall further: 7.9% on
+    the ellipse at 0.9j, 6.1% on the blob-disc union at 1+0j.
     A lower bound has no curvature, so curvatures raises.
     """
 
     kind = "lp"
 
-    def __init__(self, domain, degree=24, samples_per_curve=512,
-                 angle_count=64):
+    def __init__(self, domain, degree=24):
         super().__init__(domain)
         self.degree = int(degree)
-        self.samples_per_curve = int(samples_per_curve)
-        self.angle_count = int(angle_count)
         self.cache = {}
 
     def certificate(self, z):
         z = complex(z)
         if z not in self.cache:
-            problem = ExtremalProblem(
-                self.domain, z, self.degree, self.samples_per_curve,
-                self.angle_count)
+            problem = ExtremalProblem(self.domain, z, self.degree)
             self.cache[z] = lp_caratheodory_lower(problem)
         return self.cache[z]
 
@@ -365,8 +363,8 @@ def evaluator_for(domain, method="auto", n=None):
     corners and climbs its mesh ladder where the doubling check asks for
     it.  method="szego" forces the solver even where a closed form
     exists.  n pins the solver's coarse node count; n for a closed form
-    raises GeometryError.  LP certificates are not metric values: build
-    an LPEvaluator for them.
+    raises GeometryError.  Certificates are not metric values: build an
+    LPEvaluator for them.
     """
     if method not in ("auto", "szego"):
         raise GeometryError("unknown method %r" % (method,))

@@ -2,10 +2,8 @@
 
 Each test checks one guarantee and prints a single pass/fail line.
 Broken sub-checks are collected before the assert so a red run shows
-the whole picture at once.  A couple of targets are out of reach on
-modest serial hardware (the certified tail of the disc sweep and its
-time budget); those tests stay strict and fail honestly rather than
-loosening the target.
+the whole picture at once.  The tests stay strict: a target that is out
+of reach fails honestly rather than loosening the target.
 """
 
 import io
@@ -48,9 +46,9 @@ def test_01_disc_sweep_hits_the_exact_metric_with_both_backends():
     # 20 radii across the disc: the solver must match 1/(1 - r^2) to
     # 1e-6 relative and the degree-24 certificates to 1%, all inside a
     # 10 second budget.  The solver half passes with ~1e-12 to spare.
-    # The certificate tail (r >= 0.85, where the polyhedral haircut
-    # grows like the metric itself) and the serial LP runtime both miss
-    # on this box; the gap is real, so it is reported, not hidden.
+    # The degree-24 certificate is the Szego sum over z^0..z^24,
+    # (1 - r^50)/(1 - r^2), so it falls short of the truth by r^50:
+    # 5.2e-3 at r = 0.9, the worst radius.
     radii = np.linspace(0.0, 0.9, 20)
     truth = 1.0 / (1.0 - radii**2)
     failures = []

@@ -1,5 +1,6 @@
 """Curvature: kappa = -4 for the exact metrics, the kernel-derivative
-curvature against the FD reference and the annulus series, LP refusal."""
+curvature against the FD reference and the annulus series, certificate
+refusal."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from caratheodory.kernels import (
     disc_metric,
     evaluator_for,
 )
+from caratheodory.kernels.closed_forms import SectorPullback
 from caratheodory.harness import (
     annulus,
     blob_with_hole,
@@ -133,13 +135,23 @@ def test_scan_on_the_blob_solver():
 
 
 def test_lp_log_density_stays_subharmonic_on_the_lens():
-    # certificates wobble point to point, so Delta log c lands well off
-    # 4c^2, but it stays safely nonnegative, which is the structural claim
+    # log sum_k |phi_k|^2 is subharmonic, so Delta log of the certificate
+    # is nonnegative; at degree 24 it is within 6e-5 of the lens density,
+    # so its 5-point Laplacian is 4c^2 up to the stencil's h^2 term
+    # (h^2/12) (d_x^4 + d_y^4) log c, read off the closed form by fourth
+    # differences at the same step
     lens = boolean_intersect(*two_disc_pair("symmetric"))[0]
     lp = LPEvaluator(lens)
-    for z, want in ((0.0, 9.320469), (0.2 + 0.1j, 22.244743)):
-        lap = _fd_laplacian(lp, z, 0.02)
-        assert lap == pytest.approx(want, abs=1e-4)
+    pull = SectorPullback((-0.5, 1.0), (0.5, 1.0), "intersection")
+    h = 0.02
+    for z in (0.0, 0.2 + 0.1j):
+        lap = _fd_laplacian(lp, z, h)
+        c = pull.density(z)
+        fourth = sum(np.array([1.0, -4.0, 6.0, -4.0, 1.0])
+                     @ np.log(pull.density(z + np.arange(-2, 3) * h * e))
+                     for e in (1.0, 1j)) / h**4
+        stencil = h * h / 12.0 * abs(fourth)
+        assert abs(lap - 4.0 * c * c) <= 2.0 * stencil
         assert lap > -1e-3
 
 

@@ -110,3 +110,29 @@ def test_feet_skip_the_winding_for_points_found_inside(monkeypatch):
     fresh = fourier_blob()
     assert fresh.feet(zs) == dom.feet(zs)
     assert wound[1:] == [zs.size]
+
+
+def test_feet_reuse_the_distances_containment_measured(monkeypatch):
+    # points within one node spacing of the 2048-node polyline get their
+    # distance in contains_many; feet serve those without a second solve
+    dom = ellipse()
+    ts = np.linspace(0.0, 1.0, 9, endpoint=False)
+    p, v = dom.outer.jet(ts, 1)
+    zs = p + 2e-3 * 1j * v / np.abs(v)  # inward, under one node spacing
+    assert dom.contains_many(zs).all()
+    solved = []
+    real = domain_module._curve_feet
+
+    def spying(curve, z):
+        solved.append(np.size(z))
+        return real(curve, z)
+
+    monkeypatch.setattr(domain_module, "_curve_feet", spying)
+    feet = dom.feet(zs)
+    assert solved == []
+    # each stored foot has the bits of a lone point's
+    for z, foot in zip(zs, feet):
+        d, t = real(dom.outer, np.array([z]))
+        assert foot == (0, float(t[0]), float(d[0]))
+    dom.feet([0.3])
+    assert solved == [1]
