@@ -15,12 +15,6 @@ from .curvature import (
     scan_curvature,
 )
 from .errors import ExtremalError, GeometryError, SolveError, TangencyError
-from .extremal import (
-    ExtremalCertificate,
-    ExtremalProblem,
-    choose_poles,
-    lp_caratheodory_lower,
-)
 from .geometry import (
     BoundaryMesh,
     Domain,
@@ -68,9 +62,7 @@ __all__ = [
     "CurvatureEstimate",
     "CurvatureScan",
     "Domain",
-    "ExtremalCertificate",
     "ExtremalError",
-    "ExtremalProblem",
     "GeometryError",
     "KernelSolution",
     "LPEvaluator",
@@ -85,7 +77,6 @@ __all__ = [
     "annulus_metric",
     "boolean_intersect",
     "boolean_union",
-    "choose_poles",
     "converge_thickening",
     "curvature_at",
     "curve_from_samples",
@@ -95,7 +86,6 @@ __all__ = [
     "grid_sample",
     "kerzman_stein_matrix",
     "localization_experiment",
-    "lp_caratheodory_lower",
     "mesh_boundary",
     "run_cli",
     "scan_curvature",

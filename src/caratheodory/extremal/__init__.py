@@ -1,13 +1,3 @@
-from .lp import (
-    ExtremalCertificate,
-    ExtremalProblem,
-    choose_poles,
-    lp_caratheodory_lower,
-)
+from .lp import ExtremalProblem, choose_poles, lp_caratheodory_lower
 
-__all__ = [
-    "ExtremalCertificate",
-    "ExtremalProblem",
-    "choose_poles",
-    "lp_caratheodory_lower",
-]
+__all__ = ["ExtremalProblem", "choose_poles", "lp_caratheodory_lower"]

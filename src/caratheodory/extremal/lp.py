@@ -10,18 +10,19 @@ grows.  The span is the polynomials of degree <= N plus, for each hole,
 distance to the hole curve, so |s/(z - p)| <= 1 off the hole.  On the
 unit disc the bound is (1 - r^(2N+2))/(1 - r^2).
 
-The basis is orthonormalised on the boundary quadrature by Arnoldi, a
+The basis depends on the boundary and the degree only, so one
+ExtremalProblem per domain and degree orthonormalises it by Arnoldi, a
 weighted QR (Brubeck, Nakatsukasa and Trefethen, SIAM Rev. 2021), and
-evaluated at a by the same recurrence.  The quadrature is the one
-inexact step: the bound is the smaller of its values on meshes of m and
-2m nodes per curve, refused when they differ by over _MESH_AGREEMENT
-(the uniform rule converges only algebraically over C1 joins).
+every base point a is evaluated by the same recurrence, alone, so its
+bound has the same bits in any batch.  The quadrature is the one inexact
+step: the bound is the smaller of its values on meshes of m and 2m nodes
+per curve, refused when they differ by over _MESH_AGREEMENT (the uniform
+rule converges only algebraically over C1 joins).
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 # only perfbench's trace table reaches this name; no certificate solves an LP
@@ -46,21 +47,17 @@ def choose_poles(domain):
 
 
 class ExtremalProblem:
-    """The basis of one certificate, orthonormalised on the m and 2m meshes.
+    """One domain's certificate basis, orthonormalised on the m and 2m meshes.
 
     Column c > 0 is multiplier i times column j for (i, j) = steps[c - 1]:
     multiplier 0 is z, multiplier i > 0 is s/(z - p) for hole i.  bases[l]
     holds mesh l's Gram-Schmidt coefficients, an upper triangular matrix.
     """
 
-    def __init__(self, domain, a, degree=24):
-        a = complex(a)
+    def __init__(self, domain, degree=24):
         if degree < 1:
             raise GeometryError("degree must be at least 1")
-        if not domain.contains(a):
-            raise GeometryError("base point %s is not inside the domain" % a)
         self.domain = domain
-        self.a = a
         self.degree = n = int(degree)
         self.poles = tuple(choose_poles(domain))
         self.pole_scales = tuple(float(np.min(np.abs(h.polyline(2048)[1] - p)))
@@ -101,19 +98,26 @@ class ExtremalProblem:
             phi[c] = (mult[i] * phi[j] - phi[:c] @ r[:c, c]) / r[c, c]
         return phi
 
+    def mesh_values(self, a):
+        """2 pi sum_k |phi_k(a)|^2 on the m-node and the 2m-node mesh."""
+        return tuple(2.0 * np.pi * math.fsum(np.abs(self.basis_at(r, a)) ** 2)
+                     for r in self.bases)
 
-# a lower bound on c_D(a) and the two meshes' values it was read from
-ExtremalCertificate = namedtuple("ExtremalCertificate",
-                                 ["certified_value", "mesh_values"])
 
-
-def lp_caratheodory_lower(problem):
-    """The certificate of the problem's base point (see the module docstring)."""
-    vals = [2.0 * np.pi * math.fsum(np.abs(problem.basis_at(r, problem.a)) ** 2)
-            for r in problem.bases]
-    spread = abs(vals[1] - vals[0]) / max(vals)
-    if spread > _MESH_AGREEMENT:
-        raise ExtremalError(
-            "certificate at %s moves by %.3g from %d to %d nodes per curve"
-            % (problem.a, spread, _NODES, 2 * _NODES))
-    return ExtremalCertificate(min(vals), tuple(vals))
+def lp_caratheodory_lower(problem, zs):
+    """The certificates of the points zs (see the module docstring)."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    inside = problem.domain.contains_many(zs)
+    if not np.all(inside):
+        raise GeometryError("base point %s is not inside the domain"
+                            % zs[~inside][0])
+    out = np.empty(zs.size)
+    for k, a in enumerate(zs.tolist()):
+        vals = problem.mesh_values(a)
+        spread = abs(vals[1] - vals[0]) / max(vals)
+        if spread > _MESH_AGREEMENT:
+            raise ExtremalError(
+                "certificate at %s moves by %.3g from %d to %d nodes per curve"
+                % (a, spread, _NODES, 2 * _NODES))
+        out[k] = min(vals)
+    return out

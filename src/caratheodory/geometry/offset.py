@@ -138,11 +138,13 @@ def thicken(domain, eps):
 
     The input domain is strictly contained in the result and the
     connectivity is unchanged.  Raises ``GeometryError`` when eps is not
-    positive, exceeds the boundary reach, or the offset curves collide.
+    positive and finite, exceeds the boundary reach, or the offset curves
+    collide.
     """
     eps = float(eps)
-    if eps <= 0.0:
-        raise GeometryError("thickening distance must be positive, got %s" % eps)
+    if not 0.0 < eps < np.inf:  # nan fails too
+        raise GeometryError(
+            "thickening distance must be positive and finite, got %s" % eps)
     outer = _offset_curve(domain.outer, eps)
     holes = [_offset_curve(h, -eps) for h in domain.holes]
     label = (domain.label + "+%g" % eps) if domain.label else "thickened"

@@ -22,10 +22,13 @@ def grid_sample(domain, delta, spacing):
     domain with distance at least delta from the boundary, as measured by
     Domain.feet.  Row-major order, y increasing then x.
     """
-    if spacing <= 0:
-        raise GeometryError("spacing must be positive, got %s" % spacing)
-    if delta < 0:
-        raise GeometryError("delta must be nonnegative, got %s" % delta)
+    # phrased so that nan and inf fail too
+    if not 0 < spacing < np.inf:
+        raise GeometryError("spacing must be positive and finite, got %s"
+                            % spacing)
+    if not 0 <= delta < np.inf:
+        raise GeometryError("delta must be nonnegative and finite, got %s"
+                            % delta)
     xmin, xmax, ymin, ymax = domain.bounding_box()
     i0 = int(np.ceil(xmin / spacing)) - 1
     i1 = int(np.floor(xmax / spacing)) + 1

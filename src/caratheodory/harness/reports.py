@@ -284,10 +284,11 @@ def verify_submult(D1, D2, delta=0.1, spacing=0.12, method="auto"):
 
 
 def _decreasing(name, values):
-    """values as floats, refused unless positive and strictly decreasing."""
+    """values as floats, refused unless finite, positive and strictly
+    decreasing."""
     xs = [float(x) for x in values]
-    if not xs or any(x <= 0 for x in xs):
-        raise GeometryError("%s must be positive" % name)
+    if not xs or not all(0 < x < np.inf for x in xs):  # nan fails too
+        raise GeometryError("%s must be positive and finite" % name)
     if any(b >= a for a, b in zip(xs, xs[1:])):
         raise GeometryError("%s must be strictly decreasing" % name)
     return xs

@@ -163,6 +163,14 @@ def test_missing_domain_file_is_an_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag", ["--delta", "--spacing"])
+def test_metric_grid_refuses_a_nan_flag(flag, capsys):
+    rc = run_cli(["metric", "--domain", _fx("disc.json"), flag, "nan"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_bad_flags_are_usage_errors(capsys):
     assert run_cli(["metric"]) == 1
     assert capsys.readouterr().err.startswith("usage error:")

@@ -15,6 +15,7 @@ from caratheodory.kernels import (
     disc_metric,
     evaluator_for,
 )
+from caratheodory.kernels import evaluators
 from caratheodory.kernels.closed_forms import SectorPullback
 from caratheodory.harness import (
     annulus,
@@ -113,11 +114,14 @@ def test_kernel_curvature_matches_the_fd_reference(dom, pts):
     assert np.max(np.abs(got - want)) <= 1e-5
 
 
-def test_lp_evaluator_refuses_curvature_before_any_certificate():
+def test_lp_evaluator_refuses_curvature_before_any_certificate(monkeypatch):
     ev = LPEvaluator(unit_disc())
+    calls = []
+    monkeypatch.setattr(evaluators, "lp_caratheodory_lower",
+                        lambda *args: calls.append(args))
     with pytest.raises(GeometryError, match="no curvature"):
         curvature_at(ev, 0.3)
-    assert ev.cache == {}
+    assert calls == []
 
 
 def test_scan_brackets_kappa_on_the_disc():

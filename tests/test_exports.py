@@ -29,7 +29,8 @@ def test_every_exported_name_resolves(name):
 def test_duplicate_policies_are_gone():
     # SzegoEvaluator owns the doubling check, each evaluator its curvature
     # (no finite-difference stencil), Domain.dist_to_boundary the boundary
-    # distance and LPEvaluator.values the LP field; SubArc is the one
+    # distance and LPEvaluator.values the LP field, from one basis per
+    # evaluator (no per-point certificate); SubArc is the one
     # re-parameterized arc and deriv each chart's one evaluator; callers
     # build SzegoSolver and SectorPullback themselves, without wrappers
     retired = (
@@ -38,6 +39,11 @@ def test_duplicate_policies_are_gone():
         (curves.TrigCurve, ("_eval",)),
         (curves.PiecewiseCurve, ("_eval",)),
         (caratheodory, ("lp_metric_field",)),
+        (caratheodory, ("ExtremalCertificate", "ExtremalProblem",
+                        "choose_poles", "lp_caratheodory_lower")),
+        (extremal, ("ExtremalCertificate",)),
+        (lp, ("ExtremalCertificate",)),
+        (kernels.LPEvaluator, ("certificate",)),
         (extremal, ("lp_metric_field",)),
         (lp, ("lp_metric_field",)),
         (caratheodory, ("caratheodory_szego", "dist_to_boundary", "domain_contains")),

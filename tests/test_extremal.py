@@ -46,7 +46,7 @@ def _circle(center, radius, n=128):
 
 
 def _certified(domain, a, degree):
-    return lp_caratheodory_lower(ExtremalProblem(domain, a, degree))
+    return float(lp_caratheodory_lower(ExtremalProblem(domain, degree), [a])[0])
 
 
 def _disc_bound(r, degree):
@@ -72,40 +72,40 @@ def test_pole_anchors_sit_at_hole_centroids():
 
 def test_problem_validation():
     with pytest.raises(GeometryError, match="degree must be at least 1"):
-        ExtremalProblem(unit_disc(), 0.0, 0)
+        ExtremalProblem(unit_disc(), 0)
     with pytest.raises(GeometryError, match="not inside the domain"):
-        ExtremalProblem(unit_disc(), 2.0, 5)
+        lp_caratheodory_lower(ExtremalProblem(unit_disc(), 5), [0.5, 2.0])
 
 
 def test_disc_certificate_at_the_center():
     # only the constant survives at the centre: 2 pi |1/sqrt(2 pi)|^2
-    cert = _certified(unit_disc(), 0.0, 5)
-    assert cert.certified_value == pytest.approx(1.0, abs=1e-12)
-    assert cert.certified_value == min(cert.mesh_values)
+    problem = ExtremalProblem(unit_disc(), 5)
+    (cert,) = lp_caratheodory_lower(problem, [0.0])
+    assert cert == pytest.approx(1.0, abs=1e-12)
+    assert cert == min(problem.mesh_values(0.0))
     # the length doubles on disc(0, 2), so the value halves
     cert2 = _certified(disc(0.0, 2.0), 0.0, 5)
-    assert cert2.certified_value == pytest.approx(0.5, abs=1e-12)
+    assert cert2 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_annulus_certificate_approaches_the_solver_value():
     cert = _certified(annulus(), 0.7, 20)
-    assert cert.certified_value == pytest.approx(
-        _annulus_bound(0.5, 0.7, 20), rel=1e-12)
+    assert cert == pytest.approx(_annulus_bound(0.5, 0.7, 20), rel=1e-12)
     truth = _annulus_bound(0.5, 0.7, 200)  # the whole series
     assert truth == pytest.approx(3.240787521, abs=1e-9)
-    assert cert.certified_value <= truth
-    assert (truth - cert.certified_value) / truth < 0.005
+    assert cert <= truth
+    assert (truth - cert) / truth < 0.005
 
 
 def test_certified_values_rise_with_degree_on_the_disc():
     # the spans are nested, so the bound cannot fall as the degree grows
-    vals = [_certified(unit_disc(), 0.3, n).certified_value for n in (3, 6, 12, 24)]
+    vals = [_certified(unit_disc(), 0.3, n) for n in (3, 6, 12, 24)]
     assert vals[0] <= vals[1] <= vals[2] <= vals[3]
 
 
 def test_degree_ladders_on_the_disc():
     degrees = (3, 6, 12, 24)
-    vals = [_certified(unit_disc(), 0.3, n).certified_value for n in degrees]
+    vals = [_certified(unit_disc(), 0.3, n) for n in degrees]
     want = [_disc_bound(0.3, n) for n in degrees]
     assert np.allclose(vals, want, rtol=1e-12, atol=0.0)
     # every certificate stays below the true metric
@@ -115,7 +115,7 @@ def test_degree_ladders_on_the_disc():
 
 def test_certified_values_rise_with_degree_on_the_annulus():
     degrees = (3, 6, 12, 24)
-    vals = [_certified(annulus(), 0.7, n).certified_value for n in degrees]
+    vals = [_certified(annulus(), 0.7, n) for n in degrees]
     want = [_annulus_bound(0.5, 0.7, n) for n in degrees]
     assert np.allclose(vals, want, rtol=1e-12, atol=0.0)
     assert vals[0] < vals[1] < vals[2] < vals[3]
@@ -127,7 +127,7 @@ def test_certified_values_rise_with_degree_on_the_annulus():
 ], ids=["lens", "blob_with_hole"])
 def test_certified_values_never_fall_with_degree(dom, a):
     # no closed form here, but the spans are nested on the same meshes
-    vals = [_certified(dom, a, n).certified_value for n in (3, 6, 12, 24)]
+    vals = [_certified(dom, a, n) for n in (3, 6, 12, 24)]
     assert vals[0] <= vals[1] <= vals[2] <= vals[3]
     assert vals[-1] <= SzegoEvaluator(dom).value(a) + 1e-9
 
@@ -162,9 +162,27 @@ def test_field_reports_nan_where_the_certificate_fails(caplog):
     assert "dropping 2.5 from 'lp'" in caplog.text
 
 
+def test_one_evaluator_builds_one_basis(monkeypatch):
+    # the basis depends on the boundary and the degree, not on the point
+    built, mesh = [], lp.mesh_boundary
+    monkeypatch.setattr(lp, "mesh_boundary",
+                        lambda *args: built.append(args[1]) or mesh(*args))
+    ev = LPEvaluator(annulus(), degree=5)
+    pts = np.linspace(0.55, 0.95, 10) * np.exp(0.6j * np.arange(10))
+    batch = ev.values(pts)
+    again = ev.values(pts[::-1])
+    guarded = _values_or_nan(ev, np.append(pts[:3], 2.5))  # retried pointwise
+    # a point's certificate has the same bits alone as in any batch
+    alone = np.array([ev.value(z) for z in pts])
+    assert alone.tobytes() == batch.tobytes() == again[::-1].tobytes()
+    assert guarded[:3].tobytes() == batch[:3].tobytes()
+    assert np.isnan(guarded[3])
+    assert built == [2048, 4096]
+
+
 def test_blob_certificate_stays_under_the_solver_value():
     # measured 2.2e-5 below the solver value at degree 24
-    lp = _certified(fourier_blob(), 0.1, 24).certified_value
+    lp = _certified(fourier_blob(), 0.1, 24)
     sz = SzegoEvaluator(fourier_blob()).value(0.1)
     assert sz == pytest.approx(1.036270608, abs=1e-6)
     assert lp <= sz + 1e-9
@@ -173,8 +191,8 @@ def test_blob_certificate_stays_under_the_solver_value():
 
 def test_certificates_respect_domain_inclusion():
     # B(0,1) sits inside the ellipse, so its metric and its bound sit above
-    small = _certified(unit_disc(), 0.3, 5).certified_value
-    big = _certified(ellipse(), 0.3, 5).certified_value
+    small = _certified(unit_disc(), 0.3, 5)
+    big = _certified(ellipse(), 0.3, 5)
     assert small > big
 
 
@@ -182,8 +200,9 @@ def test_certificates_refuse_meshes_that_disagree(monkeypatch):
     # the uniform rule converges only algebraically over the C1 cap joins
     # of a thickened lens, so there the m and 2m values part measurably
     grown = thicken(boolean_intersect(*two_disc_pair("symmetric"))[0], 0.01)
-    lo, hi = sorted(_certified(grown, 0.7j, 24).mesh_values)
+    problem = ExtremalProblem(grown, 24)
+    lo, hi = sorted(problem.mesh_values(0.7j))
     assert 1e-9 < (hi - lo) / hi < lp._MESH_AGREEMENT
     monkeypatch.setattr(lp, "_MESH_AGREEMENT", 1e-9)
     with pytest.raises(ExtremalError, match="moves by"):
-        _certified(grown, 0.7j, 24)
+        lp_caratheodory_lower(problem, [0.7j])

@@ -8,7 +8,13 @@ from scipy.optimize import minimize_scalar
 from caratheodory.errors import GeometryError
 from caratheodory.geometry import boolean_intersect, grid_sample
 from caratheodory.geometry import domain as domain_module
-from caratheodory.harness import annulus, disc, ellipse, fourier_blob
+from caratheodory.harness import (
+    annulus,
+    disc,
+    ellipse,
+    fourier_blob,
+    unit_disc,
+)
 
 
 def _localization_piece():
@@ -57,6 +63,16 @@ def test_newton_feet_match_a_bounded_polish(make, delta):
     # the polish stops short of the minimum; Newton is never above it
     # by more than the rounding of one distance
     assert np.max(got - want) <= 1e-15
+
+
+@pytest.mark.parametrize("delta, spacing", [
+    (np.nan, 0.2), (np.inf, 0.2), (0.1, np.nan), (0.1, np.inf),
+])
+def test_grid_sample_refuses_a_clearance_or_spacing_that_is_not_finite(
+        delta, spacing):
+    # nan < 0 is False, so a nan delta once read as no clearance at all
+    with pytest.raises(GeometryError, match="finite"):
+        grid_sample(unit_disc(), delta, spacing)
 
 
 def test_a_foot_at_a_corner_takes_the_bounded_fallback(monkeypatch):

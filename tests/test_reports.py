@@ -260,6 +260,9 @@ def test_thickening_validation():
         converge_thickening(unit_disc(), 0.0, [0.1, 0.2])
     with pytest.raises(GeometryError, match="not inside"):
         converge_thickening(unit_disc(), 3.0, [0.1])
+    # a nan once got past both checks and reached the offset's k-d tree
+    with pytest.raises(GeometryError, match="finite"):
+        converge_thickening(ellipse(), 0.3, [0.1, np.nan])
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +323,9 @@ def test_localization_validation():
         localization_experiment(unit_disc(), 0.0, 0.5, [0.05, 0.1])
     with pytest.raises(GeometryError, match="reaches outside"):
         localization_experiment(unit_disc(), 0.0, 0.5, [0.6])
+    # a nan distance is refused as such, not blamed on the radius
+    with pytest.raises(GeometryError, match="distances must be positive and finite"):
+        localization_experiment(ellipse(), 0.25, 0.5, [0.1, np.nan])
 
 
 # -- csv -----------------------------------------------------------------

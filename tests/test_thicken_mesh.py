@@ -222,6 +222,9 @@ def test_thicken_reach_limits():
         thicken(fourier_blob(), 0.8)
     with pytest.raises(GeometryError, match="positive"):
         thicken(unit_disc(), -0.1)
+    for eps in (np.nan, np.inf):
+        with pytest.raises(GeometryError, match="finite"):
+            thicken(unit_disc(), eps)
 
 
 def test_a_cornered_offset_is_not_thickened_again():

@@ -56,6 +56,21 @@ def test_tracer_install_and_uninstall_restore_every_site():
     assert {spans.VALUES, spans.PROBLEM} <= mesh_parents
 
 
+def test_an_lp_evaluator_opens_one_problem_span():
+    # the problem is built with the evaluator; a second batch only
+    # evaluates its basis, so the trace table counts one problem
+    tracer = spans.Tracer()
+    with tracer:
+        ev = LPEvaluator(unit_disc(), degree=3)
+        ev.values([0.2, 0.3j])
+        first = len(tracer.spans)
+        ev.values([0.4])
+    names = [s.name for s in tracer.spans]
+    assert names[:first].count(spans.PROBLEM) == 1
+    assert spans.CERTIFICATE in names[first:]
+    assert spans.PROBLEM not in names[first:]
+
+
 def test_adapted_meshes_are_traced_under_values():
     # meshes adapted to a point's foot are built through
     # evaluators.mesh_boundary, the name the tracer wraps
