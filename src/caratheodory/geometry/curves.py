@@ -87,7 +87,8 @@ def _segments_properly_cross(a0, a1, b0, b1):
     return hit
 
 
-_CHUNK = 64  # consecutive segments per bounding box in crossing_pairs
+_CHUNK = 16  # consecutive segments per bounding box in crossing_pairs
+_PAIR_BLOCK = 2**12  # segment pairs per exact test in crossing_pairs
 
 
 def _chunk_boxes(p0, p1, pad):
@@ -107,8 +108,9 @@ def crossing_pairs(a0, a1, b0, b1):
     properly cross, sorted row-major.
 
     Both families are cut into runs of ``_CHUNK`` consecutive segments;
-    the exact test runs only on pairs of runs whose bounding boxes, padded
-    by 1e-9 of the coordinate scale, overlap.
+    the exact test runs only on the segment pairs of runs whose bounding
+    boxes, padded by 1e-9 of the coordinate scale, overlap, at most
+    ``_PAIR_BLOCK`` pairs at a time.
     """
     scale = max(np.max(np.abs(p)) for p in (a0, a1, b0, b1))
     ax0, ax1, ay0, ay1 = _chunk_boxes(a0, a1, 1e-9 * scale)
@@ -119,18 +121,24 @@ def crossing_pairs(a0, a1, b0, b1):
         & (ay0[:, None] <= by1)
         & (by0 <= ay1[:, None])
     )
+    ci, cj = np.nonzero(meet)
+    k = np.arange(_CHUNK)
+    step = _PAIR_BLOCK // _CHUNK**2  # run pairs per block
     found_i = [np.empty(0, dtype=np.intp)]
     found_j = [np.empty(0, dtype=np.intp)]
-    for ci in np.flatnonzero(meet.any(axis=1)):
-        i = np.arange(ci * _CHUNK, min((ci + 1) * _CHUNK, len(a0)))
-        j = (np.flatnonzero(meet[ci])[:, None] * _CHUNK + np.arange(_CHUNK)).ravel()
-        j = j[j < len(b0)]
-        hit_i, hit_j = np.nonzero(
-            _segments_properly_cross(a0[i, None], a1[i, None], b0[j], b1[j])
-        )
-        found_i.append(i[hit_i])
-        found_j.append(j[hit_j])
-    return np.concatenate(found_i), np.concatenate(found_j)
+    for s in range(0, ci.size, step):
+        i, j = np.broadcast_arrays(
+            ci[s:s + step, None, None] * _CHUNK + k[:, None],
+            cj[s:s + step, None, None] * _CHUNK + k)
+        # the last run of either family may be short
+        keep = (i < len(a0)) & (j < len(b0))
+        i, j = i[keep], j[keep]
+        hit = _segments_properly_cross(a0[i], a1[i], b0[j], b1[j])
+        found_i.append(i[hit])
+        found_j.append(j[hit])
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 def polyline_self_intersects(pts):

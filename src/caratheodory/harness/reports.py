@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..curvature import curvature_at, scan_curvature
+# curvature_at is not called here; the benchmark's trace table wraps it
+from ..curvature import curvature_at, scan_curvature  # noqa: F401
 from ..errors import ExtremalError, GeometryError, SolveError
 from ..geometry import boolean_intersect, boolean_union, grid_sample, thicken
 # disc_metric is not called here; the benchmark's trace table wraps it
@@ -196,7 +197,7 @@ def _kappa_or_nan(ev, pts):
     out = np.full(pts.size, np.nan)
     for i, z in enumerate(pts):
         try:
-            out[i] = curvature_at(ev, z).kappa
+            out[i] = ev.curvatures([z])[0]
         except (ExtremalError, GeometryError, SolveError) as exc:
             log.warning("dropping curvature at %s: %s", z, exc)
     return out
@@ -329,15 +330,21 @@ def localization_experiment(domain, boundary_param, neighborhood_radius,
     U is the disc of the given radius about p = outer(t); evaluation
     points walk the inward normal at the given distances.  Ratios tend
     to 1 as the distance shrinks; monotonicity of the metric keeps them
-    >= 1 the whole way.  Returns the array of ratios.
+    >= 1 the whole way.  Returns the array of ratios.  A boundary_param
+    that is not finite, or a radius that is not positive and finite, is
+    refused before any geometry is built.
     """
-    t = float(boundary_param) % 1.0
+    t, radius = float(boundary_param), float(neighborhood_radius)
+    if not np.isfinite(t):
+        raise GeometryError("boundary_param must be finite")
+    if not 0 < radius < np.inf:  # nan fails too
+        raise GeometryError("neighborhood_radius must be positive and finite")
+    t %= 1.0
     curve = domain.outer
     if any(abs(t - tc) < 1e-9 or abs(t - tc) > 1.0 - 1e-9
            for tc in getattr(curve, "corner_params", ())):
         raise GeometryError("boundary point %g sits on a corner" % t)
     ds = _decreasing("distances", distances)
-    radius = float(neighborhood_radius)
     if max(ds) >= radius:
         raise GeometryError(
             "distance %g reaches outside the radius-%g neighborhood"

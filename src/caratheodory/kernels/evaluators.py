@@ -16,7 +16,10 @@ values and curvatures alike, so an interior grid costs one LU per mesh
 and a few triangular solves with many right-hand sides.  The points
 nearer the boundary climb in groups on meshes adapted to the nearest
 boundary point, the foot, of each group's nearest point, one block per
-mesh, instead of on uniform meshes of 2048 or 4096 nodes.
+mesh, instead of on uniform meshes of 2048 or 4096 nodes.  When the
+first such group's coarse mesh is no finer than the uniform rung the
+others would start from and clears them all, it takes the whole batch,
+so a march toward the boundary costs one adapted pair and no uniform one.
 """
 
 from __future__ import annotations
@@ -123,10 +126,15 @@ class SzegoEvaluator(_EvaluatorBase):
     pending one that its coarse adapted mesh (the first from _FOOT_START
     up that clears it) also clears, and it climbs on meshes adapted to
     that point's foot (mesh_boundary's foot), solvers dropped once it
-    settles.  A member failing at the top climbs again alone at its own
-    foot; a point its own foot cannot clear or settle climbs the uniform
-    (1024, 2048) pair if that rung clears it and it did not fail there.
-    Whatever is left raises, as does a failure when the caller pinned n.
+    settles.  A batch with points of both kinds skips the shared climb
+    and settles in foot groups alone when the nearest point's coarse
+    adapted mesh sits on a rung no higher than the shared climb's first
+    and clears every shared point, so that the pair replacing the
+    shared climb's uniform one is never larger.  A member failing at the
+    top climbs again alone at its own foot; a point its own foot cannot
+    clear or settle climbs the uniform (1024, 2048) pair if that rung
+    clears it and it did not fail there.  Whatever is left raises, as
+    does a failure when the caller pinned n.
 
     The finer-mesh solution that settles a point is kept under the
     point, so a later batch reuses it and its curvature costs one
@@ -190,6 +198,18 @@ class SzegoEvaluator(_EvaluatorBase):
             for z in new:
                 require_clearance(self._mesh(self.n_override), z, feet[z][2])
         shared = [z for z in new if rungs[z] is not None]
+        # nearest first; the sorts are stable, so ties keep the input order
+        near = sorted((z for z in new if rungs[z] is None),
+                      key=lambda z: feet[z][2])
+        # the nearest point's coarse foot mesh, built once
+        starts = {z: self._foot_start(z, feet[z]) for z in near[:1]}
+        start = starts.get(near[0]) if near else None
+        if (shared and isinstance(start, tuple)
+                and start[0] <= max(rungs[z] for z in shared)
+                and all(_clears(start[1], shared, feet))):
+            # it takes the whole batch in place of the shared climb's
+            # uniform pair, which is never smaller
+            near, shared = sorted(new, key=lambda z: feet[z][2]), []
         failed = {}
         top = self.n_override or self._LADDER[-1]
         if shared:
@@ -198,11 +218,10 @@ class SzegoEvaluator(_EvaluatorBase):
         if failed and self.n_override is not None:
             raise next(iter(failed.values()))
         kappas, errors = ({} if kappa else None), {}
-        # nearest first; the sort is stable, so ties keep the input order
-        near = sorted((z for z in new if rungs[z] is None or z in failed),
-                      key=lambda z: feet[z][2])
+        near = sorted(near + list(failed), key=lambda z: feet[z][2])
         while near:
-            group, lost = self._foot_climb(near, feet, kappas)
+            group, lost = self._foot_climb(near, feet, kappas,
+                                           starts.pop(near[0], None))
             for z in [z for z in group[1:] if z in lost]:
                 del lost[z]  # it climbs again alone at its own foot
                 lost.update(self._foot_climb([z], feet, kappas)[1])
@@ -218,27 +237,30 @@ class SzegoEvaluator(_EvaluatorBase):
                 raise errors[z]
         return kappas
 
-    def _foot_climb(self, zs, feet, kappas):
-        """Climb zs[0] on meshes adapted to its foot, from the first rung
-        from _FOOT_START up that clears it, with each other point of zs
-        that this coarse mesh clears too.  Returns the group and the error
-        of each member left; the others' curvatures go into kappas, if any."""
-        foot = feet[zs[0]]
+    def _foot_start(self, z, foot):
+        """(n1, mesh): the first rung n1 from _FOOT_START up whose mesh
+        adapted to foot clears z, or the top rung's GeometryError."""
         for n1 in (n for n in self._LADDER if n >= self._FOOT_START):
             mesh = mesh_boundary(self.domain, n1, foot)
             try:
-                require_clearance(mesh, zs[0], foot[2])
-                break
+                require_clearance(mesh, z, foot[2])
+                return n1, mesh
             except GeometryError as exc:
-                if n1 == self._LADDER[-1]:
-                    return zs[:1], {zs[0]: exc}
-        # require_clearance's test for the other points, 1024 rows at a time
-        ds, group = np.array([feet[z][2] for z in zs]), zs[:1]
-        for i in range(1, len(zs), 1024):
-            rows = np.array(zs[i:i + 1024])[:, None]
-            gaps = np.maximum(np.abs(mesh.nodes - rows), ds[i:i + 1024, None])
-            clear = np.all(gaps > CLEARANCE * mesh.spacing, axis=1)
-            group += [z for z, ok in zip(zs[i:i + 1024], clear) if ok]
+                error = exc
+        return error
+
+    def _foot_climb(self, zs, feet, kappas, start=None):
+        """Climb zs[0] on meshes adapted to its foot, from _foot_start
+        (given as start, when known), with each other point of zs that
+        this coarse mesh clears too.  Returns the group and the error of
+        each member left; the others' curvatures go into kappas, if any."""
+        foot = feet[zs[0]]
+        start = start or self._foot_start(zs[0], foot)
+        if not isinstance(start, tuple):
+            return zs[:1], {zs[0]: start}
+        n1, mesh = start
+        clear = _clears(mesh, zs[1:], feet)
+        group = zs[:1] + [z for z, ok in zip(zs[1:], clear) if ok]
         solver, failed = self._climb(
             group, n1, self._LADDER[-1],
             lambda n: SzegoSolver(
@@ -309,6 +331,18 @@ class SzegoEvaluator(_EvaluatorBase):
         a = complex(a)
         self._settle(np.array([a]))
         return self._settled[a]
+
+
+def _clears(mesh, zs, feet):
+    """require_clearance's test as a mask over the points zs, with their
+    distances from feet, 1024 points at a time."""
+    ds = np.array([feet[z][2] for z in zs])
+    clear = np.ones(len(zs), dtype=bool)
+    for i in range(0, len(zs), 1024):
+        rows = np.array(zs[i:i + 1024], dtype=complex)[:, None]
+        gaps = np.maximum(np.abs(mesh.nodes - rows), ds[i:i + 1024, None])
+        clear[i:i + 1024] = np.all(gaps > CLEARANCE * mesh.spacing, axis=1)
+    return clear
 
 
 def _doubling_change(coarse, fine):

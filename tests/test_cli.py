@@ -171,6 +171,15 @@ def test_metric_grid_refuses_a_nan_flag(flag, capsys):
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("flag, name", [("--t", "boundary_param"),
+                                        ("--radius", "neighborhood_radius")])
+def test_localize_refuses_a_nan_flag(flag, name, capsys):
+    rc = run_cli(["localize", "--domain", _fx("ellipse.json"), flag, "nan"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be" % name) and "finite" in err
+
+
 def test_bad_flags_are_usage_errors(capsys):
     assert run_cli(["metric"]) == 1
     assert capsys.readouterr().err.startswith("usage error:")

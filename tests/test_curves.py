@@ -13,7 +13,11 @@ from caratheodory.geometry import (
     curve_eval,
     curve_from_samples,
 )
-from caratheodory.geometry.curves import crossing_pairs, polyline_self_intersects
+from caratheodory.geometry.curves import (
+    _PAIR_BLOCK,
+    crossing_pairs,
+    polyline_self_intersects,
+)
 from caratheodory.harness import (
     blob_disc_pair,
     blob_with_hole,
@@ -238,7 +242,7 @@ def test_a_sub_arc_of_a_closed_curve_wraps_past_one():
 
 # -- segment crossings ---------------------------------------------------
 
-_LENGTHS = (1, 3, 63, 64, 65, 2048)  # around the 64-segment chunk edges
+_LENGTHS = (1, 3, 63, 64, 65, 2048)  # around run edges (runs of 16 segments)
 
 
 @st.composite
@@ -279,6 +283,31 @@ def test_crossing_pairs_match_all_pairs_on_shared_endpoints(z, seed):
     rng = np.random.default_rng(seed)
     k = rng.integers(0, z.size, size=(2, min(z.size, 300)))
     _assert_same_pairs(a0, a1, z[k[0]], z[k[1]])
+
+
+@pytest.mark.parametrize("n, m", [(15, 17), (17, 250), (31, 33), (1001, 47)])
+def test_crossing_pairs_match_all_pairs_off_run_edges(n, m):
+    # neither family's length is a multiple of the 16-segment run, so the
+    # last run of each is short
+    rng = np.random.default_rng(n * m)
+    za = np.cumsum(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+    zb = np.cumsum(rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))
+    _assert_same_pairs(za[:-1], za[1:], zb[:-1], zb[1:])
+    _assert_same_pairs(za[:-1], za[1:], za[:-1], za[1:])
+
+
+def test_crossing_pairs_test_bounded_blocks_when_every_run_box_meets(
+        monkeypatch):
+    # 2050 vertices spread over the unit square: every 16-segment run
+    # spans most of it, so every run pair is a candidate, and each call
+    # of the exact test still takes at most _PAIR_BLOCK segment pairs
+    x, y = np.random.default_rng(5).uniform(size=(2, 2050))
+    z = x + 1j * y
+    a0, a1 = z[:-1], z[1:]
+    tested = count_tested_pairs(monkeypatch)
+    _assert_same_pairs(a0, a1, a0, a1)
+    assert sum(tested) == len(a0) ** 2
+    assert max(tested) <= _PAIR_BLOCK
 
 
 def test_points_on_one_line_never_cross():

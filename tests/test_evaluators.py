@@ -304,17 +304,16 @@ def _blob_trend():
 
 
 def test_foot_adapted_values_match_the_uniform_2048_pin():
-    # the farthest point takes the 512 rung's uniform pair on both
-    # domains; the nearer two are past its clearance and share the pair
-    # adapted to the nearest one's foot; the uniform pin at 2048 clears
-    # every point
+    # the farthest point is the 512 rung's on both domains; the nearer
+    # two are past its clearance, and the (512, 1024) pair adapted to the
+    # nearest one's foot clears all three, so it settles the whole batch,
+    # nearest first; the uniform pin at 2048 clears every point
     blob, trend = _blob_trend()
     for dom, zs in ((ellipse(), _MARCH), (blob, trend)):
         ev = SzegoEvaluator(dom)
         got = ev.values(zs)
-        assert _pairs(ev) == [(complex(zs[0]), 512, 1024), (zs[2], "foot"),
-                              (zs[1], "foot")]
-        assert ev._settled[zs[1]].mesh is ev._settled[zs[2]].mesh
+        assert _pairs(ev) == [(complex(z), "foot") for z in zs[::-1]]
+        assert len({id(ev._settled[z].mesh) for z in zs}) == 1
         want = SzegoEvaluator(dom, n=2048).values(zs)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
         assert np.max(np.abs(ev.curvatures(zs) + 4.0)) <= 1e-12
@@ -325,10 +324,54 @@ def test_the_cornered_piece_settles_at_its_feet():
     piece = _localization_piece()
     ev = SzegoEvaluator(piece)
     got = ev.values(_MARCH)
-    assert _pairs(ev) == [(0.9j, 512, 1024), (0.95j, 512, 1024),
-                          (0.98j, "foot")]
+    assert _pairs(ev) == [(z, "foot") for z in _MARCH[::-1]]
     want = SzegoEvaluator(piece, n=2048).values(_MARCH)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("make", [ellipse, _localization_piece],
+                         ids=["ellipse", "cornered_piece"])
+def test_the_march_builds_one_adapted_pair_and_no_uniform_solver(
+        monkeypatch, make):
+    # the localization march on both of its domains: the uniform 256 and
+    # 512 rungs only measure clearance, and the pair adapted to 0.98j's
+    # foot settles all three points
+    meshes, solved = [], []
+    real_mesh, real_init = evaluators.mesh_boundary, SzegoSolver.__init__
+
+    def meshing(domain, n, foot=None):
+        meshes.append((n, foot is not None))
+        return real_mesh(domain, n, foot)
+
+    def init(self, mesh):
+        solved.append(mesh)
+        real_init(self, mesh)
+
+    monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
+    monkeypatch.setattr(SzegoSolver, "__init__", init)
+    ev = SzegoEvaluator(make())
+    ev.values(_MARCH)
+    assert meshes == [(256, False), (512, False), (512, True), (1024, True)]
+    assert len(solved) == 2 and ev._solvers == {}
+    uniform = {id(mesh) for mesh in ev._meshes.values()}
+    assert not any(id(mesh) in uniform for mesh in solved)
+
+
+@pytest.mark.parametrize("far, pair", [(-0.3j, (256, 512)),
+                                       (-0.9j, (512, 1024))])
+def test_a_point_the_foot_mesh_cannot_clear_keeps_its_uniform_pair(far, pair):
+    # the mesh adapted to 0.98j's foot stretches its nodes on the far
+    # side, and both far points sit within 3 local spacings of a node
+    # (their gaps are 0.76 and 0.11 of that); -0.3j is on the 256 rung,
+    # below the foot mesh's 512, but -0.9j is on the 512 rung, so only
+    # the clearance test keeps it off the adapted pair.  Each keeps its
+    # uniform pair's bits
+    zs = [far, 0.95j, 0.98j]
+    ev = SzegoEvaluator(ellipse())
+    got = ev.values(zs)
+    assert _pairs(ev) == [(far,) + pair, (0.98j, "foot"), (0.95j, "foot")]
+    solver = SzegoSolver(mesh_boundary(ellipse(), pair[1]))
+    assert got[0] == 2.0 * np.pi * solver.solve(far).diag_value
 
 
 def test_a_batch_splits_at_the_top_rung_clearance():

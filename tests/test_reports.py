@@ -227,6 +227,25 @@ def test_a_failed_curvature_batch_falls_back_point_by_point():
     assert np.array_equal(got, [-4.0, np.nan, -4.0], equal_nan=True)
 
 
+def test_the_pointwise_curvature_retry_asks_no_values():
+    # each retried point costs one curvatures call and no values call
+    asked = []
+
+    class OneBadPoint:
+        def curvatures(self, zs):
+            asked.append(list(zs))
+            if 2.0 in list(zs):
+                raise GeometryError("bad point")
+            return np.full(len(zs), -4.0)
+
+        def values(self, zs):
+            raise AssertionError("values called")
+
+    got = reports._kappa_or_nan(OneBadPoint(), np.array([1.0, 2.0, 3.0]))
+    assert np.array_equal(got, [-4.0, np.nan, -4.0], equal_nan=True)
+    assert asked == [[1.0, 2.0, 3.0], [1.0], [2.0], [3.0]]
+
+
 def test_submult_needs_an_overlap():
     with pytest.raises(GeometryError, match="do not intersect"):
         verify_submult(disc(-3.0, 1.0), disc(3.0, 1.0))
@@ -326,6 +345,25 @@ def test_localization_validation():
     # a nan distance is refused as such, not blamed on the radius
     with pytest.raises(GeometryError, match="distances must be positive and finite"):
         localization_experiment(ellipse(), 0.25, 0.5, [0.1, np.nan])
+
+
+@pytest.mark.parametrize("t, radius, why", [
+    (np.nan, 0.5, "boundary_param must be finite"),
+    (np.inf, 0.5, "boundary_param must be finite"),
+    (0.25, np.nan, "neighborhood_radius must be positive and finite"),
+    (0.25, np.inf, "neighborhood_radius must be positive and finite"),
+])
+def test_localization_refuses_a_point_or_radius_that_is_not_finite(
+        monkeypatch, t, radius, why):
+    # refused by name before any geometry is built, not by the distance
+    # tree's "data must be finite"
+    def refuse(*args):
+        raise AssertionError("geometry built")
+
+    monkeypatch.setattr(reports, "disc", refuse)
+    monkeypatch.setattr(reports, "boolean_intersect", refuse)
+    with pytest.raises(GeometryError, match=why):
+        localization_experiment(ellipse(), t, radius, [0.1])
 
 
 # -- csv -----------------------------------------------------------------
