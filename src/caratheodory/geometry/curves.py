@@ -219,6 +219,8 @@ class TrigCurve(_Chart):
             raise GeometryError("need at least 8 sample points, got %d" % n)
         scale = np.max(np.abs(z - z.mean())) + 1e-300
         if validate:
+            if not np.all(np.isfinite(z)):
+                raise GeometryError("samples must be finite")
             dmin = self._min_pairwise_gap(z)
             if dmin <= 1e-12 * scale:
                 raise GeometryError("sample points are not distinct")

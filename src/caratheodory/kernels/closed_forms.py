@@ -23,7 +23,8 @@ def disc_metric(center, radius, z):
     """
     z = np.asarray(z, dtype=complex)
     r2 = np.abs(z - center) ** 2
-    if np.any(r2 >= radius**2):
+    # phrased so that nan fails too
+    if not np.all(r2 < radius**2):
         raise GeometryError("point outside the disc B(%s, %s)" % (center, radius))
     out = radius / (radius**2 - r2)
     return float(out) if out.ndim == 0 else out
@@ -42,7 +43,8 @@ def poincare_annulus(r_inner, z):
         raise GeometryError("inner radius must be in (0,1), got %s" % r_inner)
     z = np.asarray(z, dtype=complex)
     r = np.abs(z)
-    if np.any((r <= r_inner) | (r >= 1.0)):
+    # phrased so that nan fails too
+    if not np.all((r > r_inner) & (r < 1.0)):
         raise GeometryError("point outside the annulus %s < |z| < 1" % r_inner)
     h = np.log(1.0 / r_inner)
     out = np.pi / (2.0 * h * r * np.sin(np.pi * np.log(1.0 / r) / h))

@@ -8,18 +8,12 @@ interface as the certificate layer: lower bounds from one orthonormal
 boundary basis per domain and degree, built with the evaluator, with no
 Szego solve.
 
-The Szego evaluator settles every value on one mesh-doubling ladder,
-from a pair (n, 2n) up to (1024, 2048) nodes per curve.  The new points
-of a batch that the 256 or 512 rung clears climb it together, from the
-rung of the shallowest of them; each mesh solves them as one block,
-values and curvatures alike, so an interior grid costs one LU per mesh
-and a few triangular solves with many right-hand sides.  The points
-nearer the boundary climb in groups on meshes adapted to the nearest
-boundary point, the foot, of each group's nearest point, one block per
-mesh, instead of on uniform meshes of 2048 or 4096 nodes.  When the
-first such group's coarse mesh is no finer than the uniform rung the
-others would start from and clears them all, it takes the whole batch,
-so a march toward the boundary costs one adapted pair and no uniform one.
+The Szego evaluator settles a batch nearest point first: the nearest
+point still pending leads a group of every pending point its coarse mesh
+clears, and each mesh of the group's climb solves them as one block,
+values and curvatures alike.  An interior grid so costs one LU per mesh
+and a few triangular solves with many right-hand sides, and a march
+toward the boundary one pair adapted to its nearest point.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from ..extremal.lp import ExtremalProblem, lp_caratheodory_lower
 from ..geometry.curves import TrigCurve
 from ..geometry.mesh import mesh_boundary
 from .closed_forms import SectorPullback, annulus_metric, disc_metric
-from .szego import CLEARANCE, SzegoSolver, require_clearance
+from .szego import CLEARANCE, SzegoSolver, _clears, require_clearance
 
 
 class _EvaluatorBase:
@@ -116,32 +110,28 @@ class SzegoEvaluator(_EvaluatorBase):
     them all up one rung, the finer solutions becoming the coarser
     ones, and the climb stops at (1024, 2048).
 
-    The new points of a batch that the 256 or 512 rung of _LADDER
-    clears (CLEARANCE node spacings, h_max, from the boundary) climb
-    together from the rung of the shallowest of them, on uniform meshes
-    and solvers cached per node count (a solver turns from GMRES to one
-    LU once its mesh has served, or is about to serve, enough solves).
-    The other new points, and those that fail at the top, settle in foot
-    groups, nearest first: a group is the nearest pending point and each
-    pending one that its coarse adapted mesh (the first from _FOOT_START
-    up that clears it) also clears, and it climbs on meshes adapted to
-    that point's foot (mesh_boundary's foot), solvers dropped once it
-    settles.  A batch with points of both kinds skips the shared climb
-    and settles in foot groups alone when the nearest point's coarse
-    adapted mesh sits on a rung no higher than the shared climb's first
-    and clears every shared point, so that the pair replacing the
-    shared climb's uniform one is never larger.  A member failing at the
-    top climbs again alone at its own foot; a point its own foot cannot
-    clear or settle climbs the uniform (1024, 2048) pair if that rung
-    clears it and it did not fail there.  Whatever is left raises, as
-    does a failure when the caller pinned n.
+    A batch settles in one loop, nearest point first.  The nearest
+    pending point leads, on the coarse mesh of the first mesh family it
+    has not failed on that clears it (CLEARANCE local node spacings, see
+    require_clearance): its uniform rung of _LADDER (the first below the
+    top whose h_max keeps clearance), the first rung from _FOOT_START up
+    adapted to its nearest boundary point, its foot (mesh_boundary's
+    foot), or the uniform top rung.  Its group is every pending point
+    that coarse mesh clears and that has not failed on that family, in
+    the batch's order; the group climbs once, and its curvatures come
+    from the finer solver.  A member failing at the top stays pending
+    with that family refused; a lead with no family left raises.
+    Uniform meshes and solvers are cached per node count (a solver turns
+    from GMRES to one LU once its mesh has served, or is about to serve,
+    enough solves); adapted ones are dropped once their group settles.
 
     The finer-mesh solution that settles a point is kept under the
     point, so a later batch reuses it and its curvature costs one
     derivative solve more; solution() returns it.
 
-    A pinned n pairs with min(2n, _CAP) on uniform meshes, and its mesh
-    is built at construction: an n that mesh_boundary refuses, or one
+    A pinned n pairs with min(2n, _CAP) on uniform meshes, the one
+    family of every point, whose first failure raises; its mesh is
+    built at construction: an n that mesh_boundary refuses, or one
     above _CAP, raises GeometryError there.  At n = _CAP the pair
     collapses to one mesh, so each point is solved once and no doubling
     check runs.
@@ -190,86 +180,64 @@ class SzegoEvaluator(_EvaluatorBase):
 
     def _settle(self, zs, kappa=False):
         """Settle the new points of zs (see the class docstring); with
-        kappa, return the curvatures of those settled at a foot, by point."""
+        kappa, return their curvatures, by point."""
         new = [z for z in dict.fromkeys(zs.tolist()) if z not in self._settled]
         feet = dict(zip(new, self.domain.feet(new)))
-        rungs = {z: self._pick_n(feet[z][2]) for z in new}
         if self.n_override is not None:
             for z in new:
                 require_clearance(self._mesh(self.n_override), z, feet[z][2])
-        shared = [z for z in new if rungs[z] is not None]
-        # nearest first; the sorts are stable, so ties keep the input order
-        near = sorted((z for z in new if rungs[z] is None),
-                      key=lambda z: feet[z][2])
-        # the nearest point's coarse foot mesh, built once
-        starts = {z: self._foot_start(z, feet[z]) for z in near[:1]}
-        start = starts.get(near[0]) if near else None
-        if (shared and isinstance(start, tuple)
-                and start[0] <= max(rungs[z] for z in shared)
-                and all(_clears(start[1], shared, feet))):
-            # it takes the whole batch in place of the shared climb's
-            # uniform pair, which is never smaller
-            near, shared = sorted(new, key=lambda z: feet[z][2]), []
-        failed = {}
         top = self.n_override or self._LADDER[-1]
-        if shared:
-            _, failed = self._climb(shared, max(rungs[z] for z in shared),
-                                    top, self._solver)
-        if failed and self.n_override is not None:
-            raise next(iter(failed.values()))
-        kappas, errors = ({} if kappa else None), {}
-        near = sorted(near + list(failed), key=lambda z: feet[z][2])
-        while near:
-            group, lost = self._foot_climb(near, feet, kappas,
-                                           starts.pop(near[0], None))
-            for z in [z for z in group[1:] if z in lost]:
-                del lost[z]  # it climbs again alone at its own foot
-                lost.update(self._foot_climb([z], feet, kappas)[1])
-            errors.update(lost)
-            near = [z for z in near if z not in group]
-        # the top uniform pair takes what it clears and has not refused
-        back = [z for z in new if z in errors and z not in failed
-                and CLEARANCE * self._mesh(top).h_max < feet[z][2]]
-        if back:
-            errors.update(self._climb(back, top, top, self._solver)[1])
-        for z in new:
-            if z not in self._settled:
-                raise errors[z]
+        refused = {z: set() for z in new}  # the families z failed on
+        errors, kappas = {}, ({} if kappa else None)
+        # nearest first; the sort is stable, so ties keep the input order
+        pending = sorted(new, key=lambda z: feet[z][2])
+        while pending:
+            lead = pending[0]
+            family, n1, mesh = self._lead(lead, feet[lead], refused[lead],
+                                          errors.get(lead))
+            clear = _clears(mesh, pending, [feet[z][2] for z in pending])
+            members = {z for z, ok in zip(pending, clear)
+                       if ok and family not in refused[z]}
+            group = [z for z in new if z in members]
+            solver = self._solver if family is None else (
+                lambda n: SzegoSolver(mesh if n == n1 else
+                                      mesh_boundary(self.domain, n, family)))
+            fine, failed = self._climb(group, n1, top, solver)
+            if failed and self.n_override is not None:
+                raise next(iter(failed.values()))
+            for z in failed:
+                refused[z].add(family)
+            errors.update(failed)
+            done = [z for z in group if z not in failed]
+            if kappas is not None and done:
+                kappas.update(zip(done, fine.kappa(
+                    [self._settled[z] for z in done])))
+            pending = [z for z in pending if z not in self._settled]
         return kappas
 
-    def _foot_start(self, z, foot):
-        """(n1, mesh): the first rung n1 from _FOOT_START up whose mesh
-        adapted to foot clears z, or the top rung's GeometryError."""
-        for n1 in (n for n in self._LADDER if n >= self._FOOT_START):
-            mesh = mesh_boundary(self.domain, n1, foot)
-            try:
-                require_clearance(mesh, z, foot[2])
-                return n1, mesh
-            except GeometryError as exc:
-                error = exc
-        return error
-
-    def _foot_climb(self, zs, feet, kappas, start=None):
-        """Climb zs[0] on meshes adapted to its foot, from _foot_start
-        (given as start, when known), with each other point of zs that
-        this coarse mesh clears too.  Returns the group and the error of
-        each member left; the others' curvatures go into kappas, if any."""
-        foot = feet[zs[0]]
-        start = start or self._foot_start(zs[0], foot)
-        if not isinstance(start, tuple):
-            return zs[:1], {zs[0]: start}
-        n1, mesh = start
-        clear = _clears(mesh, zs[1:], feet)
-        group = zs[:1] + [z for z, ok in zip(zs[1:], clear) if ok]
-        solver, failed = self._climb(
-            group, n1, self._LADDER[-1],
-            lambda n: SzegoSolver(
-                mesh if n == n1 else mesh_boundary(self.domain, n, foot)))
-        done = [z for z in group if z not in failed]
-        if kappas is not None and done:
-            kappas.update(zip(done, solver.kappa(
-                [self._settled[z] for z in done])))
-        return group, failed
+    def _lead(self, z, foot, refused, error):
+        """(family, n1, mesh): the coarse mesh z leads its group on, of the
+        first family it has not refused whose mesh clears it: its uniform
+        rung (_pick_n), the first rung from _FOOT_START up adapted to its
+        foot, the uniform top rung.  A family is the foot its meshes are
+        adapted to, None for the uniform one.  When none is left, raises
+        the last error z met: error, from a failed climb, or a refusal of
+        clearance here."""
+        n = self._pick_n(foot[2])
+        if n is not None and None not in refused:
+            return None, n, self._mesh(n)
+        if foot not in refused:
+            for n1 in (n for n in self._LADDER if n >= self._FOOT_START):
+                mesh = mesh_boundary(self.domain, n1, foot)
+                try:
+                    require_clearance(mesh, z, foot[2])
+                    return foot, n1, mesh
+                except GeometryError as exc:
+                    error = exc
+        mesh = self._mesh(self._LADDER[-1])
+        if None not in refused and CLEARANCE * mesh.h_max < foot[2]:
+            return None, self._LADDER[-1], mesh
+        raise error
 
     def _climb(self, zs, n1, top, solver):
         """Settle the points zs on the first pair from (n1, 2 n1) up to
@@ -304,9 +272,9 @@ class SzegoEvaluator(_EvaluatorBase):
 
     def curvatures(self, zs):
         """SzegoSolver.kappa of the finer-mesh solutions that settle the
-        values: one derivative solve per point.  The points settled at a
-        foot during the call take it from their group's finer solver, in
-        one block; the others solve one block per mesh, on the cached
+        values: one derivative solve per point.  The points settled
+        during the call take it from their group's finer solver, in one
+        block; the others solve one block per mesh, on the cached
         uniform solver of that mesh, or on a new solver of an earlier
         adapted one."""
         zs = np.asarray(zs, dtype=complex).ravel()
@@ -331,18 +299,6 @@ class SzegoEvaluator(_EvaluatorBase):
         a = complex(a)
         self._settle(np.array([a]))
         return self._settled[a]
-
-
-def _clears(mesh, zs, feet):
-    """require_clearance's test as a mask over the points zs, with their
-    distances from feet, 1024 points at a time."""
-    ds = np.array([feet[z][2] for z in zs])
-    clear = np.ones(len(zs), dtype=bool)
-    for i in range(0, len(zs), 1024):
-        rows = np.array(zs[i:i + 1024], dtype=complex)[:, None]
-        gaps = np.maximum(np.abs(mesh.nodes - rows), ds[i:i + 1024, None])
-        clear[i:i + 1024] = np.all(gaps > CLEARANCE * mesh.spacing, axis=1)
-    return clear
 
 
 def _doubling_change(coarse, fine):

@@ -61,15 +61,28 @@ _RTOL = 1e-14
 _TILE = 256
 
 
-def require_clearance(mesh, z, d):
-    """Raise GeometryError unless z, at distance d from the boundary, is
-    farther than CLEARANCE local spacings (mesh.spacing) from every node.
+def _clears(mesh, zs, ds):
+    """Mask of the points zs, at distances ds from the boundary, that are
+    farther than CLEARANCE local spacings (mesh.spacing) from every node,
+    1024 points at a time; nan fails.
 
     No node is nearer than d, so d > CLEARANCE * h_max always passes.
     """
-    gap = np.maximum(np.abs(mesh.nodes - z), d)
-    j = int(np.argmin(gap - CLEARANCE * mesh.spacing))
-    if gap[j] <= CLEARANCE * mesh.spacing[j]:
+    ds = np.asarray(ds, dtype=float)
+    clear = np.ones(len(zs), dtype=bool)
+    for i in range(0, len(zs), 1024):
+        rows = np.array(zs[i:i + 1024], dtype=complex)[:, None]
+        gaps = np.maximum(np.abs(mesh.nodes - rows), ds[i:i + 1024, None])
+        clear[i:i + 1024] = np.all(gaps > CLEARANCE * mesh.spacing, axis=1)
+    return clear
+
+
+def require_clearance(mesh, z, d):
+    """Raise GeometryError unless _clears passes z, at distance d from
+    the boundary; the message names the node with the least margin."""
+    if not _clears(mesh, [z], [d])[0]:
+        gap = np.maximum(np.abs(mesh.nodes - z), d)
+        j = int(np.argmin(gap - CLEARANCE * mesh.spacing))
         raise GeometryError(
             "point %s is too close to the boundary: distance %.3g from node "
             "%d, need > %g node spacings (%.3g) of the %d-node mesh"

@@ -163,6 +163,14 @@ def test_missing_domain_file_is_an_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_a_domain_file_with_a_nan_radius_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "nan_disc.json"
+    bad.write_text('{"type": "disc", "center": [0.0, 0.0], "radius": NaN}')
+    rc = run_cli(["metric", "--domain", str(bad), "--point", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: samples must be finite\n"
+
+
 @pytest.mark.parametrize("flag", ["--delta", "--spacing"])
 def test_metric_grid_refuses_a_nan_flag(flag, capsys):
     rc = run_cli(["metric", "--domain", _fx("disc.json"), flag, "nan"])

@@ -15,6 +15,7 @@ from caratheodory.geometry import (
 )
 from caratheodory.geometry.curves import (
     _PAIR_BLOCK,
+    TrigCurve,
     crossing_pairs,
     polyline_self_intersects,
 )
@@ -104,6 +105,14 @@ def test_duplicate_samples_are_rejected_past_2048_samples():
 def test_too_few_samples_are_rejected():
     with pytest.raises(GeometryError, match="at least 8 sample points"):
         curve_from_samples(_circle_samples(n=6))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_samples_are_rejected(bad):
+    z = _circle_samples()
+    z[3] = bad
+    with pytest.raises(GeometryError, match="samples must be finite"):
+        TrigCurve(z)
 
 
 def test_clockwise_samples_are_rejected():

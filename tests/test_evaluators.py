@@ -1,5 +1,7 @@
 """Evaluator routing, covariance under affine maps, boundary blow-up."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,18 @@ def test_annulus_poincare_evaluator_wraps_the_closed_form():
     ev = AnnulusPoincareEvaluator(annulus(0.49, 1.01))
     want = poincare_annulus(0.49 / 1.01, 0.7 / 1.01) / 1.01
     assert ev.value(0.7) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "nan_j"])
+def test_closed_form_evaluators_refuse_non_finite_points(z):
+    for ev in (evaluator_for(unit_disc()),
+               AnnulusPoincareEvaluator(annulus(0.49, 1.01)),
+               evaluator_for(boolean_intersect(*two_disc_pair())[0])):
+        with pytest.raises(GeometryError, match="outside"):
+            ev.value(z)
+        with pytest.raises(GeometryError, match="outside"):
+            ev.curvatures([0.0, z])
 
 
 def test_value_and_values_agree_and_are_positive():
@@ -304,15 +318,14 @@ def _blob_trend():
 
 
 def test_foot_adapted_values_match_the_uniform_2048_pin():
-    # the farthest point is the 512 rung's on both domains; the nearer
-    # two are past its clearance, and the (512, 1024) pair adapted to the
-    # nearest one's foot clears all three, so it settles the whole batch,
-    # nearest first; the uniform pin at 2048 clears every point
+    # the nearest point leads, and the (512, 1024) pair adapted to its
+    # foot clears all three, so it settles the whole batch, in the
+    # batch's order; the uniform pin at 2048 clears every point
     blob, trend = _blob_trend()
     for dom, zs in ((ellipse(), _MARCH), (blob, trend)):
         ev = SzegoEvaluator(dom)
         got = ev.values(zs)
-        assert _pairs(ev) == [(complex(z), "foot") for z in zs[::-1]]
+        assert _pairs(ev) == [(complex(z), "foot") for z in zs]
         assert len({id(ev._settled[z].mesh) for z in zs}) == 1
         want = SzegoEvaluator(dom, n=2048).values(zs)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
@@ -324,9 +337,32 @@ def test_the_cornered_piece_settles_at_its_feet():
     piece = _localization_piece()
     ev = SzegoEvaluator(piece)
     got = ev.values(_MARCH)
-    assert _pairs(ev) == [(z, "foot") for z in _MARCH[::-1]]
+    assert _pairs(ev) == [(z, "foot") for z in _MARCH]
     want = SzegoEvaluator(piece, n=2048).values(_MARCH)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("make, zs, rel", [
+    # -0.3j is far, past the clearance of the mesh adapted to 0.98j's
+    # foot; 0.3, on the 256 rung, shares 0.98j's adapted pair
+    (ellipse, [-0.3j, 0.3, 0.98j], 1e-12),
+    (_localization_piece, [0.65j, 0.9j, 0.98j], 1e-8),
+], ids=["ellipse", "cornered_piece"])
+def test_a_mixed_batch_settles_alike_in_every_order(make, zs, rel):
+    # the nearest point leads whatever the order, so each point settles
+    # on the same pair; only the order of a block's columns moves bits
+    runs = []
+    for order in itertools.permutations(zs):
+        ev = SzegoEvaluator(make())
+        got = dict(zip(order, ev.values(order)))
+        runs.append(([got[z] for z in zs],
+                     [ev._settled[complex(z)].mesh.nodes for z in zs]))
+    want, nodes = runs[0]
+    for got, meshes in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(meshes, nodes))
+        assert np.max(np.abs(np.divide(got, want) - 1.0)) <= 1e-14
+    pin = SzegoEvaluator(make(), n=2048).values(zs)
+    assert np.max(np.abs(want / pin - 1.0)) <= rel
 
 
 @pytest.mark.parametrize("make", [ellipse, _localization_piece],
@@ -362,30 +398,31 @@ def test_the_march_builds_one_adapted_pair_and_no_uniform_solver(
 def test_a_point_the_foot_mesh_cannot_clear_keeps_its_uniform_pair(far, pair):
     # the mesh adapted to 0.98j's foot stretches its nodes on the far
     # side, and both far points sit within 3 local spacings of a node
-    # (their gaps are 0.76 and 0.11 of that); -0.3j is on the 256 rung,
-    # below the foot mesh's 512, but -0.9j is on the 512 rung, so only
-    # the clearance test keeps it off the adapted pair.  Each keeps its
-    # uniform pair's bits
+    # (their gaps are 0.76 and 0.11 of that), so the group 0.98j leads
+    # leaves them pending; each then leads on its uniform rung, 256 for
+    # -0.3j and 512 for -0.9j, and keeps that pair's bits
     zs = [far, 0.95j, 0.98j]
     ev = SzegoEvaluator(ellipse())
     got = ev.values(zs)
-    assert _pairs(ev) == [(far,) + pair, (0.98j, "foot"), (0.95j, "foot")]
+    assert _pairs(ev) == [(0.95j, "foot"), (0.98j, "foot"), (far,) + pair]
     solver = SzegoSolver(mesh_boundary(ellipse(), pair[1]))
     assert got[0] == 2.0 * np.pi * solver.solve(far).diag_value
 
 
-def test_a_batch_splits_at_the_top_rung_clearance():
-    # 0.3, which the 256 rung clears, takes its uniform pair with the
-    # bits that pair gives it; 0.95j and 0.98j, past the 512 rung's
-    # clearance, settle at 0.98j's foot, each with the value it has there
-    # alone (its block's right-hand sides run GMRES one by one)
+def test_a_batch_the_adapted_mesh_clears_settles_on_its_pair():
+    # 0.3, which the 256 rung clears, joins the group 0.98j leads: the
+    # mesh adapted to 0.98j's foot clears it too, so the batch does not
+    # split at the top rung clearance.  Each point has the bits of a lone
+    # solve on the group's finer mesh (its block's right-hand sides run
+    # GMRES one by one), and 0.98j the value it has alone
     zs = [0.3, 0.95j, 0.98j]
     ev = SzegoEvaluator(ellipse())
     got = ev.values(zs)
-    assert _pairs(ev) == [(0.3 + 0j, 256, 512), (0.98j, "foot"),
-                          (0.95j, "foot")]
-    solver = SzegoSolver(mesh_boundary(ellipse(), 512))
-    assert got[0] == 2.0 * np.pi * solver.solve(0.3).diag_value
+    assert _pairs(ev) == [(complex(z), "foot") for z in zs]
+    dom = ellipse()
+    solver = SzegoSolver(mesh_boundary(dom, 1024, dom.foot(0.98j)))
+    assert np.array_equal(
+        got, [2.0 * np.pi * solver.solve(z).diag_value for z in zs])
     assert got[2] == SzegoEvaluator(ellipse()).value(0.98j)
 
 
