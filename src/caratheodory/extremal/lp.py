@@ -25,14 +25,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
-# only perfbench's trace table reaches this name; no certificate solves an LP
-from scipy.optimize import linprog  # noqa: F401
 
 from ..errors import ExtremalError, GeometryError
 from ..geometry.mesh import mesh_boundary
 
 _NODES = 2048  # nodes per curve of the coarser of the two meshes
 _MESH_AGREEMENT = 1e-7  # seen: ~1e-12, and up to 1.6e-8 over C1 joins
+
+
+def __getattr__(name):
+    # only perfbench's trace table reaches linprog, and no certificate
+    # solves an LP: scipy is imported when the name is first looked up
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def choose_poles(domain):

@@ -30,7 +30,6 @@ from collections import namedtuple
 from math import isqrt
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..errors import GeometryError
 
@@ -192,6 +191,25 @@ class _Chart:
         return self.deriv(t, 3)
 
 
+def _has_close_pair(z, tol):
+    """Whether two of the points z lie within tol of each other.
+
+    A sweep over z sorted by real part: pass k compares each point with
+    the one k places on.  Two points within tol differ by at most tol in
+    real part, and so does the first with every point between them, so
+    the passes stop at the first k where no pair does.
+    """
+    z = np.sort_complex(z)
+    for k in range(1, z.size):
+        gap = z[k:] - z[:-k]
+        near = gap.real <= tol
+        if not near.any():
+            return False
+        if (np.abs(gap[near]) <= tol).any():
+            return True
+    return False
+
+
 class TrigCurve(_Chart):
     """Closed curve through complex samples; periodic trig interpolation.
 
@@ -221,8 +239,7 @@ class TrigCurve(_Chart):
         if validate:
             if not np.all(np.isfinite(z)):
                 raise GeometryError("samples must be finite")
-            dmin = self._min_pairwise_gap(z)
-            if dmin <= 1e-12 * scale:
+            if _has_close_pair(z, 1e-12 * scale):
                 raise GeometryError("sample points are not distinct")
         self.samples = z
         self.samples.flags.writeable = False
@@ -244,12 +261,6 @@ class TrigCurve(_Chart):
                 )
             if polyline_self_intersects(self.polyline(max(256, 4 * n))[1]):
                 raise GeometryError("curve is self-intersecting")
-
-    @staticmethod
-    def _min_pairwise_gap(z):
-        pts = np.column_stack([z.real, z.imag])
-        dist, _ = cKDTree(pts).query(pts, k=2)
-        return float(dist[:, 1].min())
 
     # -- series evaluation ------------------------------------------------
 

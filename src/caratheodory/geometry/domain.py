@@ -24,7 +24,6 @@ grid point is asked again when the solver picks its mesh.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ..errors import GeometryError
 
@@ -81,9 +80,77 @@ def _bounded_foot(curve, z, lo, hi):
     def f(t):
         return abs(curve.point(t % 1.0) - z) ** 2
 
-    r = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                        options={"xatol": 1e-12})
-    return float(np.sqrt(max(r.fun, 0.0))), float(r.x % 1.0)
+    t, ft = _minimize_bounded(f, lo, hi)
+    return float(np.sqrt(max(ft, 0.0))), float(t % 1.0)
+
+
+def _minimize_bounded(f, a, b):
+    """(x, f(x)) at a local minimum of f in [a, b], to 1e-12 in x: Brent's
+    bounded golden-section and parabolic search, the operations of scipy's
+    minimize_scalar(method="bounded", options={"xatol": 1e-12}) in its
+    order, so the same bits."""
+    xatol = 1e-12
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = f(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:  # scipy's default maxiter
+            break
+    return xf, fx
 
 
 def _curve_feet(curve, zs):

@@ -11,9 +11,10 @@ Szego solve.
 The Szego evaluator settles a batch nearest point first: the nearest
 point still pending leads a group of every pending point its coarse mesh
 clears, and each mesh of the group's climb solves them as one block,
-values and curvatures alike.  An interior grid so costs one LU per mesh
-and a few triangular solves with many right-hand sides, and a march
-toward the boundary one pair adapted to its nearest point.
+values and curvatures alike.  An interior grid so costs one
+factorization per mesh and a few triangular solves with many right-hand
+sides, and a march toward the boundary one pair adapted to its nearest
+point.
 """
 
 from __future__ import annotations
@@ -110,8 +111,10 @@ class SzegoEvaluator(_EvaluatorBase):
     them all up one rung, the finer solutions becoming the coarser
     ones, and the climb stops at (1024, 2048).
 
-    A batch settles in one loop, nearest point first.  The nearest
-    pending point leads, on the coarse mesh of the first mesh family it
+    A batch settles in one loop, nearest point first, equal distances
+    in the order of their feet (curve, then parameter), so the leads do
+    not depend on the batch's order.  The nearest pending point leads,
+    on the coarse mesh of the first mesh family it
     has not failed on that clears it (CLEARANCE local node spacings, see
     require_clearance): its uniform rung of _LADDER (the first below the
     top whose h_max keeps clearance), the first rung from _FOOT_START up
@@ -122,7 +125,7 @@ class SzegoEvaluator(_EvaluatorBase):
     from the finer solver.  A member failing at the top stays pending
     with that family refused; a lead with no family left raises.
     Uniform meshes and solvers are cached per node count (a solver turns
-    from GMRES to one LU once its mesh has served, or is about to serve,
+    from MINRES to one LU once its mesh has served, or is about to serve,
     enough solves); adapted ones are dropped once their group settles.
 
     The finer-mesh solution that settles a point is kept under the
@@ -189,8 +192,9 @@ class SzegoEvaluator(_EvaluatorBase):
         top = self.n_override or self._LADDER[-1]
         refused = {z: set() for z in new}  # the families z failed on
         errors, kappas = {}, ({} if kappa else None)
-        # nearest first; the sort is stable, so ties keep the input order
-        pending = sorted(new, key=lambda z: feet[z][2])
+        # nearest first, ties broken by the foot (curve, then parameter),
+        # so the order of the batch does not choose the leads
+        pending = sorted(new, key=lambda z: (feet[z][2],) + feet[z][:2])
         while pending:
             lead = pending[0]
             family, n1, mesh = self._lead(lead, feet[lead], refused[lead],

@@ -11,13 +11,15 @@ and I + A is normal, so even the metric diagonal is blind to it); it is
 pinned here by the reproducing property of the computed boundary values
 on non-circular curves.
 
-I + B is normal with its spectrum on Re z = 1, the ideal case for GMRES
-(Kerzman and Trummer iterate this very equation; GMRES is Saad and
-Schultz's).  A mesh that serves a few base points is solved by GMRES;
-one that serves many is LU-factored once, when its GMRES products have
-cost, or are about to cost, as much as the factorization.  A block of
-base points is solved together, its columns past GMRES by one
-triangular solve with many right-hand sides (see SzegoSolver).
+I + B is normal with its spectrum on Re z = 1 (Kerzman and Trummer
+iterate this very equation), and H = iB is hermitian, so a short
+recurrence solves it: MINRES, Lanczos on H with a Givens QR (Paige and
+Saunders).  A mesh that serves a few base points is solved by MINRES;
+one that serves many is LU-factored once, by blocks, when its MINRES
+products have cost, or are about to cost, as much as the factorization.
+A block of base points is solved together, its columns past MINRES by
+one pair of block triangular solves (see SzegoSolver).  Only numpy runs
+here.
 Assembling B, a mesh's other cost, runs its tile pairs on one thread
 per core the process may use, with the broadcast formula's bits (see
 kerzman_stein_matrix).
@@ -37,8 +39,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from ..errors import GeometryError, SolveError
 
@@ -49,15 +49,16 @@ _TWO_PI_I = 2j * np.pi
 # near-singular Cauchy data poisons the quadrature
 CLEARANCE = 3.0
 
-# matrix-vector products one LU factorization costs: its time over a
-# matvec's was 137-192 at 2048-4096 nodes on a 2-core x86 box, where the
-# choice matters (below 2048 nodes either side costs under 0.2 s)
+# matrix-vector products one factorization costs: its time over a
+# product's was 90-350 at 256-2048 nodes, or 75-155 MINRES steps with
+# their vector work (2-core x86 box, numpy's OpenBLAS on both cores);
+# inverting the whole matrix would cost 290-620 products
 LU_MATVECS = 150
-# GMRES runs one cycle of at most this many iterations to the LU's
-# accuracy; a solve that misses it falls through to the factorization
+# MINRES takes at most this many products to reach _RTOL; a solve that
+# misses it falls through to the factorization
 _RESTART = 60
 _RTOL = 1e-14
-# row and column tiles of the in-place assembly
+# row and column tiles of the in-place assembly and of the factorization
 _TILE = 256
 
 
@@ -183,73 +184,134 @@ class SzegoSolver:
     """Kerzman-Stein system (I + B) nu = rhs on one mesh; solves many
     base points.
 
-    Construction only assembles.  Each right-hand side runs GMRES on the
-    matrix and adds its matrix-vector products to matvecs; once they
-    reach LU_MATVECS, the price of one factorization, the matrix is
-    LU-factored in its own buffer, exactly once, and every later
-    right-hand side is an lu_solve.  A GMRES solve that misses its
-    tolerance takes the factored path as well.
+    Construction only assembles B.  Each right-hand side runs MINRES:
+    H = iB is hermitian and I + B = -i(H + iI), so the Lanczos process on
+    H, a three-term recurrence, builds the Krylov basis, and Givens
+    rotations of [I; 0] - iT, T its tridiagonal, minimise the residual
+    (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975).  Its matrix-
+    vector products are added to matvecs.  A column is accepted only once
+    its true residual is under _RTOL of the right-hand side; one that
+    misses, within _RESTART products, takes the factored path.  Once the
+    products reach LU_MATVECS, the price of one factorization, I + B is
+    LU-factored in B's buffer, exactly once, and every later right-hand
+    side is a pair of block triangular solves.
+
+    The factorization is by _TILE x _TILE blocks without pivoting: the
+    hermitian part of I + B is I, and that of every Schur complement is
+    at least I, so each diagonal block is invertible and its inverse,
+    kept for the solves, has norm at most 1.  The blocks are numpy
+    products and inverses of single tiles, two to four times cheaper
+    than inverting the whole matrix at 512-2048 nodes.
 
     solve and kappa also take a block of base points.  Its right-hand
-    sides run GMRES one by one, as contiguous vectors with the bits a
+    sides run MINRES one by one, as contiguous vectors with the bits a
     single solve gives them, until the budget is spent or the ones left,
     priced at the last one's products, would spend it anyway; the rest
-    take one lu_solve with all of them as columns.  For 226 columns that
-    ran 4.6-8.3 times faster than one lu_solve each at 256-1024 nodes
-    (2-core x86 box), within 7.2e-16 relative of them.  The rule counts
-    products, never time, so reruns are identical.
+    take the triangular solves together.  The rule counts products,
+    never time, so reruns are identical.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        a_sys = kerzman_stein_matrix(mesh)
-        np.fill_diagonal(a_sys, a_sys.diagonal() + 1.0)
-        self._a = a_sys
+        self._b = kerzman_stein_matrix(mesh)
         self._lu = None
         self.matvecs = 0
         self._sw = np.sqrt(mesh.weights)
 
     def _matvec(self, x):
+        """B x, counted."""
         self.matvecs += 1
-        return self._a @ x
+        return self._b @ x
 
     def _factor(self):
         if self._lu is None:
-            # the transpose is an F-ordered view that lu_factor overwrites
-            # in place; the C-ordered matrix it would copy first
-            try:
-                self._lu = lu_factor(self._a.T, overwrite_a=True)
-            except ValueError as exc:  # non-finite entries
-                raise SolveError(
-                    "boundary system factorization failed: %s" % exc)
-            self._a = None
+            a = self._b
+            if not np.all(np.isfinite(a)):
+                raise SolveError("boundary system has non-finite entries")
+            self._b = None
+            np.fill_diagonal(a, a.diagonal() + 1.0)
+            # a becomes L - I + U with unit block-lower L; the inverses of
+            # U's diagonal blocks are kept aside
+            pivots = []
+            for k0 in range(0, a.shape[0], _TILE):
+                k1 = k0 + _TILE
+                pivots.append(np.linalg.inv(a[k0:k1, k0:k1]))
+                a[k1:, k0:k1] = a[k1:, k0:k1] @ pivots[-1]
+                a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
+            self._lu = a, pivots
 
-    def _solve(self, rhs):
-        """(I + B)^-1 rhs: GMRES within the budget, LU past it."""
-        if self._lu is None and self.matvecs < LU_MATVECS:
-            op = LinearOperator(self._a.shape, matvec=self._matvec,
-                                dtype=complex)
-            x, info = gmres(op, rhs, rtol=_RTOL, atol=0.0, restart=_RESTART,
-                            maxiter=1)
-            if info == 0:
-                return x
-        self._factor()
-        return lu_solve(self._lu, rhs, trans=1)
+    def _lu_solve(self, rhs):
+        """(I + B)^-1 of each row of rhs, as rows, from the factors."""
+        a, pivots = self._lu
+        y = rhs.T.copy()
+        for k0 in range(_TILE, a.shape[0], _TILE):
+            y[k0:k0 + _TILE] -= a[k0:k0 + _TILE, :k0] @ y[:k0]
+        for j in reversed(range(len(pivots))):
+            k0, k1 = j * _TILE, (j + 1) * _TILE
+            y[k0:k1] -= a[k0:k1, k1:] @ y[k1:]
+            y[k0:k1] = pivots[j] @ y[k0:k1]
+        return y.T
+
+    def _minres(self, rhs):
+        """(I + B)^-1 rhs by MINRES (see the class docstring), or None when
+        it misses _RTOL."""
+        beta0 = float(np.linalg.norm(rhs))
+        if not 0.0 < beta0 < np.inf:
+            return None
+        x = np.zeros_like(rhs)
+        v_old, v = x, rhs / beta0  # the last two Lanczos vectors
+        w_old = w = x  # the last two search directions
+        beta = 0.0  # T's entry between v_old and v
+        c_old = c = 1.0  # the last two rotations (c, s), as of this column
+        s_old = s = 0.0
+        g = beta0  # the rotated right-hand side's entry in this row
+        for _ in range(_RESTART):
+            p = self._matvec(v)
+            p *= 1j  # H v
+            p -= beta * v_old
+            alpha = np.vdot(v, p).real
+            p -= alpha * v
+            beta_next = float(np.linalg.norm(p))
+            if not beta_next < np.inf:  # a non-finite product
+                return None
+            # this column of [I; 0] - iT is -i beta, 1 - i alpha, -i
+            # beta_next; the two earlier rotations act on its top
+            top = -1j * beta
+            r2, r1 = s_old.conjugate() * top, c_old * top
+            diag = complex(1.0, -alpha)
+            r1, r0 = (c.conjugate() * r1 + s.conjugate() * diag,
+                      c * diag - s * r1)
+            r = np.hypot(abs(r0), beta_next)
+            c_old, s_old = c, s
+            c, s = r0 / r, -1j * beta_next / r
+            w_old, w = w, (v - r2 * w_old - r1 * w) / r
+            x = x + c.conjugate() * g * w
+            g = -s * g
+            if abs(g) <= _RTOL * beta0:
+                break
+            v_old, v, beta = v, p / beta_next, beta_next
+        else:
+            return None
+        res = rhs - x - self._matvec(x)
+        return x if np.linalg.norm(res) <= _RTOL * beta0 else None
 
     def _solve_rows(self, rhs):
         """(I + B)^-1 of each row of rhs, as rows (see the class
-        docstring for which rows GMRES serves)."""
+        docstring for which rows MINRES serves)."""
         out = np.empty_like(rhs)
         i, k = 0, rhs.shape[0]
-        while i < k and self._lu is None:
+        while i < k and self._lu is None and self.matvecs < LU_MATVECS:
             before = self.matvecs
-            out[i] = self._solve(rhs[i].copy())
+            x = self._minres(rhs[i])
+            if x is None:
+                break
+            out[i] = x
             i += 1
             if self.matvecs + (self.matvecs - before) * (k - i) >= LU_MATVECS:
                 break
         if i < k:
             self._factor()
-            out[i:] = lu_solve(self._lu, rhs[i:].T, trans=1).T
+            out[i:] = self._lu_solve(rhs[i:])
         return out
 
     def _rhs(self, pts, power):

@@ -16,6 +16,7 @@ from caratheodory.geometry import (
 from caratheodory.geometry.curves import (
     _PAIR_BLOCK,
     TrigCurve,
+    _has_close_pair,
     crossing_pairs,
     polyline_self_intersects,
 )
@@ -100,6 +101,35 @@ def test_duplicate_samples_are_rejected_past_2048_samples():
     fig8 = np.sin(2 * np.pi * t) + 1j * np.sin(4 * np.pi * t)
     with pytest.raises(GeometryError, match="not distinct"):
         curve_from_samples(fig8)
+
+
+def _close_pair_brute_force(z, tol):
+    gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return bool(np.any(gaps <= tol))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_sample_gap_sweep_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 200))
+    # coarse lattices give ties in real part and exact repeats
+    z = (rng.integers(0, 12, n) + 1j * rng.integers(0, 12, n)) / 4.0
+    if seed % 2:
+        z = z + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for tol in (0.0, 1e-12, 0.01, 0.3, 1.0):
+        assert _has_close_pair(z, tol) == _close_pair_brute_force(z, tol)
+
+
+@pytest.mark.parametrize("gap, close", [(0.5e-12, True), (2e-12, False)])
+def test_a_sample_pair_is_close_only_within_1e_12_of_scale(gap, close):
+    z = _circle_samples()
+    scale = np.max(np.abs(z - z.mean()))
+    for k, angle in ((10, 0.3), (200, 2.0)):
+        moved = z.copy()
+        moved[k + 1] = moved[k] + gap * scale * np.exp(1j * angle)
+        assert _has_close_pair(moved, 1e-12 * scale) is close
+        assert _close_pair_brute_force(moved, 1e-12 * scale) is close
 
 
 def test_too_few_samples_are_rejected():

@@ -88,20 +88,21 @@ def test_a_pin_the_mesh_ladder_cannot_pair_is_refused():
 
 
 def _count_work(monkeypatch):
-    """Node counts of the meshes built and of the systems solved."""
+    """Node counts of the meshes built and of the systems solved, one
+    entry per right-hand side."""
     built, solved = [], []
-    real_mesh, real_solve = evaluators.mesh_boundary, SzegoSolver._solve
+    real_mesh, real_solve = evaluators.mesh_boundary, SzegoSolver._solve_rows
 
     def meshing(domain, n, foot=None):
         built.append(n)
         return real_mesh(domain, n, foot)
 
     def solving(self, rhs):
-        solved.append(self.mesh.size)
+        solved.extend([self.mesh.size] * len(rhs))
         return real_solve(self, rhs)
 
     monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
-    monkeypatch.setattr(SzegoSolver, "_solve", solving)
+    monkeypatch.setattr(SzegoSolver, "_solve_rows", solving)
     return built, solved
 
 
@@ -363,6 +364,18 @@ def test_a_mixed_batch_settles_alike_in_every_order(make, zs, rel):
         assert np.max(np.abs(np.divide(got, want) - 1.0)) <= 1e-14
     pin = SzegoEvaluator(make(), n=2048).values(zs)
     assert np.max(np.abs(want / pin - 1.0)) <= rel
+
+
+def test_equidistant_leads_settle_alike_in_either_order():
+    # 0.52j and 0.98j are both 0.02000000000000024 from the piece's
+    # boundary; the tie is broken by their feet, not by the batch's order,
+    # so 0.75j and 0.9j join the same lead's adapted pair either way
+    piece = _localization_piece()
+    assert piece.foot(0.52j)[2] == piece.foot(0.98j)[2]
+    zs = [0.52j, 0.75j, 0.9j, 0.98j]
+    want = SzegoEvaluator(_localization_piece()).values(zs)
+    got = SzegoEvaluator(_localization_piece()).values(zs[-1:] + zs[:-1])
+    assert np.array_equal(np.roll(got, -1), want)
 
 
 @pytest.mark.parametrize("make", [ellipse, _localization_piece],

@@ -6,10 +6,11 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from caratheodory.errors import GeometryError
-from caratheodory.geometry import boolean_intersect, grid_sample
+from caratheodory.geometry import boolean_intersect, boolean_union, grid_sample
 from caratheodory.geometry import domain as domain_module
 from caratheodory.harness import (
     annulus,
+    blob_disc_pair,
     disc,
     ellipse,
     fourier_blob,
@@ -99,6 +100,42 @@ def test_a_foot_at_a_corner_takes_the_bounded_fallback(monkeypatch):
     assert d[0] == pytest.approx(1e-3, rel=1e-4)
     assert t[0] == pytest.approx(corner, abs=1e-6)
     assert d[1] < 1e-3 and abs(t[1] - corner) > 1e-5
+
+
+@pytest.mark.parametrize("make", [
+    _localization_piece,
+    lambda: boolean_intersect(*blob_disc_pair())[0],
+    lambda: boolean_union(*blob_disc_pair()),
+], ids=["cornered piece", "blob-disc intersection", "blob-disc union"])
+def test_the_bounded_polish_has_the_bits_of_scipy(monkeypatch, make):
+    # the ported Brent search repeats scipy's operations, so each foot it
+    # polishes near a corner keeps the bits minimize_scalar gave
+    polished = []
+    real = domain_module._bounded_foot
+
+    def spying(curve, z, lo, hi):
+        polished.append((curve, z, lo, hi))
+        return real(curve, z, lo, hi)
+
+    monkeypatch.setattr(domain_module, "_bounded_foot", spying)
+    dom = make()
+    zs = []
+    for curve in dom.curves:
+        for corner in curve.corner_params:
+            p = curve.point(corner)
+            for r in (1e-3, 0.01, 0.05):
+                zs.extend(p + r * np.exp(2j * np.pi * np.arange(12) / 12))
+    inside = [z for z in zs if dom.contains(z)]
+    dom.feet(inside)
+    assert len(polished) >= 3
+    for curve, z, lo, hi in polished:
+        def f(t):
+            return abs(curve.point(t % 1.0) - z) ** 2
+
+        want = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                               options={"xatol": 1e-12})
+        got = domain_module._minimize_bounded(f, lo, hi)
+        assert got == (want.x, want.fun)
 
 
 def test_feet_refuse_a_point_outside():

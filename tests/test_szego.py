@@ -52,7 +52,7 @@ def _localization_piece():
 
 
 def _spent(mesh, a):
-    """A solver that has spent its GMRES budget solving at a; its next
+    """A solver that has spent its MINRES budget solving at a; its next
     solve factors."""
     solver = SzegoSolver(mesh)
     while solver.matvecs < LU_MATVECS:
@@ -63,13 +63,14 @@ def _spent(mesh, a):
 def _count_factorizations(monkeypatch):
     """Node counts of the systems LU-factored from now on."""
     sizes = []
-    real = szego.lu_factor
+    real = SzegoSolver._factor
 
-    def counting(a, **kwargs):
-        sizes.append(a.shape[0])
-        return real(a, **kwargs)
+    def counting(self):
+        if self._lu is None:
+            sizes.append(self.mesh.size)
+        return real(self)
 
-    monkeypatch.setattr(szego, "lu_factor", counting)
+    monkeypatch.setattr(SzegoSolver, "_factor", counting)
     return sizes
 
 
@@ -297,18 +298,18 @@ def test_assembly_bits_do_not_depend_on_the_worker_count(monkeypatch, cpus):
     [(_localization_piece(), (0.9j, 0.95j, 0.2 + 0.8j)),
      (annulus(), (0.6, 0.75j, -0.8 + 0.1j))],
     ids=["cornered", "annulus"])
-def test_gmres_and_lu_paths_agree(dom, pts):
+def test_minres_and_lu_paths_agree(dom, pts):
     mesh = mesh_boundary(dom, 512)
     spent = _spent(mesh, pts[0])
     for a in pts:
         fresh = SzegoSolver(mesh)
         sol = fresh.solve(a)
         v, k = sol.diag_value, fresh.kappa(sol)
-        assert fresh.matvecs < LU_MATVECS  # never left GMRES
+        assert fresh.matvecs < LU_MATVECS  # never left MINRES
         before = spent.matvecs
         sol_lu = spent.solve(a)
         v_lu, k_lu = sol_lu.diag_value, spent.kappa(sol_lu)
-        assert spent.matvecs == before  # no GMRES past the budget
+        assert spent.matvecs == before  # no MINRES past the budget
         assert abs(v - v_lu) <= 1e-13 * v_lu
         assert abs(k - k_lu) <= 1e-12 * abs(k_lu)
 
@@ -322,12 +323,36 @@ def test_a_spent_solver_factors_exactly_once(monkeypatch):
     assert sizes == [256]
 
 
-def test_a_gmres_miss_falls_through_to_lu(monkeypatch):
+def test_a_minres_miss_falls_through_to_lu(monkeypatch):
+    # the cornered piece needs about 20 products; two miss the tolerance
     mesh = mesh_boundary(_localization_piece(), 256)
     want = _spent(mesh, 0.9j).solve(0.9j).diag_value
-    monkeypatch.setattr(szego, "gmres",
-                        lambda op, rhs, **kwargs: (np.zeros_like(rhs), 1))
-    assert SzegoSolver(mesh).solve(0.9j).diag_value == want
+    monkeypatch.setattr(szego, "_RESTART", 2)
+    solver = SzegoSolver(mesh)
+    assert solver.solve(0.9j).diag_value == want
+    assert solver.matvecs == 2 and solver._lu is not None
+
+
+def test_the_block_lu_matches_a_dense_solve_on_partial_tiles():
+    # two-curve and cornered systems whose blocks end in a partial tile;
+    # no pivoting is needed (see SzegoSolver)
+    rng = np.random.default_rng(0)
+    for mesh in _off_tile_meshes():
+        solver = SzegoSolver(mesh)
+        a_sys = solver._b + np.eye(mesh.size)
+        rhs = rng.standard_normal((3, mesh.size, 2)) @ np.array([1.0, 1j])
+        solver._factor()
+        want = np.linalg.solve(a_sys, rhs.T).T
+        got = solver._lu_solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_a_nan_in_the_system_raises_on_the_lu_path():
+    solver = SzegoSolver(mesh_boundary(ellipse(), 256))
+    solver._b[3, 5] = np.nan
+    with pytest.raises(SolveError, match="non-finite"):
+        solver.solve(0.3)
+    assert solver._lu is None
 
 
 def test_curvature_solves_once_past_the_values(monkeypatch):
@@ -335,13 +360,13 @@ def test_curvature_solves_once_past_the_values(monkeypatch):
     # n2; kappa reuses the settled n2 solution, and later values solve
     # nothing
     solved = []
-    real = SzegoSolver._solve
+    real = SzegoSolver._solve_rows
 
     def counting(self, rhs):
-        solved.append(self.mesh.size)
+        solved.extend([self.mesh.size] * len(rhs))
         return real(self, rhs)
 
-    monkeypatch.setattr(SzegoSolver, "_solve", counting)
+    monkeypatch.setattr(SzegoSolver, "_solve_rows", counting)
     pts = [0.1, 0.2j, -0.3 + 0.1j]
     ev = SzegoEvaluator(fourier_blob())
     kappas = ev.curvatures(pts)
@@ -357,7 +382,7 @@ def test_curvature_solves_once_past_the_values(monkeypatch):
 
 
 def test_few_point_meshes_never_factor(monkeypatch):
-    # three points on each of four meshes: GMRES alone serves them
+    # three points on each of four meshes: MINRES alone serves them
     sizes = _count_factorizations(monkeypatch)
     localization_experiment(ellipse(), 0.25, 0.5, [0.1, 0.05, 0.02])
     assert sizes == []
@@ -365,25 +390,17 @@ def test_few_point_meshes_never_factor(monkeypatch):
 
 def test_the_suita_grid_meshes_factor_once_each(monkeypatch):
     # the grid batch settles on its (256, 512) pair; the trend points'
-    # finer meshes serve a few solves each and stay on GMRES
+    # finer meshes serve a few solves each and stay on MINRES
     sizes = _count_factorizations(monkeypatch)
-    # GMRES runs per solver; a grid mesh prices its block after the first
-    runs, solving = {}, []
-    real_solve, real_gmres = SzegoSolver._solve, szego.gmres
+    # MINRES runs per solver; a grid mesh prices its block after the first
+    runs = {}
+    real = SzegoSolver._minres
 
-    def tracking(self, rhs):
-        solving.append(self)
-        try:
-            return real_solve(self, rhs)
-        finally:
-            solving.pop()
+    def counting(self, rhs):
+        runs[self] = runs.get(self, 0) + 1
+        return real(self, rhs)
 
-    def counting(op, rhs, **kwargs):
-        runs[solving[-1]] = runs.get(solving[-1], 0) + 1
-        return real_gmres(op, rhs, **kwargs)
-
-    monkeypatch.setattr(SzegoSolver, "_solve", tracking)
-    monkeypatch.setattr(szego, "gmres", counting)
+    monkeypatch.setattr(SzegoSolver, "_minres", counting)
     verify_suita(fourier_blob(), 0.15, spacing=0.1)
     assert sorted(sizes) == [256, 512]
     factored = [solver for solver in runs if solver._lu is not None]
@@ -392,7 +409,7 @@ def test_the_suita_grid_meshes_factor_once_each(monkeypatch):
 
 
 def test_a_grid_block_matches_point_by_point_solves():
-    # one block per mesh, past GMRES one lu_solve for its columns,
+    # one block per mesh, past MINRES one pair of triangular solves,
     # against each point settled and differentiated on its own
     blob = fourier_blob()
     grid = grid_sample(blob, 0.15, 0.1)
@@ -406,7 +423,7 @@ def test_a_grid_block_matches_point_by_point_solves():
     assert np.max(np.abs(kappas + 4.0)) <= 1e-12
 
 
-def test_a_block_of_three_on_a_fresh_solver_keeps_the_gmres_bits():
+def test_a_block_of_three_on_a_fresh_solver_keeps_the_minres_bits():
     mesh = mesh_boundary(fourier_blob(), 256)
     pts = [0.1, 0.2j, -0.3 + 0.1j]
     block = SzegoSolver(mesh)
