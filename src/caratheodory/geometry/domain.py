@@ -5,20 +5,21 @@ it is inside the outer curve and outside every hole.  Containment uses the
 winding number of a fine cached polyline; a point within one node spacing
 of a polyline, where the polyline may pass on either side of the curve,
 is on the boundary when its distance to the curve is under 1e-7.
-``Domain.feet`` is the
-package's one boundary-distance code, and ``foot`` asks it for one point.
-For a batch of points it seeds each curve's nearest point at the nearest
-node of that polyline, then runs Newton's method on the stationarity
-condition Re(conj(gamma(t) - z) gamma'(t)) = 0 for all of them at once,
-inside the bracket of the seed's two neighbour nodes.  A point whose
-iterate leaves its bracket or does not converge, as at a corner, is
-polished by a bounded scalar minimization instead.  Each point's
-iterates depend on that point alone, so a foot has the same bits in any
-batch.  ``dist_to_boundary`` reads the distance for clearance guards,
-grids take theirs from one ``feet`` call, and the solver meshes
-near-boundary points at the foot.  Each domain remembers the feet it has
-computed, those of the interior points that containment measured too: a
-grid point is asked again when the solver picks its mesh.
+
+``Domain.feet`` is the package's one boundary-distance code, and ``foot``
+asks it for one point.  For a batch of points it seeds each curve's
+nearest point at the nearest node of that polyline, then runs Newton's
+method on the stationarity condition Re(conj(gamma(t) - z) gamma'(t)) = 0
+for all of them at once, inside the bracket of the seed's two neighbour
+nodes.  The points whose iterate leaves its bracket or does not converge,
+as at a corner, are bisected together instead, for the sign change of
+that condition in their brackets; a foot at a corner lands on it to
+rounding.  Each point's iterates depend on that point alone, so a foot
+has the same bits in any batch.  ``dist_to_boundary`` reads the distance
+for clearance guards, grids take theirs from one ``feet`` call, and the
+solver meshes near-boundary points at the foot.  Each domain remembers
+the feet it has computed, those of the interior points that containment
+measured too: a grid point is asked again when the solver picks its mesh.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ _POLY_M = 2048  # nodes per curve for winding tests and distance seeds
 # from the seed's 1/4096 the quadratic rate needs about three
 _NEWTON_STEPS = 20
 _NEWTON_TOL = 1e-8
+# halvings that take a bracket of two node spacings, about 2^-10, to
+# 2^-54, under the spacing of doubles in [0.5, 2)
+_BISECTIONS = 44
 _WINDING_TERMS = 2**16  # point-node pairs per block of _winding_many
 _ON_CURVE = 1e-7  # a point nearer a curve than this is on the boundary
 
@@ -73,89 +77,24 @@ def _winding_many(poly, z):
     return wind.reshape(z.shape), near.reshape(z.shape)
 
 
-def _bounded_foot(curve, z, lo, hi):
-    """Distance from z to the curve and the parameter of the nearest
-    point in [lo, hi], polished to ~1e-10 relative."""
-
-    def f(t):
-        return abs(curve.point(t % 1.0) - z) ** 2
-
-    t, ft = _minimize_bounded(f, lo, hi)
-    return float(np.sqrt(max(ft, 0.0))), float(t % 1.0)
-
-
-def _minimize_bounded(f, a, b):
-    """(x, f(x)) at a local minimum of f in [a, b], to 1e-12 in x: Brent's
-    bounded golden-section and parabolic search, the operations of scipy's
-    minimize_scalar(method="bounded", options={"xatol": 1e-12}) in its
-    order, so the same bits."""
-    xatol = 1e-12
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = x = fulc
-    rat = e = 0.0
-    fx = f(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:  # scipy's default maxiter
-            break
-    return xf, fx
+def _bisect_feet(curve, zs, lo, hi):
+    """Arrays (d, t) at a local minimum of the distance from each point of
+    zs to the curve in its bracket [lo, hi]: bisection for the sign change
+    of the stationarity condition from - to +, which finds a kink too."""
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        p, v = curve.jet(mid % 1.0, 1)
+        up = np.real(np.conj(p - zs) * v) > 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    t = 0.5 * (lo + hi)
+    return np.abs(curve.point(t % 1.0) - zs), t
 
 
 def _curve_feet(curve, zs):
     """Arrays (d, t): the distance from each point of zs to the curve and
-    the parameter of the nearest point (see the module docstring)."""
+    the parameter of the nearest point.  Newton runs on the whole batch
+    from the nearest node of the polyline; what it misses is bisected as
+    one batch in the same brackets."""
     params, pts = curve.polyline(_POLY_M)
     m = params.size
     j = np.empty(zs.size, dtype=int)
@@ -188,11 +127,13 @@ def _curve_feet(curve, zs):
         # Taylor sum moves r there without another evaluation
         h = dt[done]
         d[active[done]] = np.abs(r[done] - h * v[done] + 0.5 * h * h * a[done])
-        missed.extend(active[~ok])
+        missed.append(active[~ok])
         t[active[ok]] = t_new[ok]
         active = active[ok & ~done]
-    for i in sorted(missed + list(active)):
-        d[i], t[i] = _bounded_foot(curve, zs[i], lo[i], hi[i])
+    missed = np.concatenate(missed + [active])
+    if missed.size:
+        d[missed], t[missed] = _bisect_feet(curve, zs[missed], lo[missed],
+                                            hi[missed])
     return d, t % 1.0
 
 

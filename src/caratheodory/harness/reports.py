@@ -108,7 +108,7 @@ def verify_suita(domain, delta=0.15, tol=1e-3, spacing=None):
     KAPPA_NOISE.  Pass/fail is decided by the grid scan alone.
     """
     for c in domain.curves:
-        if getattr(c, "corner_params", ()):
+        if c.corner_params:
             raise GeometryError("curvature scan needs a smooth domain")
     if spacing is None:
         spacing = delta
@@ -150,7 +150,7 @@ def verify_solynin_two_discs(disc1, disc2, delta=0.05, spacing=0.06):
     if not comps:
         raise GeometryError("discs do not overlap")
     parts, rows, _, _ = _product_sweep(disc1, disc2, comps, delta, spacing,
-                                       "auto", kappa=False)
+                                       "auto")
     if not parts:
         raise GeometryError("no grid points survive inside the intersection")
     grid = np.concatenate([pts for _, pts, _ in parts])
@@ -203,44 +203,39 @@ def _kappa_or_nan(ev, pts):
     return out
 
 
-def _product_sweep(D1, D2, comps, delta, spacing, method, kappa=True):
+def _product_sweep(D1, D2, comps, delta, spacing, method):
     """The ratio c_int * c_uni / (c_1 * c_2) over each component's grid.
 
     Every value and curvature comes from evaluator_for(domain, method).
     Returns (parts, rows, C_hat, dropped): parts holds (k, points,
     ratios) for each component k with a surviving point, rows the CSV
     rows in that order, and C_hat the sup of -(kappa_1 + kappa_2) over
-    the surviving points, or nan when kappa=False skips the curvatures.
-    A point where any evaluation fails is dropped with a warning and
-    counted.
+    the surviving points.  A point where any evaluation fails is dropped
+    with a warning and counted.
     """
     ev1 = evaluator_for(D1, method)
     ev2 = evaluator_for(D2, method)
     ev_uni = evaluator_for(boolean_union(D1, D2), method)
 
-    C_hat = 0.0 if kappa else np.nan
+    C_hat = 0.0
     parts, rows = [], []
     dropped = 0
     for k, comp in enumerate(comps):
         pts = grid_sample(comp, delta, spacing)
         c_int = _values_or_nan(evaluator_for(comp, method), pts)
         c_uni = _values_or_nan(ev_uni, pts)
-        if kappa:
-            # curvatures first, as in scan_curvature: a point settled at
-            # its foot takes kappa from the solver that settled it
-            k_1 = _kappa_or_nan(ev1, pts)
-            k_2 = _kappa_or_nan(ev2, pts)
+        # curvatures first, as in scan_curvature: a point settled at its
+        # foot takes kappa from the solver that settled it
+        k_1 = _kappa_or_nan(ev1, pts)
+        k_2 = _kappa_or_nan(ev2, pts)
         c_1 = _values_or_nan(ev1, pts)
         c_2 = _values_or_nan(ev2, pts)
         ok = np.isfinite(c_int) & np.isfinite(c_uni) & np.isfinite(c_1)
-        ok &= np.isfinite(c_2)
-        if kappa:
-            ok &= np.isfinite(k_1) & np.isfinite(k_2)
+        ok &= np.isfinite(c_2) & np.isfinite(k_1) & np.isfinite(k_2)
         dropped += int(np.count_nonzero(~ok))
         if not np.any(ok):
             continue
-        if kappa:
-            C_hat = max(C_hat, float(np.max(-(k_1[ok] + k_2[ok]))))
+        C_hat = max(C_hat, float(np.max(-(k_1[ok] + k_2[ok]))))
         rat = c_int[ok] * c_uni[ok] / (c_1[ok] * c_2[ok])
         for z, a, b, u, v, r in zip(
                 pts[ok], c_int[ok], c_uni[ok], c_1[ok], c_2[ok], rat):
@@ -342,7 +337,7 @@ def localization_experiment(domain, boundary_param, neighborhood_radius,
     t %= 1.0
     curve = domain.outer
     if any(abs(t - tc) < 1e-9 or abs(t - tc) > 1.0 - 1e-9
-           for tc in getattr(curve, "corner_params", ())):
+           for tc in curve.corner_params):
         raise GeometryError("boundary point %g sits on a corner" % t)
     ds = _decreasing("distances", distances)
     if max(ds) >= radius:

@@ -6,6 +6,10 @@ of height h is pi/(2h sin(pi y / h)).  These serve both as oracles for
 the kernel solver and as the Poincare metric for the domain families
 where a covering map is available in closed form (discs, annuli, and
 the two-disc lens/union family via a Mobius-plus-power-map pullback).
+On the simply connected ones the Poincare density is c_D; on an annulus
+it is not (c_D there is the series that
+tests/curvature_reference.py::annulus_series sums), so c_D of an annulus
+comes from the Szego solve.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ def poincare_annulus(r_inner, z):
     pi/(2h sin(pi x / h)) back through |dw/dz| = 1/|z| gives
 
         lambda(z) = pi / (2 h |z| sin(pi log(1/|z|) / h)).
+
+    This is not c_D, which on q < |z| < 1 is the smaller series
+    sum_n |z|^(2n) / (1 + q^(2n+1)) (see the module docstring).
     """
     if not (0.0 < r_inner < 1.0):
         raise GeometryError("inner radius must be in (0,1), got %s" % r_inner)
@@ -52,7 +59,8 @@ def poincare_annulus(r_inner, z):
 
 
 def annulus_metric(center, r_inner, r_outer, z):
-    """Poincare density of center + {r_inner < |w| < r_outer} (rescaled)."""
+    """Poincare density of center + {r_inner < |w| < r_outer} (rescaled);
+    not c_D, as poincare_annulus says."""
     zz = (np.asarray(z, dtype=complex) - center) / r_outer
     return poincare_annulus(r_inner / r_outer, zz) / r_outer
 

@@ -66,6 +66,10 @@ class ClosedFormDiscEvaluator(_ClosedFormEvaluator):
 
 
 class AnnulusPoincareEvaluator(_ClosedFormEvaluator):
+    """Poincare density of an annulus-tagged domain, which is not its c_D
+    (see closed_forms.poincare_annulus); auto routing sends annuli to the
+    Szego solve."""
+
     kind = "closed_form_annulus_poincare"
 
     def __init__(self, domain):

@@ -37,7 +37,9 @@ def test_auto_routing_picks_the_right_backend():
     assert evaluator_for(lens).kind == "closed_form_sector_pullback"
     uni = boolean_union(*two_disc_pair("symmetric"))
     assert evaluator_for(uni).kind == "closed_form_sector_pullback"
-    # a plain annulus has no closed Caratheodory form, so it goes to the solver
+    # an annulus's one closed form in the package is its Poincare density,
+    # which is not c_D (c_D is the series in curvature_reference), so it
+    # goes to the solver
     assert evaluator_for(annulus()).kind == "szego"
     assert evaluator_for(fourier_blob()).kind == "szego"
     # piecewise boundaries with no closed form (offsets, booleans of

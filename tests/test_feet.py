@@ -1,12 +1,20 @@
 """Boundary feet: Newton's batch against single points and a bounded
-polish, and the fallback at corners."""
+polish, and the bisection at corners."""
+
+import functools
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from caratheodory.errors import GeometryError
-from caratheodory.geometry import boolean_intersect, boolean_union, grid_sample
+from caratheodory.geometry import (
+    Domain,
+    boolean_intersect,
+    boolean_union,
+    grid_sample,
+    mesh_boundary,
+)
 from caratheodory.geometry import domain as domain_module
 from caratheodory.harness import (
     annulus,
@@ -21,6 +29,38 @@ from caratheodory.harness import (
 def _localization_piece():
     dom = ellipse()
     return boolean_intersect(disc(dom.outer.point(0.25), 0.5), dom)[0]
+
+
+@functools.cache
+def _blob_disc_union():
+    return boolean_union(*blob_disc_pair())
+
+
+def _fresh_union():
+    # a new domain on the union's curves: it remembers no feet
+    uni = _blob_disc_union()
+    return Domain(uni.outer, uni.holes)
+
+
+def _reflex_corner_points(dom, corner):
+    """Interior points at r = 0.02, 0.05 and 0.1 along the bisector of a
+    reflex corner of dom's outer curve, and those r.  Their nearest
+    boundary point is the corner itself."""
+    curve = dom.outer
+    v_in, v_out = curve.velocity(corner - 1e-9), curve.velocity(corner + 1e-9)
+    inward = 1j * (v_in / abs(v_in) + v_out / abs(v_out))
+    inward /= abs(inward)
+    r = np.array([0.02, 0.05, 0.1])
+    zs = curve.point(corner) + r * inward
+    assert dom.contains_many(zs).all()
+    return zs, r
+
+
+def _near_the_union_corners(dom):
+    """The bisector points of each corner of the blob-disc union, whose
+    feet are bisected, and a coarse grid, whose feet Newton finds."""
+    zs = [_reflex_corner_points(dom, c)[0] for c in dom.outer.corner_params]
+    return np.concatenate(zs + [grid_sample(dom, 0.0, 0.2)[::7]])
 
 
 def _polished(curve, z):
@@ -39,13 +79,16 @@ def _polished(curve, z):
     return float(np.sqrt(r.fun))
 
 
-@pytest.mark.parametrize("make, delta", [
-    (fourier_blob, 0.15), (_localization_piece, 0.0), (annulus, 0.02),
-], ids=["blob", "cornered piece", "annulus"])
-def test_a_batch_foot_has_the_bits_of_a_lone_one(make, delta):
-    # each point's Newton iterates sum its own series terms only, so the
-    # batch it rides in never moves its last bit
-    zs = grid_sample(make(), delta, 0.05)[::7]
+@pytest.mark.parametrize("make, points", [
+    (fourier_blob, lambda dom: grid_sample(dom, 0.15, 0.05)[::7]),
+    (_localization_piece, lambda dom: grid_sample(dom, 0.0, 0.05)[::7]),
+    (annulus, lambda dom: grid_sample(dom, 0.02, 0.05)[::7]),
+    (_fresh_union, _near_the_union_corners),
+], ids=["blob", "cornered piece", "annulus", "union corners"])
+def test_a_batch_foot_has_the_bits_of_a_lone_one(make, points):
+    # each point's Newton and bisection iterates sum its own series terms
+    # only, so the batch it rides in never moves its last bit
+    zs = points(make())
     batch = make().feet(zs)
     assert len(batch) > 10
     for z, foot in zip(zs, batch):
@@ -78,13 +121,13 @@ def test_grid_sample_refuses_a_clearance_or_spacing_that_is_not_finite(
 
 def test_a_foot_at_a_corner_takes_the_bounded_fallback(monkeypatch):
     polished = []
-    real = domain_module._bounded_foot
+    real = domain_module._bisect_feet
 
-    def spying(curve, z, lo, hi):
-        polished.append(z)
-        return real(curve, z, lo, hi)
+    def spying(curve, zs, lo, hi):
+        polished.extend(zs)
+        return real(curve, zs, lo, hi)
 
-    monkeypatch.setattr(domain_module, "_bounded_foot", spying)
+    monkeypatch.setattr(domain_module, "_bisect_feet", spying)
     curve = _localization_piece().outer
     corner = curve.corner_params[1]
     p = curve.point(corner)
@@ -96,28 +139,45 @@ def test_a_foot_at_a_corner_takes_the_bounded_fallback(monkeypatch):
     zs = np.array([p + 1e-3 * outward, p - 1e-3 * outward])
     d, t = domain_module._curve_feet(curve, zs)
     assert polished == [zs[0]]
-    # the polish's own accuracy at a kink, as before Newton took over
+    # loose bounds, which any bounded search meets at a kink
     assert d[0] == pytest.approx(1e-3, rel=1e-4)
     assert t[0] == pytest.approx(corner, abs=1e-6)
     assert d[1] < 1e-3 and abs(t[1] - corner) > 1e-5
 
 
+@pytest.mark.parametrize("i", [0, 1])
+def test_a_foot_at_a_reflex_corner_lands_on_the_corner(i):
+    # a foot even 1e-9 off the corner misses the mesh's corner merge, and
+    # the adapted mesh gets a spurious run of nodes beside the corner
+    uni = _fresh_union()
+    corner = uni.outer.corner_params[i]
+    zs, rs = _reflex_corner_points(uni, corner)
+    for (k, t, d), r in zip(uni.feet(zs), rs):
+        assert k == 0
+        assert abs(d / r - 1.0) <= 1e-12
+        assert abs((t - corner + 0.5) % 1.0 - 0.5) <= 1e-12
+        foot = (k, t, d)
+        assert mesh_boundary(uni, 512, foot).size == mesh_boundary(uni, 512).size
+
+
 @pytest.mark.parametrize("make", [
     _localization_piece,
     lambda: boolean_intersect(*blob_disc_pair())[0],
-    lambda: boolean_union(*blob_disc_pair()),
+    _fresh_union,
 ], ids=["cornered piece", "blob-disc intersection", "blob-disc union"])
-def test_the_bounded_polish_has_the_bits_of_scipy(monkeypatch, make):
-    # the ported Brent search repeats scipy's operations, so each foot it
-    # polishes near a corner keeps the bits minimize_scalar gave
-    polished = []
-    real = domain_module._bounded_foot
+def test_bisected_feet_are_no_farther_than_scipys_polish(monkeypatch, make):
+    # near a corner the bisection finds the minimum in the bracket that
+    # minimize_scalar finds, no farther from the point, and a kink's
+    # to rounding where scipy stops about 1e-8 short of it
+    bisected = []
+    real = domain_module._bisect_feet
 
-    def spying(curve, z, lo, hi):
-        polished.append((curve, z, lo, hi))
-        return real(curve, z, lo, hi)
+    def spying(curve, zs, lo, hi):
+        d, t = real(curve, zs, lo, hi)
+        bisected.extend(zip([curve] * zs.size, zs, lo, hi, d, t))
+        return d, t
 
-    monkeypatch.setattr(domain_module, "_bounded_foot", spying)
+    monkeypatch.setattr(domain_module, "_bisect_feet", spying)
     dom = make()
     zs = []
     for curve in dom.curves:
@@ -127,15 +187,15 @@ def test_the_bounded_polish_has_the_bits_of_scipy(monkeypatch, make):
                 zs.extend(p + r * np.exp(2j * np.pi * np.arange(12) / 12))
     inside = [z for z in zs if dom.contains(z)]
     dom.feet(inside)
-    assert len(polished) >= 3
-    for curve, z, lo, hi in polished:
-        def f(t):
-            return abs(curve.point(t % 1.0) - z) ** 2
-
-        want = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+    assert len(bisected) >= 3
+    for curve, z, lo, hi, d, t in bisected:
+        want = minimize_scalar(lambda s: abs(curve.point(s % 1.0) - z) ** 2,
+                               bounds=(lo, hi), method="bounded",
                                options={"xatol": 1e-12})
-        got = domain_module._minimize_bounded(f, lo, hi)
-        assert got == (want.x, want.fun)
+        assert lo <= t <= hi
+        # apart from the rounding of a point, about 1e-16
+        assert d <= np.sqrt(want.fun) + 1e-15
+        assert d >= np.sqrt(want.fun) * (1.0 - 1e-4)
 
 
 def test_feet_refuse_a_point_outside():

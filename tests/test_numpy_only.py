@@ -32,8 +32,8 @@ blob = SzegoEvaluator(fourier_blob())
 value, kappa = blob.value(0.1), blob.curvatures([0.1])[0]
 
 polished = []
-real = domain._bounded_foot
-domain._bounded_foot = lambda *args: polished.append(args) or real(*args)
+real = domain._bisect_feet
+domain._bisect_feet = lambda *args: polished.extend(args[1]) or real(*args)
 piece = boolean_intersect(disc(ellipse().outer.point(0.25), 0.5), ellipse())[0]
 corner = piece.outer.point(piece.outer.corner_params[0])
 outside = piece.contains(corner - 1e-3)  # its foot is the corner itself
@@ -58,5 +58,5 @@ def test_the_package_loads_no_scipy_module():
     value, kappa, piece_value, bound = out["values"]
     assert value > 0 and abs(kappa + 4.0) < 1e-10
     assert piece_value > 0 and 0 < bound <= value
-    # the corner foot took the bounded polish
+    # the corner foot took the bisection
     assert out["outside"] is False and out["polished"] >= 1
