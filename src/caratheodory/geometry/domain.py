@@ -92,9 +92,9 @@ def _bisect_feet(curve, zs, lo, hi):
 
 def _curve_feet(curve, zs):
     """Arrays (d, t): the distance from each point of zs to the curve and
-    the parameter of the nearest point.  Newton runs on the whole batch
-    from the nearest node of the polyline; what it misses is bisected as
-    one batch in the same brackets."""
+    the parameter of the nearest point, in [0, 1).  Newton runs on the
+    whole batch from the nearest node of the polyline; what it misses is
+    bisected as one batch in the same brackets."""
     params, pts = curve.polyline(_POLY_M)
     m = params.size
     j = np.empty(zs.size, dtype=int)
@@ -134,7 +134,9 @@ def _curve_feet(curve, zs):
     if missed.size:
         d[missed], t[missed] = _bisect_feet(curve, zs[missed], lo[missed],
                                             hi[missed])
-    return d, t % 1.0
+    t %= 1.0
+    t[t == 1.0] = 0.0  # a t just below 0 rounds up to 1.0
+    return d, t
 
 
 class Domain:

@@ -121,9 +121,9 @@ class SzegoEvaluator(_EvaluatorBase):
     on the coarse mesh of the first mesh family it
     has not failed on that clears it (CLEARANCE local node spacings, see
     require_clearance): its uniform rung of _LADDER (the first below the
-    top whose h_max keeps clearance), the first rung from _FOOT_START up
-    adapted to its nearest boundary point, its foot (mesh_boundary's
-    foot), or the uniform top rung.  Its group is every pending point
+    top whose h_max keeps clearance), the first rung adapted to its
+    nearest boundary point, its foot (mesh_boundary's foot), that keeps
+    clearance, or the uniform top rung.  Its group is every pending point
     that coarse mesh clears and that has not failed on that family, in
     the batch's order; the group climbs once, and its curvatures come
     from the finer solver.  A member failing at the top stays pending
@@ -131,6 +131,14 @@ class SzegoEvaluator(_EvaluatorBase):
     Uniform meshes and solvers are cached per node count (a solver turns
     from MINRES to one LU once its mesh has served, or is about to serve,
     enough solves); adapted ones are dropped once their group settles.
+
+    Uniform climbs start at _LADDER's 256-node rung.  Adapted climbs
+    start there too on smooth boundaries, where the trapezoid rule
+    through the foot's Mobius map stays spectrally accurate; on rough
+    ones (corners or C1 joins) the graded rule converges only
+    algebraically, and a (256, 512) start can pass the 1e-5 check 1e-8
+    away from the value the pairs above give, so they start one rung up,
+    at 512.
 
     The finer-mesh solution that settles a point is kept under the
     point, so a later batch reuses it and its curvature costs one
@@ -146,7 +154,6 @@ class SzegoEvaluator(_EvaluatorBase):
 
     kind = "szego"
     _LADDER = (256, 512, 1024)
-    _FOOT_START = 512
     _CAP = 4096
 
     def __init__(self, domain, n=None):
@@ -156,6 +163,7 @@ class SzegoEvaluator(_EvaluatorBase):
         # Nystrom solve its spectral rate; ask only 1e-5 agreement there
         rough = any(not isinstance(c, TrigCurve) for c in domain.curves)
         self.tol = 1e-5 if rough else 1e-8
+        self._foot_start = 512 if rough else 256  # see the class docstring
         self._meshes = {}
         self._solvers = {}
         self._settled = {}  # point -> the finer-mesh solution that settles it
@@ -226,7 +234,7 @@ class SzegoEvaluator(_EvaluatorBase):
     def _lead(self, z, foot, refused, error):
         """(family, n1, mesh): the coarse mesh z leads its group on, of the
         first family it has not refused whose mesh clears it: its uniform
-        rung (_pick_n), the first rung from _FOOT_START up adapted to its
+        rung (_pick_n), the first rung from _foot_start up adapted to its
         foot, the uniform top rung.  A family is the foot its meshes are
         adapted to, None for the uniform one.  When none is left, raises
         the last error z met: error, from a failed climb, or a refusal of
@@ -235,7 +243,7 @@ class SzegoEvaluator(_EvaluatorBase):
         if n is not None and None not in refused:
             return None, n, self._mesh(n)
         if foot not in refused:
-            for n1 in (n for n in self._LADDER if n >= self._FOOT_START):
+            for n1 in (n for n in self._LADDER if n >= self._foot_start):
                 mesh = mesh_boundary(self.domain, n1, foot)
                 try:
                     require_clearance(mesh, z, foot[2])

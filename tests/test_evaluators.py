@@ -23,11 +23,14 @@ from caratheodory.harness.reports import TREND_DISTANCES
 from caratheodory.harness import (
     annulus,
     blob_disc_pair,
+    blob_with_hole,
     disc,
     ellipse,
     fourier_blob,
+    localization_experiment,
     two_disc_pair,
     unit_disc,
+    verify_suita,
 )
 
 
@@ -225,11 +228,12 @@ def test_a_settled_point_keeps_its_value_in_a_later_batch(monkeypatch):
     _, solved = _count_work(monkeypatch)
     got = ev.values([0.3, 0.95j])
     # 0.3 keeps its (256, 512) value; only 0.95j is solved, on the
-    # (512, 1024) pair adapted to its foot
+    # (256, 512) pair adapted to its foot: the ellipse is smooth, so its
+    # adapted climb starts at 256, whose mesh clears 0.95j
     assert got[0] == first
-    assert solved == [512, 1024]
+    assert solved == [256, 512]
     assert _pairs(ev) == [(0.3 + 0j, 256, 512), (0.95j, "foot")]
-    assert ev.value(0.3) == first and solved == [512, 1024]
+    assert ev.value(0.3) == first and solved == [256, 512]
 
 
 def _localization_piece():
@@ -320,19 +324,34 @@ def _blob_trend():
                   for d in TREND_DISTANCES]
 
 
+def _hole_march(dom, t):
+    # the trend distances inward from the hole's point at t; the hole
+    # runs counterclockwise, so the domain is on its right
+    hole = dom.holes[0]
+    v = hole.velocity(t)
+    return [hole.point(t) - d * 1j * v / abs(v) for d in TREND_DISTANCES]
+
+
 def test_foot_adapted_values_match_the_uniform_2048_pin():
-    # the nearest point leads, and the (512, 1024) pair adapted to its
+    # the nearest point leads, and the (256, 512) pair adapted to its
     # foot clears all three, so it settles the whole batch, in the
-    # batch's order; the uniform pin at 2048 clears every point
+    # batch's order; the uniform pin at 2048 clears every point.  On the
+    # simply connected domains kappa is -4; on the hole side of the
+    # holed ones it is not, and is checked against the pin's
     blob, trend = _blob_trend()
-    for dom, zs in ((ellipse(), _MARCH), (blob, trend)):
+    cases = [(ellipse(), _MARCH), (blob, trend)]
+    for dom, t in ((blob_with_hole(), 0.3), (annulus(), 0.1)):
+        cases.append((dom, _hole_march(dom, t)))
+    for dom, zs in cases:
         ev = SzegoEvaluator(dom)
         got = ev.values(zs)
         assert _pairs(ev) == [(complex(z), "foot") for z in zs]
         assert len({id(ev._settled[z].mesh) for z in zs}) == 1
-        want = SzegoEvaluator(dom, n=2048).values(zs)
+        pin = SzegoEvaluator(dom, n=2048)
+        want = pin.values(zs)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
-        assert np.max(np.abs(ev.curvatures(zs) + 4.0)) <= 1e-12
+        kappa = pin.curvatures(zs) if dom.holes else -4.0
+        assert np.max(np.abs(ev.curvatures(zs) - kappa)) <= 1e-12
 
 
 def test_the_cornered_piece_settles_at_its_feet():
@@ -380,13 +399,16 @@ def test_equidistant_leads_settle_alike_in_either_order():
     assert np.array_equal(np.roll(got, -1), want)
 
 
-@pytest.mark.parametrize("make", [ellipse, _localization_piece],
+@pytest.mark.parametrize("make, start", [(ellipse, 256),
+                                         (_localization_piece, 512)],
                          ids=["ellipse", "cornered_piece"])
 def test_the_march_builds_one_adapted_pair_and_no_uniform_solver(
-        monkeypatch, make):
+        monkeypatch, make, start):
     # the localization march on both of its domains: the uniform 256 and
     # 512 rungs only measure clearance, and the pair adapted to 0.98j's
-    # foot settles all three points
+    # foot settles all three points.  It starts on the first adapted
+    # rung, 256 on the smooth ellipse and 512 on the cornered piece, and
+    # its mesh clears all three
     meshes, solved = [], []
     real_mesh, real_init = evaluators.mesh_boundary, SzegoSolver.__init__
 
@@ -402,7 +424,8 @@ def test_the_march_builds_one_adapted_pair_and_no_uniform_solver(
     monkeypatch.setattr(SzegoSolver, "__init__", init)
     ev = SzegoEvaluator(make())
     ev.values(_MARCH)
-    assert meshes == [(256, False), (512, False), (512, True), (1024, True)]
+    assert meshes == [(256, False), (512, False),
+                      (start, True), (2 * start, True)]
     assert len(solved) == 2 and ev._solvers == {}
     uniform = {id(mesh) for mesh in ev._meshes.values()}
     assert not any(id(mesh) in uniform for mesh in solved)
@@ -413,9 +436,10 @@ def test_the_march_builds_one_adapted_pair_and_no_uniform_solver(
 def test_a_point_the_foot_mesh_cannot_clear_keeps_its_uniform_pair(far, pair):
     # the mesh adapted to 0.98j's foot stretches its nodes on the far
     # side, and both far points sit within 3 local spacings of a node
-    # (their gaps are 0.76 and 0.11 of that), so the group 0.98j leads
-    # leaves them pending; each then leads on its uniform rung, 256 for
-    # -0.3j and 512 for -0.9j, and keeps that pair's bits
+    # (their gaps are 0.39 and 0.055 of that on the 256-node mesh 0.98j
+    # leads on), so the group 0.98j leads leaves them pending; each then
+    # leads on its uniform rung, 256 for -0.3j and 512 for -0.9j, and
+    # keeps that pair's bits
     zs = [far, 0.95j, 0.98j]
     ev = SzegoEvaluator(ellipse())
     got = ev.values(zs)
@@ -425,20 +449,21 @@ def test_a_point_the_foot_mesh_cannot_clear_keeps_its_uniform_pair(far, pair):
 
 
 def test_a_batch_the_adapted_mesh_clears_settles_on_its_pair():
-    # 0.3, which the 256 rung clears, joins the group 0.98j leads: the
-    # mesh adapted to 0.98j's foot clears it too, so the batch does not
-    # split at the top rung clearance.  Each point has the bits of a lone
-    # solve on the group's finer mesh (its block's right-hand sides run
-    # GMRES one by one), and 0.98j the value it has alone
-    zs = [0.3, 0.95j, 0.98j]
+    # 0.5j, which the 256 rung clears, joins the group 0.97j leads: the
+    # 256-node mesh adapted to 0.97j's foot clears it too, so the batch
+    # does not split by uniform rung (the one adapted to 0.98j's foot
+    # clears no point the 256 rung clears).  Each point has the bits of
+    # a lone solve on the group's finer mesh (its block's right-hand
+    # sides run MINRES one by one), and 0.97j the value it has alone
+    zs = [0.5j, 0.95j, 0.97j]
     ev = SzegoEvaluator(ellipse())
     got = ev.values(zs)
     assert _pairs(ev) == [(complex(z), "foot") for z in zs]
     dom = ellipse()
-    solver = SzegoSolver(mesh_boundary(dom, 1024, dom.foot(0.98j)))
+    solver = SzegoSolver(mesh_boundary(dom, 512, dom.foot(0.97j)))
     assert np.array_equal(
         got, [2.0 * np.pi * solver.solve(z).diag_value for z in zs])
-    assert got[2] == SzegoEvaluator(ellipse()).value(0.98j)
+    assert got[2] == SzegoEvaluator(ellipse()).value(0.97j)
 
 
 def test_a_top_rung_doubling_failure_sends_only_that_point_to_its_foot(
@@ -478,9 +503,35 @@ def test_near_boundary_batches_build_no_uniform_mesh_past_1024(monkeypatch):
 
     monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
     SzegoEvaluator(ellipse()).values([0.97j, 0.98j, 0.99j])
-    # the uniform 256 and 512 rungs only measure clearance; the three
-    # points share one (512, 1024) pair adapted to the foot of 0.99j
-    assert built == [(256, False), (512, False), (512, True), (1024, True)]
+    # the uniform 256 and 512 rungs only measure clearance; the 256-node
+    # mesh adapted to the foot of 0.99j does not clear it (its node at
+    # -1j is 1.99 away, under 3 local spacings, 2.51), so the three
+    # points share the (512, 1024) pair adapted to that foot
+    assert built == [(256, False), (512, False), (256, True), (512, True),
+                     (1024, True)]
+
+
+def test_smooth_foot_groups_solve_no_system_past_512_nodes(monkeypatch):
+    # the suites' near-boundary batches on smooth domains settle on
+    # adapted (256, 512) pairs; the cornered localization piece keeps
+    # its (512, 1024) start, whose finer mesh merges a node at a corner
+    built = []
+    real = SzegoSolver.__init__
+
+    def init(self, mesh):
+        per_curve = max(hi - lo for lo, hi in mesh.curve_slices)
+        built.append((mesh.owner, per_curve))
+        real(self, mesh)
+
+    monkeypatch.setattr(SzegoSolver, "__init__", init)
+    verify_suita(fourier_blob(), 0.15, spacing=0.1)
+    assert built and max(n for _, n in built) <= 512
+    built.clear()
+    dom = ellipse()
+    localization_experiment(dom, 0.25, 0.5, [0.1, 0.05, 0.02])
+    smooth = [n for owner, n in built if owner is dom]
+    assert smooth and max(smooth) <= 512
+    assert [n for owner, n in built if owner is not dom] == [512, 1023]
 
 
 def _grown_lens():
@@ -490,7 +541,7 @@ def _grown_lens():
 def test_a_point_its_foot_cannot_clear_falls_back_to_the_top_pair(
         monkeypatch):
     # meshes adapted to the far side of the ellipse leave 0.96j too
-    # little clearance on both rungs, so its foot path cannot start; the
+    # little clearance on every rung, so its foot path cannot start; the
     # uniform 1024 rung clears it, so it climbs the (1024, 2048) pair
     real = evaluators.mesh_boundary
 

@@ -148,12 +148,14 @@ def test_a_foot_at_a_corner_takes_the_bounded_fallback(monkeypatch):
 @pytest.mark.parametrize("i", [0, 1])
 def test_a_foot_at_a_reflex_corner_lands_on_the_corner(i):
     # a foot even 1e-9 off the corner misses the mesh's corner merge, and
-    # the adapted mesh gets a spurious run of nodes beside the corner
+    # the adapted mesh gets a spurious run of nodes beside the corner.
+    # Corner 0 sits at parameter 0, where the bisection ends just below 0
+    # and % 1.0 alone would round t up to 1.0
     uni = _fresh_union()
     corner = uni.outer.corner_params[i]
     zs, rs = _reflex_corner_points(uni, corner)
     for (k, t, d), r in zip(uni.feet(zs), rs):
-        assert k == 0
+        assert k == 0 and 0.0 <= t < 1.0
         assert abs(d / r - 1.0) <= 1e-12
         assert abs((t - corner + 0.5) % 1.0 - 0.5) <= 1e-12
         foot = (k, t, d)

@@ -81,8 +81,8 @@ def test_adapted_meshes_are_traced_under_values():
     nodes = [s.attrs["nodes"] for s in tracer.spans
              if s.name == spans.MESH and by_id[s.parent].name == spans.VALUES]
     # the cached uniform 256 and 512 rungs only measure clearance; 0.98j,
-    # past the 512 rung's, settles on its adapted (512, 1024) pair
-    assert nodes == [256, 512, 512, 1024]
+    # past the 512 rung's, settles on its adapted (256, 512) pair
+    assert nodes == [256, 512, 256, 512]
 
 
 class _ThreadTracer(spans.Tracer):
