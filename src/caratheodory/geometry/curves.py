@@ -511,10 +511,6 @@ class PiecewiseCurve(_Chart):
         self.corner_params = tuple(sorted(corners))
 
         self._area = float(sum(seg.signed_area_integral() for seg in segments))
-        self.samples = np.concatenate(
-            [np.asarray(seg.point(np.arange(16) / 16.0)) for seg in segments]
-        )
-        self.samples.flags.writeable = False
         self._poly_cache = {}
         if validate and polyline_self_intersects(self.polyline(1024)[1]):
             raise GeometryError("piecewise curve is self-intersecting")

@@ -26,6 +26,7 @@ from ..geometry import grid_sample
 from ..kernels import evaluator_for
 from .fixtures import load_domain_file, two_disc_pair
 from .reports import (
+    ASYMPTOTIC_RTOL,
     converge_thickening,
     localization_experiment,
     verify_solynin_two_discs,
@@ -74,7 +75,7 @@ def _dump(path, header, rows):
 
 def _cmd_metric(args):
     dom = load_domain_file(args.domain)
-    ev = evaluator_for(dom, args.method, n=args.n)
+    ev = evaluator_for(dom)
     if args.point:
         for z in args.point:
             print("%.6f" % ev.value(z))
@@ -88,8 +89,8 @@ def _cmd_metric(args):
 
 def _cmd_curvature(args):
     dom = load_domain_file(args.domain)
-    ev = evaluator_for(dom, args.method)
-    scan = scan_curvature(dom, ev, args.delta, args.spacing or args.delta)
+    spacing = args.delta if args.spacing is None else args.spacing
+    scan = scan_curvature(dom, evaluator_for(dom), args.delta, spacing)
     _dump(args.out, ("re", "im", "kappa"),
           [(e.point.real, e.point.imag, e.kappa) for e in scan.estimates])
     print("kappa in [%.6f, %.6f] over %d points"
@@ -130,8 +131,7 @@ def _cmd_solynin(args):
 
 def _cmd_submult(args):
     d1, d2 = load_domain_file(args.d1), load_domain_file(args.d2)
-    rep = verify_submult(d1, d2, delta=args.delta, spacing=args.spacing,
-                         method=args.method)
+    rep = verify_submult(d1, d2, delta=args.delta, spacing=args.spacing)
     if args.out:
         _dump(args.out, ("re", "im", "c_int", "c_uni", "c_d1", "c_d2",
                          "ratio"), rep.rows)
@@ -174,7 +174,7 @@ def _cmd_localize(args):
     for d, r in zip(args.distances, ratios):
         print("d=%g ratio=%.6f" % (d, r))
     final = abs(ratios[-1] - 1.0)
-    if final > 0.2:
+    if final > ASYMPTOTIC_RTOL:
         print("note: smallest distance is not in the asymptotic regime")
     return 0 if final <= args.rtol else 2
 
@@ -190,8 +190,6 @@ def _build_parser():
     p = sub.add_parser("metric", help="metric values at points or on a grid")
     p.add_argument("--domain", required=True)
     p.add_argument("--point", type=_cx, action="append")
-    p.add_argument("--method", default="auto", choices=("auto", "szego"))
-    p.add_argument("--n", type=int)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--spacing", type=float, default=0.2)
     p.add_argument("--out")
@@ -199,7 +197,6 @@ def _build_parser():
 
     p = sub.add_parser("curvature", help="curvature scan over a grid")
     p.add_argument("--domain", required=True)
-    p.add_argument("--method", default="auto", choices=("auto", "szego"))
     p.add_argument("--delta", type=float, default=0.15)
     p.add_argument("--spacing", type=float)
     p.add_argument("--out")
@@ -225,7 +222,6 @@ def _build_parser():
     p = sub.add_parser("submult", help="submultiplicativity sweep on a pair")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
-    p.add_argument("--method", default="auto", choices=("auto", "szego"))
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--spacing", type=float, default=0.12)
     p.add_argument("--out")

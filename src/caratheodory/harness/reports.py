@@ -3,10 +3,9 @@
 Each verify_* routine runs one experiment end to end: build a grid with
 interior clearance, take each domain's metric authority from
 evaluator_for (the closed form where one exists, the Szego solve
-everywhere else, unless method="szego" forces it), evaluate the
-inequality under test, and return a small report object with the
-numbers and a pass flag.  Nothing here plots; the CLI dumps reports as
-CSV/SVG.
+everywhere else), evaluate the inequality under test, and return a small
+report object with the numbers and a pass flag.  Nothing here plots; the
+CLI dumps reports as CSV/SVG.
 """
 
 import logging
@@ -34,6 +33,10 @@ KAPPA_NOISE = 1e-9
 
 # relative slack verify_submult allows over its bound sqrt(C_hat/4)
 SUBMULT_TOL_REL = 0.02
+
+# a localization ratio this far from 1 at the smallest distance is not
+# yet in the asymptotic regime
+ASYMPTOTIC_RTOL = 0.2
 
 
 @dataclass
@@ -137,11 +140,11 @@ def verify_suita(domain, delta=0.15, tol=1e-3, spacing=None):
 def verify_solynin_two_discs(disc1, disc2, delta=0.05, spacing=0.06):
     """Poincare-metric product inequality for a pair of round discs.
 
-    The product sweep of verify_submult with auto routing, which gives
-    all four densities from closed forms, so this is the analytic
-    baseline: crossing discs must give max ratio < 1 strictly, nested
-    discs give ratio identically 1.  Grid and ratios run over every
-    intersection component.
+    The product sweep of verify_submult, whose routing gives all four
+    densities from closed forms, so this is the analytic baseline:
+    crossing discs must give max ratio < 1 strictly, nested discs give
+    ratio identically 1.  Grid and ratios run over every intersection
+    component.
     """
     (c1, r1), (c2, r2) = _disc_params(disc1), _disc_params(disc2)
     nested = abs(c1 - c2) + min(r1, r2) <= max(r1, r2)
@@ -149,8 +152,7 @@ def verify_solynin_two_discs(disc1, disc2, delta=0.05, spacing=0.06):
     comps = boolean_intersect(disc1, disc2)
     if not comps:
         raise GeometryError("discs do not overlap")
-    parts, rows, _, _ = _product_sweep(disc1, disc2, comps, delta, spacing,
-                                       "auto")
+    parts, rows, _, _ = _product_sweep(disc1, disc2, comps, delta, spacing)
     if not parts:
         raise GeometryError("no grid points survive inside the intersection")
     grid = np.concatenate([pts for _, pts, _ in parts])
@@ -203,26 +205,26 @@ def _kappa_or_nan(ev, pts):
     return out
 
 
-def _product_sweep(D1, D2, comps, delta, spacing, method):
+def _product_sweep(D1, D2, comps, delta, spacing):
     """The ratio c_int * c_uni / (c_1 * c_2) over each component's grid.
 
-    Every value and curvature comes from evaluator_for(domain, method).
+    Every value and curvature comes from evaluator_for(domain).
     Returns (parts, rows, C_hat, dropped): parts holds (k, points,
     ratios) for each component k with a surviving point, rows the CSV
     rows in that order, and C_hat the sup of -(kappa_1 + kappa_2) over
     the surviving points.  A point where any evaluation fails is dropped
     with a warning and counted.
     """
-    ev1 = evaluator_for(D1, method)
-    ev2 = evaluator_for(D2, method)
-    ev_uni = evaluator_for(boolean_union(D1, D2), method)
+    ev1 = evaluator_for(D1)
+    ev2 = evaluator_for(D2)
+    ev_uni = evaluator_for(boolean_union(D1, D2))
 
     C_hat = 0.0
     parts, rows = [], []
     dropped = 0
     for k, comp in enumerate(comps):
         pts = grid_sample(comp, delta, spacing)
-        c_int = _values_or_nan(evaluator_for(comp, method), pts)
+        c_int = _values_or_nan(evaluator_for(comp), pts)
         c_uni = _values_or_nan(ev_uni, pts)
         # curvatures first, as in scan_curvature: a point settled at its
         # foot takes kappa from the solver that settled it
@@ -244,21 +246,22 @@ def _product_sweep(D1, D2, comps, delta, spacing, method):
     return parts, rows, C_hat, dropped
 
 
-def verify_submult(D1, D2, delta=0.1, spacing=0.12, method="auto"):
+def verify_submult(D1, D2, delta=0.1, spacing=0.12):
     """Test c_int * c_uni <= sqrt(C_hat/4) * c_1 * c_2 over a pair.
 
-    method is "auto" or "szego", as in evaluator_for.  C_hat is the
-    empirical sup of -(kappa_1 + kappa_2) over the intersection grid.
-    The report keeps the component with the largest ratio (the first
-    such), its ratio field and the resulting bound; it passes within a
-    relative SUBMULT_TOL_REL (2%) of the bound.  Points where any
-    evaluation fails are dropped with a warning and counted.
+    Each domain's values and curvatures come from its metric authority,
+    evaluator_for's.  C_hat is the empirical sup of -(kappa_1 + kappa_2)
+    over the intersection grid.  The report keeps the component with the
+    largest ratio (the first such), its ratio field and the resulting
+    bound; it passes within a relative SUBMULT_TOL_REL (2%) of the bound.
+    Points where any evaluation fails are dropped with a warning and
+    counted.
     """
     comps = boolean_intersect(D1, D2)
     if not comps:
         raise GeometryError("domains do not intersect")
     parts, rows, C_hat, dropped = _product_sweep(D1, D2, comps, delta,
-                                                 spacing, method)
+                                                 spacing)
     if not parts:
         raise GeometryError("every grid point failed to evaluate")
     comp_id, grid, rat = max(parts, key=lambda part: np.max(part[2]))
@@ -365,7 +368,7 @@ def localization_experiment(domain, boundary_param, neighborhood_radius,
     ev_den = evaluator_for(domain)
     ratios = np.asarray(ev_num.values(zs), float) / \
         np.asarray(ev_den.values(zs), float)
-    if abs(ratios[-1] - 1.0) > 0.2:
+    if abs(ratios[-1] - 1.0) > ASYMPTOTIC_RTOL:
         log.warning(
             "smallest distance %g is not in the asymptotic regime "
             "(ratio %.3f)", ds[-1], ratios[-1])

@@ -143,22 +143,13 @@ class SzegoEvaluator(_EvaluatorBase):
     The finer-mesh solution that settles a point is kept under the
     point, so a later batch reuses it and its curvature costs one
     derivative solve more; solution() returns it.
-
-    A pinned n pairs with min(2n, _CAP) on uniform meshes, the one
-    family of every point, whose first failure raises; its mesh is
-    built at construction: an n that mesh_boundary refuses, or one
-    above _CAP, raises GeometryError there.  At n = _CAP the pair
-    collapses to one mesh, so each point is solved once and no doubling
-    check runs.
     """
 
     kind = "szego"
     _LADDER = (256, 512, 1024)
-    _CAP = 4096
 
-    def __init__(self, domain, n=None):
+    def __init__(self, domain):
         super().__init__(domain)
-        self.n_override = None if n is None else int(n)
         # corners, and even mere curvature jumps at C1 joins, cost the
         # Nystrom solve its spectral rate; ask only 1e-5 agreement there
         rough = any(not isinstance(c, TrigCurve) for c in domain.curves)
@@ -167,10 +158,6 @@ class SzegoEvaluator(_EvaluatorBase):
         self._meshes = {}
         self._solvers = {}
         self._settled = {}  # point -> the finer-mesh solution that settles it
-        if self.n_override is not None:
-            if self.n_override > self._CAP:
-                raise GeometryError("n is past the mesh cap %d" % self._CAP)
-            self._mesh(self.n_override)  # mesh_boundary refuses bad counts
 
     def _mesh(self, n):
         if n not in self._meshes:
@@ -182,26 +169,11 @@ class SzegoEvaluator(_EvaluatorBase):
             self._solvers[n] = SzegoSolver(self._mesh(n))
         return self._solvers[n]
 
-    def _pick_n(self, dist):
-        """The coarse node count for points at dist or farther: the pin,
-        else the first rung below the top whose h_max keeps CLEARANCE at
-        dist, else None."""
-        if self.n_override is not None:
-            return self.n_override
-        for n in self._LADDER[:-1]:
-            if CLEARANCE * self._mesh(n).h_max < dist:
-                return n
-        return None
-
     def _settle(self, zs, kappa=False):
         """Settle the new points of zs (see the class docstring); with
         kappa, return their curvatures, by point."""
         new = [z for z in dict.fromkeys(zs.tolist()) if z not in self._settled]
         feet = dict(zip(new, self.domain.feet(new)))
-        if self.n_override is not None:
-            for z in new:
-                require_clearance(self._mesh(self.n_override), z, feet[z][2])
-        top = self.n_override or self._LADDER[-1]
         refused = {z: set() for z in new}  # the families z failed on
         errors, kappas = {}, ({} if kappa else None)
         # nearest first, ties broken by the foot (curve, then parameter),
@@ -218,9 +190,7 @@ class SzegoEvaluator(_EvaluatorBase):
             solver = self._solver if family is None else (
                 lambda n: SzegoSolver(mesh if n == n1 else
                                       mesh_boundary(self.domain, n, family)))
-            fine, failed = self._climb(group, n1, top, solver)
-            if failed and self.n_override is not None:
-                raise next(iter(failed.values()))
+            fine, failed = self._climb(group, n1, solver)
             for z in failed:
                 refused[z].add(family)
             errors.update(failed)
@@ -234,12 +204,14 @@ class SzegoEvaluator(_EvaluatorBase):
     def _lead(self, z, foot, refused, error):
         """(family, n1, mesh): the coarse mesh z leads its group on, of the
         first family it has not refused whose mesh clears it: its uniform
-        rung (_pick_n), the first rung from _foot_start up adapted to its
-        foot, the uniform top rung.  A family is the foot its meshes are
-        adapted to, None for the uniform one.  When none is left, raises
-        the last error z met: error, from a failed climb, or a refusal of
-        clearance here."""
-        n = self._pick_n(foot[2])
+        rung (the first of _LADDER below the top whose h_max keeps
+        CLEARANCE at its distance), the first rung from _foot_start up
+        adapted to its foot, the uniform top rung.  A family is the foot
+        its meshes are adapted to, None for the uniform one.  When none is
+        left, raises the last error z met: error, from a failed climb, or
+        a refusal of clearance here."""
+        n = next((n for n in self._LADDER[:-1]
+                  if CLEARANCE * self._mesh(n).h_max < foot[2]), None)
         if n is not None and None not in refused:
             return None, n, self._mesh(n)
         if foot not in refused:
@@ -255,19 +227,18 @@ class SzegoEvaluator(_EvaluatorBase):
             return None, self._LADDER[-1], mesh
         raise error
 
-    def _climb(self, zs, n1, top, solver):
+    def _climb(self, zs, n1, solver):
         """Settle the points zs on the first pair from (n1, 2 n1) up to
-        (top, 2 top) whose doubling check they all pass; solver(n) gives
-        the solver of the n-node mesh.  Returns the finer solver and a
-        SolveError by point for each point that fails at the top."""
+        the top of _LADDER whose doubling check they all pass; solver(n)
+        gives the solver of the n-node mesh.  Returns the finer solver and
+        a SolveError by point for each point that fails at the top."""
         coarse = solver(n1).solve(zs)
         while True:
-            n2 = min(2 * n1, self._CAP)
+            n2 = 2 * n1
             fine_solver = solver(n2)
-            # a collapsed pair has one mesh and rel 0
-            fine = coarse if n2 == n1 else fine_solver.solve(zs)
+            fine = fine_solver.solve(zs)
             rels = [_doubling_change(c, f) for c, f in zip(coarse, fine)]
-            if n1 < top and any(rel > self.tol for rel in rels):
+            if n1 < self._LADDER[-1] and any(rel > self.tol for rel in rels):
                 n1, coarse = n2, fine  # the whole batch climbs
                 continue
             failed = {}
@@ -354,27 +325,19 @@ class LPEvaluator(_EvaluatorBase):
             "LP certificates are lower bounds and carry no curvature")
 
 
-def evaluator_for(domain, method="auto", n=None):
+def evaluator_for(domain):
     """Route a domain to its metric authority; the one place that does.
 
-    auto: tagged discs and two-disc lenses and unions get their closed
-    forms; every other domain, smooth or cornered (boolean results,
-    offsets, annuli), gets the Szego solver, which grades its mesh at
-    corners and climbs its mesh ladder where the doubling check asks for
-    it.  method="szego" forces the solver even where a closed form
-    exists.  n pins the solver's coarse node count; n for a closed form
-    raises GeometryError.  Certificates are not metric values: build an
-    LPEvaluator for them.
+    Tagged discs and two-disc lenses and unions get their closed forms;
+    every other domain, smooth or cornered (boolean results, offsets,
+    annuli), gets the Szego solver, which grades its mesh at corners and
+    climbs its mesh ladder where the doubling check asks for it.  To
+    force the solve where a closed form exists, build SzegoEvaluator;
+    certificates are not metric values: build an LPEvaluator for them.
     """
-    if method not in ("auto", "szego"):
-        raise GeometryError("unknown method %r" % (method,))
     tag = domain.primitive[0] if domain.primitive else None
-    if method == "auto" and tag == "disc":
-        ev = ClosedFormDiscEvaluator(domain)
-    elif method == "auto" and tag in ("lens", "two_disc_union"):
-        ev = SectorPullbackEvaluator(domain)
-    else:
-        return SzegoEvaluator(domain, n=n)
-    if n is not None:
-        raise GeometryError("n is not an option of the %s evaluator" % ev.kind)
-    return ev
+    if tag == "disc":
+        return ClosedFormDiscEvaluator(domain)
+    if tag in ("lens", "two_disc_union"):
+        return SectorPullbackEvaluator(domain)
+    return SzegoEvaluator(domain)

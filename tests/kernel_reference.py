@@ -1,11 +1,17 @@
-"""Independent reference for the Kerzman-Stein matrix: the broadcast formula.
+"""Independent references for the Kerzman-Stein solve.
 
-The package assembles B in place, tile by tile; this builds it the plain
-way, with N x N temporaries, so the tests can check the two agree bit for
-bit.
+broadcast_kerzman_stein builds the matrix B the plain way, with N x N
+temporaries, where the package assembles it in place, tile by tile, so
+the tests can check the two agree bit for bit.  uniform_pair_values
+solves a fixed uniform mesh pair, with no routing, as a reference for
+the values SzegoEvaluator settles.
 """
 
 import numpy as np
+
+from caratheodory.geometry import mesh_boundary
+from caratheodory.kernels import SzegoEvaluator
+from caratheodory.kernels.szego import SzegoSolver
 
 
 def broadcast_kerzman_stein(mesh):
@@ -19,3 +25,23 @@ def broadcast_kerzman_stein(mesh):
     c = (sw[:, None] * sw[None, :]) * (t[None, :] / dz) / (2j * np.pi)
     np.fill_diagonal(c, 0.0)
     return c.conj().T - c
+
+
+def uniform_pair_values(domain, n, zs, kappa=False):
+    """The metric 2 pi S(a, a) at each point a of zs on the uniform mesh
+    of 2n nodes per curve, asserted to agree with the n-node mesh's
+    within SzegoEvaluator's doubling tolerance; with kappa, the pair
+    (values, curvatures), the curvatures from the 2n-node solver.
+
+    Each mesh solves zs as one block on a fresh solver, as a group's
+    climb does, so a value has the bits of a group that settles on this
+    pair."""
+    zs = [complex(z) for z in np.ravel(zs)]
+    coarse = SzegoSolver(mesh_boundary(domain, n)).solve(zs)
+    solver = SzegoSolver(mesh_boundary(domain, 2 * n))
+    fine = solver.solve(zs)
+    v1, v2 = (2.0 * np.pi * np.array([s.diag_value for s in sols])
+              for sols in (coarse, fine))
+    change = np.max(np.abs(v2 - v1) / np.abs(v2))
+    assert change <= SzegoEvaluator(domain).tol, change
+    return (v2, solver.kappa(fine)) if kappa else v2

@@ -195,28 +195,34 @@ def test_bad_flags_are_usage_errors(capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-@pytest.mark.parametrize("argv, why", [
-    (["curvature", "--domain", _fx("disc.json"), "--method", "lp"],
-     "invalid choice"),
-    (["metric", "--domain", _fx("disc.json"), "--point", "0",
-      "--method", "lp"], "invalid choice"),
-    (["metric", "--domain", _fx("disc.json"), "--point", "0",
-      "--degree", "5"], "unrecognized arguments"),
-    (["submult", "--d1", _fx("discL.json"), "--d2", _fx("discR.json"),
-      "--method", "lp"], "invalid choice"),
-], ids=["curvature-lp", "metric-lp", "metric-degree", "submult-lp"])
-def test_curvature_has_no_lp_method(argv, why, capsys):
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--domain", _fx("disc.json"), "--method", "lp"],
+    ["metric", "--domain", _fx("disc.json"), "--point", "0",
+     "--method", "lp"],
+    ["metric", "--domain", _fx("disc.json"), "--point", "0",
+     "--degree", "5"],
+    ["submult", "--d1", _fx("discL.json"), "--d2", _fx("discR.json"),
+     "--method", "lp"],
+    ["metric", "--domain", _fx("disc.json"), "--point", "0", "--n", "4"],
+    ["metric", "--domain", _fx("disc.json"), "--point", "0",
+     "--method", "szego"],
+], ids=["curvature-lp", "metric-lp", "metric-degree", "submult-lp",
+        "metric-n", "metric-szego"])
+def test_curvature_has_no_lp_method(argv, capsys):
     # an LP certificate is a lower bound, not a metric value, and carries
-    # no curvature: no subcommand routes to it or takes its degree
+    # no curvature: no subcommand routes to it or takes its degree.  Each
+    # domain has one metric authority, so no subcommand takes a method or
+    # a mesh size either
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and why in err
+    assert err.startswith("usage error:") and "unrecognized arguments" in err
 
 
-def test_metric_refuses_a_pin_no_mesh_accepts(capsys):
-    assert run_cli(["metric", "--domain", _fx("ellipse.json"), "--method",
-                    "szego", "--n", "0", "--point", "0.1"]) == 1
-    assert "n_per_curve must be even" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["curvature", "suita"])
+def test_a_zero_spacing_is_an_error(command, capsys):
+    assert run_cli([command, "--domain", _fx("disc.json"),
+                    "--spacing", "0"]) == 1
+    assert "spacing must be positive" in capsys.readouterr().err
 
 
 def test_seed_flag_is_accepted(capsys):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from caratheodory.errors import GeometryError, SolveError
+from caratheodory.errors import GeometryError
 from caratheodory.geometry import Domain, boolean_intersect, boolean_union, curve_eval, curve_from_samples, mesh_boundary, thicken
 from caratheodory.kernels import (
     AnnulusPoincareEvaluator,
@@ -20,6 +20,7 @@ from caratheodory.kernels import (
 from caratheodory.kernels import evaluators
 from caratheodory.kernels.szego import SzegoSolver
 from caratheodory.harness.reports import TREND_DISTANCES
+from kernel_reference import uniform_pair_values
 from caratheodory.harness import (
     annulus,
     blob_disc_pair,
@@ -54,11 +55,9 @@ def test_auto_routing_picks_the_right_backend():
 
 
 def test_method_argument_forces_a_backend():
-    assert evaluator_for(disc(), method="szego").kind == "szego"
-    # LP certificates are built as LPEvaluator, never routed to
-    for method in ("newton", "lp"):
-        with pytest.raises(GeometryError, match="unknown method"):
-            evaluator_for(disc(), method=method)
+    # routing takes no method: a backend is forced by building its
+    # evaluator, which refuses a domain its formula does not cover
+    assert SzegoEvaluator(disc()).kind == "szego"
     with pytest.raises(GeometryError, match="not tagged as a disc"):
         ClosedFormDiscEvaluator(ellipse())
     with pytest.raises(GeometryError, match="not tagged as an annulus"):
@@ -73,23 +72,14 @@ def test_evaluator_for_refuses_keywords_it_does_not_take():
         evaluator_for(disc(), grading_exponent=2.0)
     with pytest.raises(TypeError):
         evaluator_for(ellipse(), degree=3)
-
-
-def test_evaluator_for_refuses_an_option_its_backend_does_not_use():
-    # n pins the Szego mesh; it is not dropped on its way to a closed form
-    with pytest.raises(GeometryError, match="n is not an option of the closed"):
-        evaluator_for(disc(), n=64)
-    assert evaluator_for(ellipse(), n=64).n_override == 64
-
-
-def test_a_pin_the_mesh_ladder_cannot_pair_is_refused():
-    # a pin is a node count mesh_boundary accepts and at most the cap: the
-    # pinned mesh is where clearance is checked and values settle
-    for n in (0, 30, 33, -64):
-        with pytest.raises(GeometryError, match="n_per_curve"):
-            SzegoEvaluator(ellipse(), n=n)
-    with pytest.raises(GeometryError, match="mesh cap 4096"):
-        SzegoEvaluator(ellipse(), n=8192)
+    # each domain has one authority: no method chooses another, and no
+    # node count pins the solver's mesh, on any route
+    for dom in (disc(), ellipse()):
+        for kwargs in ({"method": "szego"}, {"method": "lp"}, {"n": 64}):
+            with pytest.raises(TypeError):
+                evaluator_for(dom, **kwargs)
+    with pytest.raises(TypeError):
+        SzegoEvaluator(ellipse(), n=64)
 
 
 def _count_work(monkeypatch):
@@ -121,26 +111,6 @@ def _pairs(ev):
         n2 = per_curve.get(id(sol.mesh))
         out.append((z, "foot") if n2 is None else (z, n2 // 2, n2))
     return out
-
-
-def test_a_pin_at_the_cap_solves_each_point_once(monkeypatch):
-    # the pair (cap, cap) collapses: one solve, no doubling check
-    monkeypatch.setattr(SzegoEvaluator, "_CAP", 512)
-    built, solved = _count_work(monkeypatch)
-    ev = SzegoEvaluator(ellipse(), n=512)
-    assert built == [512]
-    got = ev.values([0.1, 0.3j])
-    assert solved == [512, 512]
-    sol = SzegoSolver(mesh_boundary(ellipse(), 512)).solve(0.1)
-    assert got[0] == 2.0 * np.pi * sol.diag_value
-
-
-def test_a_pin_above_the_cap_is_refused_before_any_work(monkeypatch):
-    monkeypatch.setattr(SzegoEvaluator, "_CAP", 512)
-    built, solved = _count_work(monkeypatch)
-    with pytest.raises(GeometryError, match="mesh cap 512"):
-        SzegoEvaluator(ellipse(), n=1024)
-    assert built == [] and solved == []
 
 
 def test_annulus_poincare_evaluator_wraps_the_closed_form():
@@ -176,7 +146,7 @@ def test_szego_evaluator_takes_an_empty_batch():
 
 def test_szego_evaluator_rejects_points_hugging_the_boundary():
     # 0.99j, past the uniform ladder, settles on meshes adapted to its
-    # foot, at the value the uniform 4096-node pin gives
+    # foot, at the value the uniform 4096-node mesh gives
     ev = SzegoEvaluator(ellipse())
     assert ev.value(0.99j) * 0.01 == pytest.approx(0.500640, abs=1e-6)
     # 1e-4 from the top, under 3 local spacings of the adapted 1024-node mesh
@@ -204,13 +174,10 @@ def test_szego_evaluator_climbs_the_mesh_ladder():
     got = ev.value(0.0)
     assert got == pytest.approx(1.7000316, rel=1e-7)
     assert _pairs(ev) == [(0j, 512, 1024)]
-    assert got == pytest.approx(SzegoEvaluator(grown, n=1024).value(0.0),
+    assert got == pytest.approx(uniform_pair_values(grown, 1024, [0.0])[0],
                                 rel=1e-6)
     # the certificate is a lower bound on the settled value
     assert got >= LPEvaluator(grown).value(0.0)
-    # a pinned mesh never climbs
-    with pytest.raises(SolveError, match="did not settle"):
-        SzegoEvaluator(grown, n=256).value(0.0)
 
 
 def test_the_climb_solves_each_mesh_once(monkeypatch):
@@ -298,7 +265,7 @@ def test_disc_blowup_rate_at_the_boundary():
 
 def test_ellipse_blowup_rate_at_the_boundary():
     # marching toward the top of the ellipse, c * dist creeps toward 1/2.
-    # the pins were taken on the uniform n=4096 mesh; auto routing meets
+    # the pins were taken on the uniform 4096-node mesh; routing meets
     # them on meshes adapted to the foot
     ev = evaluator_for(ellipse())
     gaps = []
@@ -335,9 +302,9 @@ def _hole_march(dom, t):
 def test_foot_adapted_values_match_the_uniform_2048_pin():
     # the nearest point leads, and the (256, 512) pair adapted to its
     # foot clears all three, so it settles the whole batch, in the
-    # batch's order; the uniform pin at 2048 clears every point.  On the
-    # simply connected domains kappa is -4; on the hole side of the
-    # holed ones it is not, and is checked against the pin's
+    # batch's order; the uniform (2048, 4096) pair clears every point.
+    # On the simply connected domains kappa is -4; on the hole side of
+    # the holed ones it is not, and is checked against that pair's
     blob, trend = _blob_trend()
     cases = [(ellipse(), _MARCH), (blob, trend)]
     for dom, t in ((blob_with_hole(), 0.3), (annulus(), 0.1)):
@@ -347,10 +314,10 @@ def test_foot_adapted_values_match_the_uniform_2048_pin():
         got = ev.values(zs)
         assert _pairs(ev) == [(complex(z), "foot") for z in zs]
         assert len({id(ev._settled[z].mesh) for z in zs}) == 1
-        pin = SzegoEvaluator(dom, n=2048)
-        want = pin.values(zs)
+        want, kappa = uniform_pair_values(dom, 2048, zs, kappa=True)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
-        kappa = pin.curvatures(zs) if dom.holes else -4.0
+        if not dom.holes:
+            kappa = -4.0
         assert np.max(np.abs(ev.curvatures(zs) - kappa)) <= 1e-12
 
 
@@ -360,7 +327,7 @@ def test_the_cornered_piece_settles_at_its_feet():
     ev = SzegoEvaluator(piece)
     got = ev.values(_MARCH)
     assert _pairs(ev) == [(z, "foot") for z in _MARCH]
-    want = SzegoEvaluator(piece, n=2048).values(_MARCH)
+    want = uniform_pair_values(piece, 2048, _MARCH)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-8
 
 
@@ -383,7 +350,7 @@ def test_a_mixed_batch_settles_alike_in_every_order(make, zs, rel):
     for got, meshes in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(meshes, nodes))
         assert np.max(np.abs(np.divide(got, want) - 1.0)) <= 1e-14
-    pin = SzegoEvaluator(make(), n=2048).values(zs)
+    pin = uniform_pair_values(make(), 2048, zs)
     assert np.max(np.abs(want / pin - 1.0)) <= rel
 
 
@@ -472,8 +439,9 @@ def test_a_top_rung_doubling_failure_sends_only_that_point_to_its_foot(
     # and at 0.3 and 0.9j by under 3e-15: at a 1e-10 tolerance only 0.96j
     # leaves the shared pair, and its adapted pair agrees to 1e-15.  The
     # 1024 rung clears no point for the shared climb, so the whole batch
-    # is sent to that climb from it here
-    monkeypatch.setattr(SzegoEvaluator, "_pick_n", lambda self, dist: 1024)
+    # is sent to that climb from it here, by a ladder whose only rung
+    # below its top is 1024
+    monkeypatch.setattr(SzegoEvaluator, "_LADDER", (1024, 1024))
     ev = SzegoEvaluator(ellipse())
     ev.tol = 1e-10
     ev.values([0.3, 0.9j, 0.96j])
@@ -579,7 +547,7 @@ def test_a_ring_of_near_points_settles_in_foot_groups(monkeypatch):
     monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
     got = SzegoEvaluator(dom).values(ring)
     assert len(adapted) < 2 * len(ring)
-    want = SzegoEvaluator(ellipse(), n=2048).values(ring)
+    want = uniform_pair_values(ellipse(), 2048, ring)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
 

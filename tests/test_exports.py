@@ -32,7 +32,8 @@ def test_duplicate_policies_are_gone():
     # distance and LPEvaluator.values the LP field, from one basis per
     # evaluator (no per-point certificate); SubArc is the one
     # re-parameterized arc and deriv each chart's one evaluator; callers
-    # build SzegoSolver and SectorPullback themselves, without wrappers
+    # build SzegoSolver and SectorPullback themselves, without wrappers;
+    # SzegoEvaluator has one routing policy, with no pinned mesh
     retired = (
         (geometry, ("ClippedArc",)),
         (curves, ("ClippedArc",)),
@@ -58,6 +59,7 @@ def test_duplicate_policies_are_gone():
         (sampling, ("boundary_dist_many", "_dist_to_polyline", "_POLY_M")),
         (curvature, ("_stencil_logs", "_stencil", "default_step",
                      "log_metric_laplacian")),
+        (kernels.SzegoEvaluator, ("_CAP", "_pick_n")),
     )
     for owner, names in retired:
         for name in names:

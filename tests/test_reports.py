@@ -153,13 +153,15 @@ def test_submult_on_nested_discs():
     assert rep.C_hat == pytest.approx(8.0, abs=1e-4)
 
 
-def test_submult_with_the_szego_method_matches_the_closed_forms():
-    # every value and curvature from the Szego solve: kappa is -4 on each
-    # simply connected disc, so C_hat = 8, and the ratio is auto's 0.84375
-    # (closed forms) up to the solver's doubling tolerance
+def test_submult_with_the_szego_method_matches_the_closed_forms(
+        monkeypatch):
+    # every value and curvature from the Szego solve, built in place of
+    # each domain's authority: kappa is -4 on each simply connected disc,
+    # so C_hat = 8, and the ratio is the closed forms' 0.84375 up to the
+    # solver's doubling tolerance
     auto = verify_submult(*two_disc_pair("symmetric"), spacing=0.5)
-    rep = verify_submult(*two_disc_pair("symmetric"), spacing=0.5,
-                         method="szego")
+    monkeypatch.setattr(reports, "evaluator_for", SzegoEvaluator)
+    rep = verify_submult(*two_disc_pair("symmetric"), spacing=0.5)
     assert len(rep.rows) == 3 and rep.dropped == 0
     assert rep.C_hat == pytest.approx(8.0, abs=1e-9)
     assert auto.max_ratio == pytest.approx(0.84375, rel=1e-12)
@@ -206,8 +208,8 @@ def test_the_sweep_asks_each_curvature_batch_once(monkeypatch):
 
     monkeypatch.setattr(SzegoEvaluator, "curvatures", spying)
     monkeypatch.setattr(reports, "curvature_at", refuse)
-    rep = verify_submult(*two_disc_pair("symmetric"), method="szego",
-                         spacing=0.5)
+    monkeypatch.setattr(reports, "evaluator_for", SzegoEvaluator)
+    rep = verify_submult(*two_disc_pair("symmetric"), spacing=0.5)
     assert rep.dropped == 0
     assert asked == [len(rep.rows)] * 2
 
