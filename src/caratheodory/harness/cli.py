@@ -179,6 +179,22 @@ def _cmd_localize(args):
     return 0 if final <= args.rtol else 2
 
 
+def _check_flags(args):
+    """Refuse, before any geometry is built, a tolerance that is not
+    finite and nonnegative, and a --delta that stands in for a missing
+    --spacing but is no spacing."""
+    for name in ("tol", "rtol", "gap_tol"):
+        x = getattr(args, name, None)
+        if x is not None and not 0 <= x < np.inf:  # nan fails too
+            raise _Usage("--%s must be nonnegative and finite, got %s"
+                         % (name.replace("_", "-"), x))
+    if "spacing" in args and args.spacing is None \
+            and not 0 < args.delta < np.inf:
+        raise _Usage("--delta is the spacing when --spacing is not given, "
+                     "so it must be positive and finite, got %s"
+                     % args.delta)
+
+
 def _build_parser():
     top = _Parser(prog="caratheodory",
                   description="metric and curvature verification suites")
@@ -255,6 +271,7 @@ def run_cli(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flags(args)
         return args.func(args)
     except _Usage as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -114,6 +114,10 @@ def verify_suita(domain, delta=0.15, tol=1e-3, spacing=None):
         if c.corner_params:
             raise GeometryError("curvature scan needs a smooth domain")
     if spacing is None:
+        if not 0 < delta < np.inf:  # nan fails too
+            raise GeometryError(
+                "delta is the spacing when no spacing is given, so it must "
+                "be positive and finite, got %s" % delta)
         spacing = delta
     ev = evaluator_for(domain)
     scan = scan_curvature(domain, ev, delta, spacing)
@@ -208,49 +212,66 @@ def _kappa_or_nan(ev, pts):
 def _product_sweep(D1, D2, comps, delta, spacing):
     """The ratio c_int * c_uni / (c_1 * c_2) over each component's grid.
 
-    Every value and curvature comes from evaluator_for(domain).
-    Returns (parts, rows, C_hat, dropped): parts holds (k, points,
-    ratios) for each component k with a surviving point, rows the CSV
-    rows in that order, and C_hat the sup of -(kappa_1 + kappa_2) over
-    the surviving points.  A point where any evaluation fails is dropped
-    with a warning and counted.
+    Every value and curvature comes from evaluator_for(domain).  Each
+    component's grid is sampled first.  Then one evaluator at a time
+    runs over the grids, component by component, and is dropped before
+    the next is built, so only one domain's solvers are alive at once:
+    each component's own, then the union's, D1's and D2's, the last two
+    curvatures first, as in scan_curvature (a point settled at its foot
+    takes kappa from the solver that settled it).  Returns (parts, rows,
+    C_hat, dropped): parts holds (k, points, ratios) for each component
+    k with a surviving point, rows the CSV rows in that order, and C_hat
+    the sup of -(kappa_1 + kappa_2) over the surviving points.  A point
+    where any evaluation fails is dropped with a warning and counted.
     """
-    ev1 = evaluator_for(D1)
-    ev2 = evaluator_for(D2)
-    ev_uni = evaluator_for(boolean_union(D1, D2))
+    grids = [grid_sample(comp, delta, spacing) for comp in comps]
+    c_int = [_values_or_nan(evaluator_for(comp), pts)
+             for comp, pts in zip(comps, grids)]
+    c_uni = _sweep(boolean_union(D1, D2), grids)
+    k_1, c_1 = _sweep(D1, grids, kappa=True)
+    k_2, c_2 = _sweep(D2, grids, kappa=True)
 
     C_hat = 0.0
     parts, rows = [], []
     dropped = 0
-    for k, comp in enumerate(comps):
-        pts = grid_sample(comp, delta, spacing)
-        c_int = _values_or_nan(evaluator_for(comp), pts)
-        c_uni = _values_or_nan(ev_uni, pts)
-        # curvatures first, as in scan_curvature: a point settled at its
-        # foot takes kappa from the solver that settled it
-        k_1 = _kappa_or_nan(ev1, pts)
-        k_2 = _kappa_or_nan(ev2, pts)
-        c_1 = _values_or_nan(ev1, pts)
-        c_2 = _values_or_nan(ev2, pts)
-        ok = np.isfinite(c_int) & np.isfinite(c_uni) & np.isfinite(c_1)
-        ok &= np.isfinite(c_2) & np.isfinite(k_1) & np.isfinite(k_2)
+    for k, pts in enumerate(grids):
+        cols = (c_int[k], c_uni[k], c_1[k], c_2[k], k_1[k], k_2[k])
+        ok = np.logical_and.reduce([np.isfinite(col) for col in cols])
         dropped += int(np.count_nonzero(~ok))
         if not np.any(ok):
             continue
-        C_hat = max(C_hat, float(np.max(-(k_1[ok] + k_2[ok]))))
-        rat = c_int[ok] * c_uni[ok] / (c_1[ok] * c_2[ok])
-        for z, a, b, u, v, r in zip(
-                pts[ok], c_int[ok], c_uni[ok], c_1[ok], c_2[ok], rat):
+        C_hat = max(C_hat, float(np.max(-(k_1[k][ok] + k_2[k][ok]))))
+        rat = c_int[k][ok] * c_uni[k][ok] / (c_1[k][ok] * c_2[k][ok])
+        for z, a, b, u, v, r in zip(pts[ok], c_int[k][ok], c_uni[k][ok],
+                                    c_1[k][ok], c_2[k][ok], rat):
             rows.append((z.real, z.imag, a, b, u, v, r))
         parts.append((k, pts[ok], rat))
     return parts, rows, C_hat, dropped
+
+
+def _sweep(domain, grids, kappa=False):
+    """The values of domain's metric authority on each grid, one batch
+    per grid on one evaluator, which goes when this returns; with kappa,
+    the pair (curvatures, values), each grid's curvatures asked first."""
+    ev = evaluator_for(domain)
+    if not kappa:
+        return [_values_or_nan(ev, pts) for pts in grids]
+    kappas, values = [], []
+    for pts in grids:
+        kappas.append(_kappa_or_nan(ev, pts))
+        values.append(_values_or_nan(ev, pts))
+    return kappas, values
 
 
 def verify_submult(D1, D2, delta=0.1, spacing=0.12):
     """Test c_int * c_uni <= sqrt(C_hat/4) * c_1 * c_2 over a pair.
 
     Each domain's values and curvatures come from its metric authority,
-    evaluator_for's.  C_hat is the empirical sup of -(kappa_1 + kappa_2)
+    evaluator_for's.  Every component's grid is sampled first; then the
+    domains are evaluated one at a time over all the grids, in the order
+    each intersection component, the union, D1, D2, and only one
+    evaluator, with its solvers, is alive at a time (see _product_sweep).
+    C_hat is the empirical sup of -(kappa_1 + kappa_2)
     over the intersection grid.  The report keeps the component with the
     largest ratio (the first such), its ratio field and the resulting
     bound; it passes within a relative SUBMULT_TOL_REL (2%) of the bound.

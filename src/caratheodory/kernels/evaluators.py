@@ -128,9 +128,15 @@ class SzegoEvaluator(_EvaluatorBase):
     the batch's order; the group climbs once, and its curvatures come
     from the finer solver.  A member failing at the top stays pending
     with that family refused; a lead with no family left raises.
-    Uniform meshes and solvers are cached per node count (a solver turns
-    from MINRES to one LU once its mesh has served, or is about to serve,
-    enough solves); adapted ones are dropped once their group settles.
+    Uniform meshes and solvers are cached per node count for the
+    evaluator's life (a solver turns from MINRES to one LU once its mesh
+    has served, or is about to serve, enough solves), so a later batch,
+    or the pointwise retry of a failed one, assembles none of them again.
+    An adapted solver lives only while its group needs it: a climbing
+    group drops each finer solver before it builds the next rung's, and
+    the last one goes once the group's curvatures are taken, before the
+    next lead builds its meshes.  So at most one adapted solver is alive,
+    besides the cached uniform ones.
 
     Uniform climbs start at _LADDER's 256-node rung.  Adapted climbs
     start there too on smooth boundaries, where the trapezoid rule
@@ -198,6 +204,7 @@ class SzegoEvaluator(_EvaluatorBase):
             if kappas is not None and done:
                 kappas.update(zip(done, fine.kappa(
                     [self._settled[z] for z in done])))
+            del fine  # an adapted solver goes before the next lead's meshes
             pending = [z for z in pending if z not in self._settled]
         return kappas
 
@@ -240,6 +247,7 @@ class SzegoEvaluator(_EvaluatorBase):
             rels = [_doubling_change(c, f) for c, f in zip(coarse, fine)]
             if n1 < self._LADDER[-1] and any(rel > self.tol for rel in rels):
                 n1, coarse = n2, fine  # the whole batch climbs
+                del fine_solver  # an adapted one goes before the next rung
                 continue
             failed = {}
             for z, rel, sol in zip(zs, rels, fine):
@@ -278,6 +286,7 @@ class SzegoEvaluator(_EvaluatorBase):
             solver = next((s for s in self._solvers.values()
                            if s.mesh is mesh), None) or SzegoSolver(mesh)
             kappas.update(zip(block, solver.kappa(sols)))
+            del solver  # an adapted one goes before the next is built
         return np.array([kappas[z] for z in zs.tolist()], dtype=float)
 
     def solution(self, a):

@@ -199,9 +199,14 @@ class SzegoSolver:
     The factorization is by _TILE x _TILE blocks without pivoting: the
     hermitian part of I + B is I, and that of every Schur complement is
     at least I, so each diagonal block is invertible and its inverse,
-    kept for the solves, has norm at most 1.  The blocks are numpy
-    products and inverses of single tiles, two to four times cheaper
-    than inverting the whole matrix at 512-2048 nodes.
+    kept for the solves in the block's place, has norm at most 1.  The
+    blocks are numpy products and inverses of single tiles, two to four
+    times cheaper than inverting the whole matrix at 512-2048 nodes.
+    Memory: a solver holds one n x n complex matrix, 16 n^2 bytes, B and
+    then its factors in the same buffer, from construction until it is
+    collected.  Factoring takes at most one n x _TILE block more, 8 MiB
+    at 2048 nodes, as the Schur update runs one column block at a time;
+    updating the whole trailing block at once would take 50 MB there.
 
     solve and kappa also take a block of base points.  Its right-hand
     sides run MINRES one by one, as contiguous vectors with the bits a
@@ -226,30 +231,36 @@ class SzegoSolver:
     def _factor(self):
         if self._lu is None:
             a = self._b
-            if not np.all(np.isfinite(a)):
+            n = a.shape[0]
+            blocks = range(0, n, _TILE)
+            # one column block at a time, so that no n x n temporary is made
+            if not all(np.isfinite(a[:, k0:k0 + _TILE]).all()
+                       for k0 in blocks):
                 raise SolveError("boundary system has non-finite entries")
             self._b = None
             np.fill_diagonal(a, a.diagonal() + 1.0)
-            # a becomes L - I + U with unit block-lower L; the inverses of
-            # U's diagonal blocks are kept aside
-            pivots = []
-            for k0 in range(0, a.shape[0], _TILE):
+            # a becomes L - I + U with unit block-lower L, each diagonal
+            # block of U replaced by its inverse, which is all the solves
+            # read of it; the Schur update runs one column block at a time
+            for k0 in blocks:
                 k1 = k0 + _TILE
-                pivots.append(np.linalg.inv(a[k0:k1, k0:k1]))
-                a[k1:, k0:k1] = a[k1:, k0:k1] @ pivots[-1]
-                a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
-            self._lu = a, pivots
+                a[k0:k1, k0:k1] = np.linalg.inv(a[k0:k1, k0:k1])
+                a[k1:, k0:k1] = a[k1:, k0:k1] @ a[k0:k1, k0:k1]
+                for j0 in range(k1, n, _TILE):
+                    a[k1:, j0:j0 + _TILE] -= (a[k1:, k0:k1]
+                                              @ a[k0:k1, j0:j0 + _TILE])
+            self._lu = a
 
     def _lu_solve(self, rhs):
         """(I + B)^-1 of each row of rhs, as rows, from the factors."""
-        a, pivots = self._lu
+        a = self._lu
         y = rhs.T.copy()
         for k0 in range(_TILE, a.shape[0], _TILE):
             y[k0:k0 + _TILE] -= a[k0:k0 + _TILE, :k0] @ y[:k0]
-        for j in reversed(range(len(pivots))):
-            k0, k1 = j * _TILE, (j + 1) * _TILE
+        for k0 in reversed(range(0, a.shape[0], _TILE)):
+            k1 = k0 + _TILE
             y[k0:k1] -= a[k0:k1, k1:] @ y[k1:]
-            y[k0:k1] = pivots[j] @ y[k0:k1]
+            y[k0:k1] = a[k0:k1, k0:k1] @ y[k0:k1]
         return y.T
 
     def _minres(self, rhs):

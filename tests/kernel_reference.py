@@ -2,16 +2,18 @@
 
 broadcast_kerzman_stein builds the matrix B the plain way, with N x N
 temporaries, where the package assembles it in place, tile by tile, so
-the tests can check the two agree bit for bit.  uniform_pair_values
-solves a fixed uniform mesh pair, with no routing, as a reference for
-the values SzegoEvaluator settles.
+the tests can check the two agree bit for bit.  square_update_lu
+factors I + B with the whole trailing Schur complement updated in one
+product per block, where the package updates it one column block at a
+time.  uniform_pair_values solves a fixed uniform mesh pair, with no
+routing, as a reference for the values SzegoEvaluator settles.
 """
 
 import numpy as np
 
 from caratheodory.geometry import mesh_boundary
 from caratheodory.kernels import SzegoEvaluator
-from caratheodory.kernels.szego import SzegoSolver
+from caratheodory.kernels.szego import _TILE, SzegoSolver
 
 
 def broadcast_kerzman_stein(mesh):
@@ -25,6 +27,20 @@ def broadcast_kerzman_stein(mesh):
     c = (sw[:, None] * sw[None, :]) * (t[None, :] / dz) / (2j * np.pi)
     np.fill_diagonal(c, 0.0)
     return c.conj().T - c
+
+
+def square_update_lu(b):
+    """The block LU of I + B in SzegoSolver's layout, L - I + U with unit
+    block-lower L and U's diagonal blocks replaced by their inverses, by
+    _TILE blocks with a square (n - k1) x (n - k1) Schur product."""
+    a = b.copy()
+    np.fill_diagonal(a, a.diagonal() + 1.0)
+    for k0 in range(0, a.shape[0], _TILE):
+        k1 = k0 + _TILE
+        a[k0:k1, k0:k1] = np.linalg.inv(a[k0:k1, k0:k1])
+        a[k1:, k0:k1] = a[k1:, k0:k1] @ a[k0:k1, k0:k1]
+        a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
+    return a
 
 
 def uniform_pair_values(domain, n, zs, kappa=False):

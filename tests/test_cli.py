@@ -188,6 +188,36 @@ def test_localize_refuses_a_nan_flag(flag, name, capsys):
     assert err.startswith("error: %s must be" % name) and "finite" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["suita"], "--tol"),
+    (["localize"], "--rtol"),
+    (["thicken-converge", "--point", "0", "--eps", "0.1"], "--gap-tol"),
+], ids=["suita", "localize", "thicken"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(
+        argv, flag, value, capsys):
+    # refused before the domain file is read, so the missing file is
+    # never reported: no geometry is built for a run that cannot pass
+    rc = run_cli(argv[:1] + ["--domain", "no_such_domain.json"] + argv[1:]
+                 + [flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "usage error: %s must be nonnegative and finite, got %s\n"
+        % (flag, float(value)))
+
+
+@pytest.mark.parametrize("command", ["curvature", "suita"])
+@pytest.mark.parametrize("value", ["0", "nan"])
+def test_a_delta_standing_in_for_the_spacing_is_named(command, value, capsys):
+    # without --spacing, --delta is the spacing, and the error names the
+    # flag that was passed
+    assert run_cli([command, "--domain", _fx("disc.json"),
+                    "--delta", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --delta is the spacing")
+    assert "got %s" % float(value) in err
+
+
 def test_bad_flags_are_usage_errors(capsys):
     assert run_cli(["metric"]) == 1
     assert capsys.readouterr().err.startswith("usage error:")

@@ -21,6 +21,7 @@ from caratheodory.kernels import evaluators
 from caratheodory.kernels.szego import SzegoSolver
 from caratheodory.harness.reports import TREND_DISTANCES
 from kernel_reference import uniform_pair_values
+from solver_lifetimes import solver_lifetimes
 from caratheodory.harness import (
     annulus,
     blob_disc_pair,
@@ -459,6 +460,23 @@ def test_only_the_latest_foot_solver_is_kept():
         ev.values(zs)
         first = SzegoEvaluator(ellipse()).curvatures(zs)
         assert np.array_equal(ev.curvatures(zs), first)
+
+
+@pytest.mark.parametrize("asks", [["values"], ["curvatures"],
+                                  ["values", "curvatures"]],
+                         ids=["values", "curvatures", "values_then_kappa"])
+def test_a_foot_group_drops_its_solver_before_the_next_group(asks):
+    # four points near the ellipse's four vertices settle in four foot
+    # groups, each on an adapted (256, 512) pair; each group's finer
+    # solver goes once its curvatures are taken, before the next lead
+    # builds its meshes, and curvatures asked later rebuild them one at
+    # a time, so no two solvers are ever alive together
+    ev = SzegoEvaluator(ellipse())
+    with solver_lifetimes() as live:
+        for ask in asks:
+            getattr(ev, ask)([0.98j, -0.98j, 1.97, -1.97])
+    assert live.peak_sizes == [512]
+    assert live.peak_bytes == 16 * 512**2
 
 
 def test_near_boundary_batches_build_no_uniform_mesh_past_1024(monkeypatch):

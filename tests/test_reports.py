@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from caratheodory.errors import GeometryError
-from caratheodory.geometry import boolean_intersect
+from caratheodory.geometry import boolean_intersect, boolean_union
 from caratheodory.harness import (
     annulus,
     blob_disc_pair,
@@ -25,8 +25,9 @@ from caratheodory.harness import (
 from caratheodory.geometry import grid_sample
 from caratheodory.harness import reports
 from caratheodory.harness.reports import write_csv
-from caratheodory.kernels import SzegoEvaluator, evaluators
+from caratheodory.kernels import SzegoEvaluator, evaluator_for, evaluators
 from curvature_reference import annulus_kappa, annulus_series
+from solver_lifetimes import solver_lifetimes
 
 
 # -- suita ---------------------------------------------------------------
@@ -89,6 +90,12 @@ def test_suita_bound_on_the_annulus():
     assert rep.kappa_max == pytest.approx(max(exact), abs=1e-10)
     trend = [abs(annulus_kappa(0.5, 1.0 - d) + 4.0) for d in rep.trend_distances]
     assert np.allclose(rep.trend_values, trend, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("delta", [0.0, np.nan])
+def test_suita_names_a_delta_that_stands_in_for_the_spacing(delta):
+    with pytest.raises(GeometryError, match="delta is the spacing"):
+        verify_suita(ellipse(), delta)
 
 
 def test_suita_rejects_cornered_domains():
@@ -246,6 +253,39 @@ def test_the_pointwise_curvature_retry_asks_no_values():
     got = reports._kappa_or_nan(OneBadPoint(), np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(got, [-4.0, np.nan, -4.0], equal_nan=True)
     assert asked == [[1.0, 2.0, 3.0], [1.0], [2.0], [3.0]]
+
+
+def test_a_sweep_over_two_components_matches_each_domain_evaluated_alone():
+    # the ellipse cuts the annulus in two pieces; every row, C_hat and
+    # the count of dropped points are those of each domain's authority
+    # evaluated on its own over that component's grid, bit for bit
+    d1, d2 = annulus(), ellipse(1.5, 0.25)
+    rep = verify_submult(d1, d2, delta=0.05, spacing=0.2)
+    comps = boolean_intersect(d1, d2)
+    assert len(comps) == 2
+    uni = boolean_union(d1, d2)
+    rows, c_hat = [], 0.0
+    for comp in comps:
+        pts = grid_sample(comp, 0.05, 0.2)
+        k_1 = evaluator_for(d1).curvatures(pts)
+        k_2 = evaluator_for(d2).curvatures(pts)
+        c_hat = max(c_hat, float(np.max(-(k_1 + k_2))))
+        cols = [evaluator_for(dom).values(pts) for dom in (comp, uni, d1, d2)]
+        rows += [(z.real, z.imag, a, b, u, v, a * b / (u * v))
+                 for z, a, b, u, v in zip(pts, *cols)]
+    assert len(rows) == 4 and rep.dropped == 0
+    assert rep.rows == rows
+    assert rep.C_hat == c_hat
+
+
+def test_the_product_sweep_holds_one_domains_solvers_at_a_time():
+    # the union's and the blob's uniform (512, 1024) pairs are never
+    # alive together: each evaluator goes before the next is built
+    with solver_lifetimes() as live:
+        rep = verify_submult(*blob_disc_pair(), spacing=0.5)
+    assert len(rep.rows) == 1
+    assert live.peak_sizes == [512, 1024]
+    assert live.peak_bytes == 20 * 2**20
 
 
 def test_submult_needs_an_overlap():

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,11 @@ from caratheodory.harness import (
     two_disc_pair,
     unit_disc,
 )
-from kernel_reference import broadcast_kerzman_stein, uniform_pair_values
+from kernel_reference import (
+    broadcast_kerzman_stein,
+    square_update_lu,
+    uniform_pair_values,
+)
 
 
 def _disc_kernel(z, a):
@@ -438,3 +443,20 @@ def test_a_block_of_three_on_a_fresh_solver_keeps_the_minres_bits():
         assert np.array_equal(sol.szego_boundary, want.szego_boundary)
         assert sol.diag_value == want.diag_value
         assert k == single.kappa(want)
+
+
+def test_the_factorization_needs_one_tile_column_beyond_the_matrix():
+    # the Schur update runs one column block at a time, so past B's own
+    # buffer, which it factors in place, it allocates at most one
+    # n x _TILE block; a square update would take (n - _TILE)^2 entries
+    mesh = mesh_boundary(ellipse(), 2048)
+    solver = SzegoSolver(mesh)
+    want = square_update_lu(solver._b)
+    tracemalloc.start()
+    try:
+        solver._factor()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * mesh.size * szego._TILE
+    assert np.array_equal(solver._lu, want)
