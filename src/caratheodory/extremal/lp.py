@@ -15,9 +15,10 @@ ExtremalProblem per domain and degree orthonormalises it by Arnoldi, a
 weighted QR (Brubeck, Nakatsukasa and Trefethen, SIAM Rev. 2021), and
 every base point a is evaluated by the same recurrence, alone, so its
 bound has the same bits in any batch.  The quadrature is the one inexact
-step: the bound is the smaller of its values on meshes of m and 2m nodes
-per curve, refused when they differ by over _MESH_AGREEMENT (the uniform
-rule converges only algebraically over C1 joins).
+step: the bound is the smaller of its values on the meshes of m and 2m
+nodes on the outer curve, each hole at the outer spacing (see
+geometry.mesh), refused when they differ by over _MESH_AGREEMENT (the
+uniform rule converges only algebraically over C1 joins).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from ..errors import ExtremalError, GeometryError
 from ..geometry.mesh import mesh_boundary
 
-_NODES = 2048  # nodes per curve of the coarser of the two meshes
+_NODES = 2048  # outer-curve nodes of the coarser mesh; holes get their share
 _MESH_AGREEMENT = 1e-7  # seen: ~1e-12, and up to 1.6e-8 over C1 joins
 
 
@@ -124,7 +125,7 @@ def lp_caratheodory_lower(problem, zs):
         spread = abs(vals[1] - vals[0]) / max(vals)
         if spread > _MESH_AGREEMENT:
             raise ExtremalError(
-                "certificate at %s moves by %.3g from %d to %d nodes per curve"
+                "certificate at %s moves by %.3g from %d to %d outer nodes"
                 % (a, spread, _NODES, 2 * _NODES))
         out[k] = min(vals)
     return out

@@ -1,5 +1,15 @@
 """Arclength quadrature meshes on domain boundaries.
 
+A mesh of n nodes puts n on the outer curve and meshes each hole at the
+outer curve's mean spacing, 2 ceil(n L_k / (2 L_0)) nodes on hole k, L
+being arclength, but never fewer than 32 nor than n/8.  The trapezoid
+rule's error is set by the node spacing against the distance to the
+nearest singularity (Trefethen and Weideman, SIAM Rev. 2014), so the
+system is sized by the boundary's length, not by its number of curves.
+The floor grows with n so that a short hole's nodes still double with
+the outer curve's: with a fixed floor both meshes of a doubling pair
+would share one hole mesh, and the check would not see its error.
+
 Smooth curves get the uniform trapezoid rule in the curve parameter,
 which is spectrally accurate for periodic integrands; on a trig curve
 its nodes and velocities come from the FFT (``TrigCurve.uniform_eval``),
@@ -17,10 +27,16 @@ through the circle Mobius map e^{2 pi i (t - t_p)} = M(e^{2 pi i
 (s - t_p)}), M(zeta) = (zeta + r) / (1 + r zeta), which is analytic and
 periodic, so the rule stays spectral (Tee and Trefethen, SISC 2006) while
 its nodes crowd at t_p; on a cornered curve t_p is one more break of the
-corner grading.  Every other curve is meshed as without a foot.
+corner grading.  The adapted curve gets all n nodes, a hole too: the
+map's reach, the least d its nodes keep clearance from, scales with the
+curve's length over its node count squared, so a hole's share of n
+would leave a point near it unreachable at the top of a mesh ladder.
+Every other curve is meshed as without a foot.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -135,17 +151,31 @@ def _mesh_curve(curve, n, flip, foot=None):
     return z, w, tang
 
 
-def mesh_boundary(domain, n_per_curve, foot=None):
+def _curve_counts(domain, n):
+    """Node budget of each curve: n on the outer one and each hole's share
+    by arclength, even and at least max(32, n/8) (module docstring).  One
+    curve reads no length."""
+    curves = domain.curves
+    if len(curves) == 1:
+        return [n]
+    outer = curves[0].length
+    floor = max(32, 2 * (n // 16))
+    return [n] + [max(floor, 2 * math.ceil(n * c.length / (2.0 * outer)))
+                  for c in curves[1:]]
+
+
+def mesh_boundary(domain, n, foot=None):
     """Quadrature mesh of all boundary curves of a domain.
 
-    n_per_curve is the node budget for each curve (>= 32, even).  Corners
-    get the polynomial grading of exponent _GRADING.  foot = (k, t_p, d),
-    as Domain.foot gives it, adapts curve k to a base point at distance d
-    from its point t_p (see the module docstring).
+    n is the node budget of the outer curve (>= 32, even); each hole gets
+    its share by arclength, at least max(32, n/8) (see the module
+    docstring).  Corners get the polynomial grading of exponent
+    _GRADING.  foot = (k, t_p, d), as Domain.foot gives it, adapts curve
+    k, with n nodes, to a base point at distance d from its point t_p.
     """
-    n = int(n_per_curve)
+    n = int(n)
     if n < 32 or n % 2 != 0:
-        raise GeometryError("n_per_curve must be even and at least 32, got %s" % n)
+        raise GeometryError("n must be even and at least 32, got %s" % n)
     feet = {} if foot is None else {foot[0]: tuple(foot[1:])}
 
     nodes = []
@@ -153,8 +183,8 @@ def mesh_boundary(domain, n_per_curve, foot=None):
     tangents = []
     slices = []
     pos = 0
-    for k, c in enumerate(domain.curves):
-        z, w, tg = _mesh_curve(c, n, k > 0, feet.get(k))
+    for k, (c, m) in enumerate(zip(domain.curves, _curve_counts(domain, n))):
+        z, w, tg = _mesh_curve(c, n if k in feet else m, k > 0, feet.get(k))
         nodes.append(z)
         weights.append(w)
         tangents.append(tg)

@@ -6,6 +6,7 @@ from .fixtures import (
     blob_disc_pair,
     blob_with_hole,
     disc,
+    disc_with_holes,
     domain_from_dict,
     ellipse,
     fourier_blob,
@@ -37,6 +38,7 @@ __all__ = [
     "blob_with_hole",
     "converge_thickening",
     "disc",
+    "disc_with_holes",
     "domain_from_dict",
     "ellipse",
     "fourier_blob",

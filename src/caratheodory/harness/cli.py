@@ -16,6 +16,7 @@ stability but nothing here draws random numbers.
 """
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -42,6 +43,15 @@ class _Usage(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse takes a token that starts with "-" for a flag unless it is
+    # a plain decimal, so "--point -0.3+0.2j" or "--tol -1e-3" would lose
+    # their values; no flag here is a dash and a digit, a point, inf or
+    # nan, so every such token is a value
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
+
     # argparse wants to sys.exit(2) on bad flags; route that to exit 1
     def error(self, message):
         raise _Usage(message)

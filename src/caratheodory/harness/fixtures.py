@@ -56,6 +56,15 @@ def annulus(r_inner=0.5, r_outer=1.0):
                   primitive=("annulus", (0.0, float(r_inner), float(r_outer))))
 
 
+def disc_with_holes(holes):
+    """The unit disc minus round holes, given as (center, radius) pairs;
+    the Domain refuses holes that leave the disc or overlap."""
+    holes = [(complex(c), float(r)) for c, r in holes]
+    return Domain(_circle(), [_circle(c, r) for c, r in holes],
+                  label="unit disc minus %s" % ", ".join(
+                      "B(%g%+gi,%g)" % (c.real, c.imag, r) for c, r in holes))
+
+
 def blob_with_hole():
     """The Fourier blob with a round hole off center."""
     outer = fourier_blob().outer

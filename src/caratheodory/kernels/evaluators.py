@@ -113,7 +113,11 @@ class SzegoEvaluator(_EvaluatorBase):
     mesh pair (n, 2n), and every pair comes from one doubling ladder,
     _climb: each mesh solves its points as one block, a failure moves
     them all up one rung, the finer solutions becoming the coarser
-    ones, and the climb stops at (1024, 2048).
+    ones, and the climb stops at (1024, 2048).  A rung counts the outer
+    curve's nodes; each hole is meshed at the outer spacing, so a holed
+    domain's system is sized by its boundary's length, and a mesh
+    adapted to a foot gives the foot's curve all the rung's nodes (see
+    geometry.mesh).
 
     A batch settles in one loop, nearest point first, equal distances
     in the order of their feet (curve, then parameter), so the leads do
@@ -281,8 +285,8 @@ class SzegoEvaluator(_EvaluatorBase):
         for block in blocks.values():
             sols = [self._settled[z] for z in block]
             mesh = sols[0].mesh
-            # found by its mesh: _solvers is keyed by nodes per curve,
-            # which is not mesh.size on several curves
+            # found by its mesh: _solvers is keyed by the outer curve's
+            # nodes, which is not mesh.size on a domain with holes
             solver = next((s for s in self._solvers.values()
                            if s.mesh is mesh), None) or SzegoSolver(mesh)
             kappas.update(zip(block, solver.kappa(sols)))

@@ -202,11 +202,13 @@ class SzegoSolver:
     kept for the solves in the block's place, has norm at most 1.  The
     blocks are numpy products and inverses of single tiles, two to four
     times cheaper than inverting the whole matrix at 512-2048 nodes.
-    Memory: a solver holds one n x n complex matrix, 16 n^2 bytes, B and
-    then its factors in the same buffer, from construction until it is
-    collected.  Factoring takes at most one n x _TILE block more, 8 MiB
-    at 2048 nodes, as the Schur update runs one column block at a time;
-    updating the whole trailing block at once would take 50 MB there.
+    Memory: a solver holds one N x N complex matrix, 16 N^2 bytes with N
+    the mesh's node count over all its curves (each hole adds its share
+    by arclength, see geometry.mesh), B and then its factors in the same
+    buffer, from construction until it is collected.  Factoring takes at
+    most one N x _TILE block more, 8 MiB at 2048 nodes, as the Schur
+    update runs one column block at a time; updating the whole trailing
+    block at once would take 50 MB there.
 
     solve and kappa also take a block of base points.  Its right-hand
     sides run MINRES one by one, as contiguous vectors with the bits a

@@ -37,18 +37,23 @@ def annulus_series(q, r):
     """c, c' and c'' at radius r of the Caratheodory metric of q < |z| < 1,
     c(r) = sum_{n in Z} r^{2n} / (1 + q^{2n+1}).
 
-    The cut grows with r and q / r: terms fall like r^{2n} for n > 0 and
-    like (q/r)^{2|n|} for n < 0, so N terms each way leave under 1e-30.
+    The terms n = -m < 0 are summed as (q/r)^{2m} / (q (1 + q^{2m-1})),
+    which never overflows, and c' and c'' weight each term r^k, k = 2n,
+    by k / r and k (k - 1) / r^2.  The cut grows with r and q / r: terms
+    fall like r^{2n} for n > 0 and like (q/r)^{2m} for n < 0, so N terms
+    each way leave under 1e-30.
     """
     x = max(r, q / r)
     big = int(np.ceil(35.0 / -np.log(x)))
-    n = np.arange(-big, big + 1)
-    p = q ** np.abs(2 * n + 1)  # 1 / (1 + q^(2n+1)) without overflow
-    w = np.where(n >= 0, 1.0 / (1.0 + p), p / (1.0 + p))
-    k = 2.0 * n
-    c = np.sum(w * r**k)
-    c1 = np.sum(w * k * r ** (k - 1))
-    c2 = np.sum(w * k * (k - 1) * r ** (k - 2))
+    n = np.arange(big + 1)
+    m = n[1:]
+    k = 2.0 * np.concatenate([n, -m])
+    terms = np.concatenate([
+        r ** (2 * n) / (1.0 + q ** (2 * n + 1)),
+        (q / r) ** (2 * m) / (q * (1.0 + q ** (2 * m - 1)))])
+    c = np.sum(terms)
+    c1 = np.sum(terms * k) / r
+    c2 = np.sum(terms * k * (k - 1)) / r**2
     return c, c1, c2
 
 

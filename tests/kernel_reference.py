@@ -45,9 +45,10 @@ def square_update_lu(b):
 
 def uniform_pair_values(domain, n, zs, kappa=False):
     """The metric 2 pi S(a, a) at each point a of zs on the uniform mesh
-    of 2n nodes per curve, asserted to agree with the n-node mesh's
-    within SzegoEvaluator's doubling tolerance; with kappa, the pair
-    (values, curvatures), the curvatures from the 2n-node solver.
+    of 2n nodes on the outer curve (and each hole's share, as
+    mesh_boundary gives it), asserted to agree with the mesh of n outer
+    nodes within SzegoEvaluator's doubling tolerance; with kappa, the
+    pair (values, curvatures), the curvatures from the finer solver.
 
     Each mesh solves zs as one block on a fresh solver, as a group's
     climb does, so a value has the bits of a group that settles on this

@@ -218,6 +218,21 @@ def test_a_delta_standing_in_for_the_spacing_is_named(command, value, capsys):
     assert "got %s" % float(value) in err
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["metric", "--domain", _fx("disc.json")], "--point", "-0.3+0.2j"),
+    (["metric", "--domain", _fx("disc.json")], "--point", "-0.3,0.2"),
+    (["localize", "--domain", _fx("disc.json")], "--t", "-2.5e-1"),
+    (["suita", "--domain", "no_such_domain.json"], "--tol", "-1e-3"),
+], ids=["complex", "pair", "exponent", "refused"])
+def test_a_negative_value_parses_after_a_space(argv, flag, value, capsys):
+    # a value that starts with "-" is no flag, spaced or joined by "="
+    rc = run_cli(argv + [flag, value])
+    out = capsys.readouterr()
+    assert "expected one argument" not in out.err
+    assert (rc, out) == (run_cli(argv + [flag + "=" + value]),
+                         capsys.readouterr())
+
+
 def test_bad_flags_are_usage_errors(capsys):
     assert run_cli(["metric"]) == 1
     assert capsys.readouterr().err.startswith("usage error:")

@@ -105,11 +105,12 @@ def _count_work(monkeypatch):
 def _pairs(ev):
     """Each settled point with the pair that settled it, in settling
     order: (z, n1, n2) when the finer mesh is the uniform one of n2 nodes
-    per curve in ev._meshes, (z, "foot") when it is adapted to z's foot."""
-    per_curve = {id(mesh): n for n, mesh in ev._meshes.items()}
+    on the outer curve in ev._meshes, (z, "foot") when it is adapted to
+    z's foot."""
+    outer_nodes = {id(mesh): n for n, mesh in ev._meshes.items()}
     out = []
     for z, sol in ev._settled.items():
-        n2 = per_curve.get(id(sol.mesh))
+        n2 = outer_nodes.get(id(sol.mesh))
         out.append((z, "foot") if n2 is None else (z, n2 // 2, n2))
     return out
 
@@ -216,8 +217,8 @@ def _localization_piece():
 ], ids=["annulus", "cornered_piece"])
 def test_curvatures_after_values_build_no_solver(monkeypatch, make, zs):
     # the settling solvers are found among the cached uniform ones by
-    # their mesh: _solvers is keyed by nodes per curve, and the annulus's
-    # meshes hold two curves' worth
+    # their mesh: _solvers is keyed by the outer curve's nodes, and the
+    # annulus's meshes hold its hole's share more
     ev = SzegoEvaluator(make())
     ev.values(zs)
     built = []

@@ -279,13 +279,15 @@ def test_a_sweep_over_two_components_matches_each_domain_evaluated_alone():
 
 
 def test_the_product_sweep_holds_one_domains_solvers_at_a_time():
-    # the union's and the blob's uniform (512, 1024) pairs are never
-    # alive together: each evaluator goes before the next is built
+    # the union's and the blob's uniform (256, 512) pairs are never
+    # alive together: each evaluator goes before the next is built.  The
+    # peak is the blob's pair: its hole is 0.29 of its outer length, so
+    # its meshes hold 256 + 76 and 512 + 150 nodes
     with solver_lifetimes() as live:
         rep = verify_submult(*blob_disc_pair(), spacing=0.5)
     assert len(rep.rows) == 1
-    assert live.peak_sizes == [512, 1024]
-    assert live.peak_bytes == 20 * 2**20
+    assert live.peak_sizes == [332, 662]
+    assert live.peak_bytes == 16 * (332**2 + 662**2) == 8_775_488
 
 
 def test_submult_needs_an_overlap():

@@ -33,6 +33,7 @@ from caratheodory.harness import (
     two_disc_pair,
     unit_disc,
 )
+from curvature_reference import annulus_kappa, annulus_series
 from kernel_reference import (
     broadcast_kerzman_stein,
     square_update_lu,
@@ -234,6 +235,25 @@ def test_annulus_metric_matches_the_kernel_series():
     got = SzegoEvaluator(annulus()).value(0.7)
     assert got == pytest.approx(series, rel=1e-9)
     assert got == pytest.approx(3.240787521, abs=1e-8)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.1, 0.02])
+def test_values_and_curvatures_next_to_the_hole_match_the_series(q):
+    # holes are meshed at the outer curve's spacing, coarser than the
+    # outer budget, so check where that matters most: down to 1.5 hole
+    # radii, against the exact series.  Worst gaps seen: 1.3e-15 in
+    # value, 2.1e-14 in kappa; a hole kept at 32 nodes on both meshes of
+    # a pair read 2.4e-12 and 1.2e-12 here, at q = 0.02 and r = 0.03
+    rs = [r for r in (1.5 * q, 2 * q, 3 * q, np.sqrt(q), (1 + q) / 2, 0.9)
+          if r < 0.95]
+    zs = np.outer(rs, np.exp(2j * np.pi * np.array([0.0, 0.13, 0.29, 0.6])))
+    zs = zs.ravel()
+    ev = SzegoEvaluator(annulus(q))
+    values, kappas = ev.values(zs), ev.curvatures(zs)
+    want = [annulus_series(q, abs(z))[0] for z in zs]
+    assert np.max(np.abs(values / want - 1.0)) <= 1e-13
+    want = [annulus_kappa(q, abs(z)) for z in zs]
+    assert np.max(np.abs(kappas - want)) <= 1e-12
 
 
 def test_doubling_rejects_an_unresolved_boundary():

@@ -1,5 +1,7 @@
 """Boundary meshing, quadrature accuracy, and outward thickening."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ellipe
@@ -18,6 +20,7 @@ from caratheodory.harness import (
     annulus,
     blob_with_hole,
     disc,
+    disc_with_holes,
     ellipse,
     fourier_blob,
     two_disc_pair,
@@ -38,9 +41,16 @@ def test_circle_perimeter_and_unit_tangents():
     assert np.max(np.abs(np.abs(mesh.tangents) - 1.0)) < 1e-12
 
 
+def _hole_count(n, hole, outer):
+    # each hole at the outer curve's mean spacing, even, and never fewer
+    # than 32 nodes nor than n / 8
+    return max(32, n // 8, 2 * math.ceil(n * hole.length / (2 * outer.length)))
+
+
 def test_annulus_mesh_covers_both_curves():
     mesh = mesh_boundary(annulus(), 64)
-    assert mesh.size == 128
+    # the hole is half the outer circle's length: 64 + 32 nodes
+    assert mesh.size == 96
     assert len(mesh.curve_slices) == 2
     # hole curve is traversed clockwise but weights stay positive
     assert np.all(mesh.weights > 0)
@@ -57,10 +67,40 @@ def test_smooth_mesh_nodes_are_the_polyline_points(n):
         mesh = mesh_boundary(dom, n)
         for k, curve in enumerate(mesh.owner.curves):
             lo, hi = mesh.curve_slices[k]
-            assert np.array_equal(mesh.nodes[lo:hi], curve.polyline(n)[1])
-            v = curve.velocity(np.arange(n) / n)
+            m = n if k == 0 else _hole_count(n, curve, dom.outer)
+            assert hi - lo == m
+            assert np.array_equal(mesh.nodes[lo:hi], curve.polyline(m)[1])
+            v = curve.velocity(np.arange(m) / m)
             want = v / np.abs(v) if k == 0 else -v / np.abs(v)
             assert np.max(np.abs(mesh.tangents[lo:hi] - want)) <= 1e-13
+
+
+def test_each_hole_is_meshed_at_the_outer_spacing():
+    # radius 0.15 holes are 0.15 of the outer length: 2 ceil(19.2) = 40
+    # nodes each at 256, where the outer curve's budget on every curve
+    # would make 768
+    dom = disc_with_holes([(-0.45, 0.15), (0.45, 0.15)])
+    mesh = mesh_boundary(dom, 256)
+    assert [hi - lo for lo, hi in mesh.curve_slices] == [256, 40, 40]
+    for n in (64, 512, 2048):
+        sizes = [hi - lo for lo, hi in mesh_boundary(dom, n).curve_slices]
+        assert sizes == [n] + [_hole_count(n, h, dom.outer)
+                               for h in dom.holes]
+    # a short hole keeps n / 8 nodes, so its mesh still doubles with n
+    small = annulus(0.02)
+    assert [mesh_boundary(small, n).size for n in (128, 256, 512, 1024)] \
+        == [160, 288, 576, 1152]
+
+
+def test_the_curve_adapted_to_a_foot_keeps_the_whole_budget():
+    # the Mobius map's reach scales with the adapted curve's own node
+    # count, so a foot on a hole gives that hole n nodes; the other
+    # curves keep their shares
+    dom = disc_with_holes([(-0.45, 0.15), (0.45, 0.15)])
+    mesh = mesh_boundary(dom, 256, dom.foot(0.61))
+    assert [hi - lo for lo, hi in mesh.curve_slices] == [256, 40, 256]
+    mesh = mesh_boundary(dom, 256, dom.foot(0.99))
+    assert [hi - lo for lo, hi in mesh.curve_slices] == [256, 40, 40]
 
 
 def test_mesh_size_validation():
