@@ -1,7 +1,7 @@
 """Boolean combinations of domains by boundary arc tracing.
 
 Intersections of the two boundaries are seeded where fine polylines of
-the two curves cross, and polished with a two-variable Newton iteration.
+the two curves cross, and polished by ``curves._meet``'s Newton iteration.
 Candidate segment pairs are pruned by bounding box before the exact
 crossing test (``curves.crossing_pairs``).  Each boundary curve is then
 cut at those points and every resulting arc is kept or dropped by
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GeometryError, TangencyError
-from .curves import PiecewiseCurve, SubArc, _cross, crossing_pairs
+from .curves import PiecewiseCurve, SubArc, _cross, _meet, crossing_pairs
 from .domain import Domain, _winding_many
 
 _SEED_M = 2048
@@ -29,31 +29,17 @@ _PARAM_EPS = 1e-12
 
 def _refine_crossing(c1, c2, t1, t2, scale):
     """Newton-polish a crossing seed; returns (t1, t2, point)."""
-    for _ in range(60):
-        z1, v1 = c1.jet(t1 % 1.0, 1)
-        z2, v2 = c2.jet(t2 % 1.0, 1)
-        f = z1 - z2
-        det = _cross(v1, v2)
-        if abs(det) < 1e-14 * abs(v1) * abs(v2):
-            raise TangencyError("boundary curves meet tangentially near %s" % z1)
-        dt1 = -_cross(f, v2) / det
-        dt2 = -_cross(f, v1) / det
-        # damp huge steps so we stay near the seeded crossing
-        step = max(abs(dt1), abs(dt2))
-        if step > 0.05:
-            dt1 *= 0.05 / step
-            dt2 *= 0.05 / step
-        t1 += dt1
-        t2 += dt2
-        if abs(f) < 1e-13 * scale and step < 1e-10:
-            sin_angle = abs(_cross(v1, v2)) / (abs(v1) * abs(v2))
-            if sin_angle < _MIN_CROSS_SIN:
-                raise TangencyError(
-                    "near-tangential crossing (angle %.2e rad) near %s"
-                    % (sin_angle, z1)
-                )
-            return t1 % 1.0, t2 % 1.0, c1.point(t1 % 1.0)
-    raise TangencyError("crossing refinement did not converge (tangential contact?)")
+    # short steps keep the iteration near the seeded crossing
+    met = _meet(c1, c2, t1, t2, 0.05, scale)
+    if met is None:
+        raise TangencyError(
+            "boundary curves meet tangentially near %s" % c1.point(t1))
+    t1, t2, z, v1, v2 = met
+    sin_angle = abs(_cross(v1, v2)) / (abs(v1) * abs(v2))
+    if sin_angle < _MIN_CROSS_SIN:
+        raise TangencyError(
+            "near-tangential crossing (angle %.2e rad) near %s" % (sin_angle, z))
+    return t1 % 1.0, t2 % 1.0, z
 
 
 def curve_pair_intersections(c1, c2):

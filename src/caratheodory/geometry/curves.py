@@ -53,6 +53,33 @@ def _cross(p, q):
     return np.imag(np.conj(p) * q)
 
 
+def _meet(a, b, s, t, cap, scale):
+    """Newton's method for a(s) = b(t) from (s, t), each step at most
+    ``cap`` in both parameters.  Once a step under 1e-10 starts where
+    |a(s) - b(t)| < 1e-13 * scale, returns (s, t, a(s), a'(s), b'(t)): the
+    parameters after it, the point there and the velocities before it.
+    None when the velocities turn parallel or 80 steps do not get there.
+    """
+    for _ in range(80):
+        za, va = a.jet(s, 1)
+        zb, vb = b.jet(t, 1)
+        f = za - zb
+        det = _cross(va, vb)
+        if abs(det) < 1e-14 * abs(va) * abs(vb):
+            return None
+        ds = -_cross(f, vb) / det
+        dt = -_cross(f, va) / det
+        step = max(abs(ds), abs(dt))
+        if step > cap:
+            ds *= cap / step
+            dt *= cap / step
+        s += ds
+        t += dt
+        if abs(f) < 1e-13 * scale and step < 1e-10:
+            return s, t, a.point(s), va, vb
+    return None
+
+
 # relative rounding-error bound of a double-precision 2-D orientation
 # determinant (Shewchuk's ccwerrboundA, Discrete Comput. Geom. 18, 1997)
 _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53

@@ -4,7 +4,8 @@ Smooth curves are offset by resampling z(t) - i*eps*z'(t)/|z'(t)| and
 re-interpolating.  Piecewise curves get one offset arc per segment;
 corners where the offset opens a gap are capped with circular arcs, and
 corners where adjacent offset arcs overrun each other are trimmed back
-to their intersection (a ``SubArc`` of each offset arc).  Holes are
+to their intersection (a ``SubArc`` of each offset arc), which
+``curves._meet`` finds from the arcs' ends at the corner.  Holes are
 offset inward so the domain grows on every boundary component.
 """
 
@@ -19,7 +20,7 @@ from .curves import (
     PiecewiseCurve,
     SubArc,
     TrigCurve,
-    _cross,
+    _meet,
     _normalized,
 )
 from .domain import Domain
@@ -36,38 +37,18 @@ def _offset_trig(curve, d):
     return TrigCurve(pts)
 
 
-def _trim_pair(arc_a, arc_b, d, corner):
+def _trim_pair(arc_a, arc_b, corner):
     """Intersection of consecutive overlapping offset arcs near a corner.
 
     Returns (u on arc_a, u on arc_b)."""
-    # seed from the overlap length of straight offsets, d*tan(theta/2)
-    ua, ub = 1.0, 0.0
-    scale = abs(corner) + 1.0
-    step = np.inf
-    # 80 Newton steps, each checked at the jets that start the next pass
-    for _ in range(81):
-        za, va = arc_a.jet(ua, 1)
-        zb, vb = arc_b.jet(ub, 1)
-        f = za - zb
-        if abs(f) < 1e-13 * scale and step < 1e-11:
-            if not (0.0 < ua <= 1.0 + 1e-9 and -1e-9 <= ub < 1.0):
-                raise GeometryError(
-                    "offset trim escaped its segment near %s; offset too large"
-                    % corner
-                )
-            return min(ua, 1.0), max(ub, 0.0)
-        det = _cross(va, vb)
-        if det == 0.0:
-            break
-        dua = -_cross(f, vb) / det
-        dub = -_cross(f, va) / det
-        step = max(abs(dua), abs(dub))
-        if step > 0.2:
-            dua *= 0.2 / step
-            dub *= 0.2 / step
-        ua += dua
-        ub += dub
-    raise GeometryError("offset arcs fail to meet near corner %s" % corner)
+    met = _meet(arc_a, arc_b, 1.0, 0.0, 0.2, abs(corner) + 1.0)
+    if met is None:
+        raise GeometryError("offset arcs fail to meet near corner %s" % corner)
+    ua, ub = met[:2]
+    if not (0.0 < ua <= 1.0 + 1e-9 and -1e-9 <= ub < 1.0):
+        raise GeometryError(
+            "offset trim escaped its segment near %s; offset too large" % corner)
+    return min(ua, 1.0), max(ub, 0.0)
 
 
 def _offset_piecewise(curve, d):
@@ -91,7 +72,7 @@ def _offset_piecewise(curve, d):
             a1 = float(np.angle(-1j * t_out * np.sign(d)))
             caps[i] = CircleArc(corner, abs(d), a1, a1 + turn)
         else:
-            ua, ub = _trim_pair(offs[prev], offs[i], d, corner)
+            ua, ub = _trim_pair(offs[prev], offs[i], corner)
             hi[prev] = min(hi[prev], ua)
             lo[i] = max(lo[i], ub)
 

@@ -17,11 +17,26 @@ from ..geometry.curves import TrigCurve, curve_from_samples
 from ..geometry.domain import Domain
 
 _N = 256  # samples for trig fixtures; generous for 5 Fourier modes
+_ANGLES = 2.0 * np.pi * np.arange(_N) / _N
 
 
 def _circle(center=0.0, radius=1.0, n=_N):
     t = np.arange(n) / n
     return TrigCurve(center + radius * np.exp(2j * np.pi * t))
+
+
+def _ellipse(a, b):
+    return TrigCurve(a * np.cos(_ANGLES) + 1j * b * np.sin(_ANGLES))
+
+
+def _blob(base, modes):
+    """r(t) e^{it}, r = base + the sum of ck cos(kt) + sk sin(kt)."""
+    r = np.full(_N, float(base))
+    for k, ck, sk in modes:
+        r += ck * np.cos(k * _ANGLES) + sk * np.sin(k * _ANGLES)
+    if np.any(r <= 0):
+        raise GeometryError("fourier_blob radius must stay positive")
+    return TrigCurve(r * np.exp(1j * _ANGLES))
 
 
 def disc(center=0.0, radius=1.0, label=None):
@@ -38,16 +53,13 @@ def unit_disc():
 
 
 def ellipse(a=2.0, b=1.0):
-    t = 2.0 * np.pi * np.arange(_N) / _N
-    return Domain(TrigCurve(a * np.cos(t) + 1j * b * np.sin(t)),
-                  label="ellipse a=%g b=%g" % (a, b))
+    return Domain(_ellipse(a, b), label="ellipse a=%g b=%g" % (a, b))
 
 
 def fourier_blob():
     """Smooth 3-mode wobble of the unit circle."""
-    t = 2.0 * np.pi * np.arange(_N) / _N
-    r = 1.0 + 0.10 * np.cos(2 * t) + 0.08 * np.sin(3 * t) + 0.04 * np.cos(5 * t)
-    return Domain(TrigCurve(r * np.exp(1j * t)), label="fourier blob")
+    return Domain(_blob(1.0, [(2, 0.10, 0.0), (3, 0.0, 0.08), (5, 0.04, 0.0)]),
+                  label="fourier blob")
 
 
 def annulus(r_inner=0.5, r_outer=1.0):
@@ -103,18 +115,9 @@ def _curve_from_schema(spec):
         c = spec.get("center", [0.0, 0.0])
         return _circle(complex(c[0], c[1]), float(spec["radius"]))
     if kind == "ellipse":
-        a = float(spec.get("a", 2.0))
-        b = float(spec.get("b", 1.0))
-        t = 2.0 * np.pi * np.arange(_N) / _N
-        return TrigCurve(a * np.cos(t) + 1j * b * np.sin(t))
+        return _ellipse(float(spec.get("a", 2.0)), float(spec.get("b", 1.0)))
     if kind == "fourier_blob":
-        t = 2.0 * np.pi * np.arange(_N) / _N
-        r = np.full(_N, float(spec.get("base", 1.0)))
-        for k, ck, sk in spec.get("modes", []):
-            r += ck * np.cos(k * t) + sk * np.sin(k * t)
-        if np.any(r <= 0):
-            raise GeometryError("fourier_blob radius must stay positive")
-        return TrigCurve(r * np.exp(1j * t))
+        return _blob(spec.get("base", 1.0), spec.get("modes", []))
     if kind == "samples":
         pts = np.array([complex(p[0], p[1]) for p in spec["points"]])
         return curve_from_samples(pts)

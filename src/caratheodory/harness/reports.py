@@ -16,7 +16,8 @@ import numpy as np
 # curvature_at is not called here; the benchmark's trace table wraps it
 from ..curvature import curvature_at, scan_curvature  # noqa: F401
 from ..errors import ExtremalError, GeometryError, SolveError
-from ..geometry import boolean_intersect, boolean_union, grid_sample, thicken
+from ..geometry import (
+    boolean_intersect, boolean_union, curve_eval, grid_sample, thicken)
 # disc_metric is not called here; the benchmark's trace table wraps it
 from ..kernels import disc_metric, evaluator_for  # noqa: F401
 from .fixtures import disc
@@ -90,12 +91,6 @@ class SolyninReport:
     rows: list = field(repr=False, default_factory=list)
 
 
-def _inward_normal(curve, t):
-    # ccw boundary keeps the interior on the left of the velocity
-    v = curve.velocity(t)
-    return 1j * v / abs(v)
-
-
 def _disc_params(domain):
     if not domain.primitive or domain.primitive[0] != "disc":
         raise GeometryError("need a disc-tagged domain, got %r" % (domain.label,))
@@ -123,7 +118,7 @@ def verify_suita(domain, delta=0.15, tol=1e-3, spacing=None):
     scan = scan_curvature(domain, ev, delta, spacing)
 
     p = domain.outer.point(0.0)
-    nrm = _inward_normal(domain.outer, 0.0)
+    nrm = -curve_eval(domain.outer, 0.0).normal
     kappas = ev.curvatures([p + d * nrm for d in TREND_DISTANCES])
     trend = [abs(float(k) + 4.0) for k in kappas]
     trend_ok = all(
@@ -178,35 +173,28 @@ def verify_solynin_two_discs(disc1, disc2, delta=0.05, spacing=0.06):
     )
 
 
-def _values_or_nan(ev, pts):
+def _or_nan(batch, pts, warning, *context):
     # batch fast path; on failure redo pointwise so one bad point only
-    # costs itself
+    # costs itself, and log each point that fails alone
     try:
-        return np.asarray(ev.values(pts), dtype=float)
+        return np.asarray(batch(pts), dtype=float)
     except (ExtremalError, GeometryError, SolveError):
         pass
     out = np.full(pts.size, np.nan)
     for i, z in enumerate(pts):
         try:
-            out[i] = ev.value(z)
+            out[i] = batch(pts[i:i + 1])[0]
         except (ExtremalError, GeometryError, SolveError) as exc:
-            log.warning("dropping %s from %r: %s", z, ev.kind, exc)
+            log.warning(warning, z, *context, exc)
     return out
+
+
+def _values_or_nan(ev, pts):
+    return _or_nan(ev.values, pts, "dropping %s from %r: %s", ev.kind)
 
 
 def _kappa_or_nan(ev, pts):
-    # batch fast path, as in _values_or_nan
-    try:
-        return np.asarray(ev.curvatures(pts), dtype=float)
-    except (ExtremalError, GeometryError, SolveError):
-        pass
-    out = np.full(pts.size, np.nan)
-    for i, z in enumerate(pts):
-        try:
-            out[i] = ev.curvatures([z])[0]
-        except (ExtremalError, GeometryError, SolveError) as exc:
-            log.warning("dropping curvature at %s: %s", z, exc)
-    return out
+    return _or_nan(ev.curvatures, pts, "dropping curvature at %s: %s")
 
 
 def _product_sweep(D1, D2, comps, delta, spacing):
@@ -370,7 +358,7 @@ def localization_experiment(domain, boundary_param, neighborhood_radius,
             % (max(ds), radius))
 
     p = curve.point(t)
-    nrm = _inward_normal(curve, t)
+    nrm = -curve_eval(curve, t).normal
     zs = np.array([p + d * nrm for d in ds], dtype=complex)
 
     hood = disc(p, radius)

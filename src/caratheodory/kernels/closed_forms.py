@@ -87,6 +87,12 @@ class SectorPullback:
     The Mobius map M(z) = (z - p)/(z - q), with p, q the circle crossing
     points, sends both circles to straight lines through the origin, so
     the region becomes an infinite sector of opening beta at the vertex.
+    Its rays are the images of the region's two boundary arcs.  With u
+    the unit vector from c1 to c2, the lens's arcs hold c1 + r1 u and
+    c2 - r2 u, the union's c1 - r1 u and c2 + r2 u; the midpoint of the
+    lens's two lies in both regions, so its image picks the sector between
+    the rays.  A circle's two arcs map to opposite rays, so each ray is
+    read at the one of its circle's two points farther from p and q.
     A sector of opening beta is taken to the upper half-plane by
     w -> w^(pi/beta), and pulling 1/(2 Im) back gives the sector density
 
@@ -103,46 +109,22 @@ class SectorPullback:
             raise GeometryError("region must be 'intersection' or 'union'")
         self.discs = ((c1, r1), (c2, r2))
         self.which = which
-        p, q = circle_intersection(c1, r1, c2, r2)
-        self.p, self.q = p, q
+        self.p, self.q = p, q = circle_intersection(c1, r1, c2, r2)
 
-        # each circle maps to a line through 0; sample a circle point well
-        # away from both crossing points to read off the line's angle
-        rays = []
-        for c, r in self.discs:
-            base = float(np.angle(p - c))
-            cands = c + r * np.exp(1j * (base + np.array([np.pi, 0.5 * np.pi, 1.5 * np.pi])))
-            far = cands[int(np.argmax(np.minimum(np.abs(cands - p), np.abs(cands - q))))]
-            th = float(np.angle((far - p) / (far - q)))
-            rays.extend([th % (2 * np.pi), (th + np.pi) % (2 * np.pi)])
-        rays = sorted(rays)
-
-        def pullback(w):
-            return (q * w - p) / (w - 1.0)
-
-        sectors = []
-        for i in range(4):
-            lo = rays[i]
-            hi = rays[i + 1] if i < 3 else rays[0] + 2 * np.pi
-            zt = pullback(0.7321 * np.exp(0.5j * (lo + hi)))
-            in1 = abs(zt - c1) < r1
-            in2 = abs(zt - c2) < r2
-            sectors.append((lo, hi, in1, in2))
-
-        if which == "intersection":
-            match = [s for s in sectors if s[2] and s[3]]
-            if len(match) != 1:
-                raise GeometryError("lens sector identification failed")
-            lo, hi, _, _ = match[0]
-            self.start, self.opening = lo, hi - lo
+        u = (c2 - c1) / abs(c2 - c1)
+        m = 0.5 * ((c1 + r1 * u) + (c2 - r2 * u))
+        w = [(m - p) / (m - q)]
+        side = 1.0 if which == "intersection" else -1.0
+        for c, a in ((c1, side * r1 * u), (c2, -side * r2 * u)):
+            # M(c + a), or -M(c - a) where c - a lies farther from p and q
+            s = -1.0 if abs(c + a - p) < abs(c - a - p) else 1.0
+            w.append(s * (c + s * a - p) / (c + s * a - q))
+        mid, lo, hi = np.angle(w).tolist()
+        self.opening = (hi - lo) % (2 * np.pi)
+        if (mid - lo) % (2 * np.pi) < self.opening:
+            self.start = lo
         else:
-            # the union's image is the complement of the sector that maps
-            # outside both discs
-            match = [s for s in sectors if not s[2] and not s[3]]
-            if len(match) != 1:
-                raise GeometryError("union sector identification failed")
-            lo, hi, _, _ = match[0]
-            self.start, self.opening = hi, 2 * np.pi - (hi - lo)
+            self.start, self.opening = hi, 2 * np.pi - self.opening
 
     def contains(self, z):
         (c1, r1), (c2, r2) = self.discs

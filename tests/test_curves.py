@@ -10,19 +10,23 @@ from caratheodory.geometry import (
     OffsetArc,
     SubArc,
     boolean_intersect,
+    boolean_union,
     curve_eval,
     curve_from_samples,
+    thicken,
 )
 from caratheodory.geometry.curves import (
     _PAIR_BLOCK,
     TrigCurve,
     _has_close_pair,
+    _meet,
     crossing_pairs,
     polyline_self_intersects,
 )
 from caratheodory.harness import (
     blob_disc_pair,
     blob_with_hole,
+    disc,
     ellipse,
     fourier_blob,
     two_disc_pair,
@@ -378,3 +382,37 @@ def test_self_crossing_check_tests_few_pairs(monkeypatch):
     tested = count_tested_pairs(monkeypatch)
     assert not polyline_self_intersects(circle)
     assert sum(tested) < 0.05 * 8192**2
+
+
+@pytest.mark.parametrize("s, t", [(0.17, 0.32), (0.84, 0.66), (1.17, -0.68)])
+def test_two_crossing_circles_meet_where_both_points_agree(s, t):
+    # B(-0.5, 1) and B(0.5, 1) cross at +-i sqrt(3)/2; a seed past the
+    # wrap point converges through the charts' own reduction mod 1
+    a, b = disc(-0.5, 1.0).outer, disc(0.5, 1.0).outer
+    s, t, z, va, vb = _meet(a, b, s, t, 0.05, 1.0)
+    # the points agreed to 3.9e-16 and sat 2.6e-16 from the exact crossing
+    assert abs(a.point(s) - b.point(t)) < 1e-15
+    assert abs(z - 1j * np.sign(z.imag) * np.sqrt(0.75)) < 1e-15
+    assert z == a.point(s)
+    assert abs(va - a.velocity(s)) < 1e-9 and abs(vb - b.velocity(t)) < 1e-9
+
+
+@pytest.mark.parametrize("s, t", [(0.1, 0.3), (0.1, 0.1), (0.3, 0.9)])
+def test_concentric_circles_do_not_meet(s, t):
+    assert _meet(disc(0.0, 1.0).outer, disc(0.0, 0.5).outer,
+                 s, t, 0.05, 1.0) is None
+
+
+def test_each_trimmed_junction_lies_the_offset_from_both_base_arcs():
+    # the union's two corners are reflex, so its offset arcs overrun there
+    # and are trimmed back to where they meet
+    d1, d2 = two_disc_pair("asymmetric")
+    grown = thicken(boolean_union(d1, d2), 0.05)
+    ends = [seg.point(u) for seg in grown.outer.segments
+            for u, t in ((0.0, seg.t0), (1.0, seg.t1)) if 0.0 < t < 1.0]
+    assert len(ends) == 4
+    for z in ends:
+        gaps = [abs(abs(z - c) - r) for c, r in (d1.primitive[1],
+                                                 d2.primitive[1])]
+        # at most 1.6e-15 from 0.05 when measured
+        assert np.allclose(gaps, 0.05, rtol=0.0, atol=3e-15)
