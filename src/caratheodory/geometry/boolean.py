@@ -1,13 +1,18 @@
 """Boolean combinations of domains by boundary arc tracing.
 
-Intersections of the two boundaries are seeded where fine polylines of
-the two curves cross, and polished by ``curves._meet``'s Newton iteration.
-Candidate segment pairs are pruned by bounding box before the exact
-crossing test (``curves.crossing_pairs``).  Each boundary curve is then
-cut at those points and every resulting arc is kept or dropped by
-testing a single interior sample against the other domain.  Kept arcs
-chain into closed loops; positive loops become outer curves, negative
-loops become holes.
+Intersections of the two boundaries are seeded where the curves'
+``_POLY_M``-node polylines cross, and polished by ``curves._meet``'s
+Newton iteration.  Candidate segment pairs are pruned by bounding box
+before the exact crossing test (``curves.crossing_pairs``).  Each
+boundary curve is then cut at those points and every resulting arc is
+kept or dropped by testing a single interior sample against the other
+domain.  Kept arcs chain into closed loops; positive loops become outer
+curves, negative loops become holes.
+
+Every arc of a result is a ``SubArc`` of an input curve, so the result's
+polyline, which its self-crossing check, hole placement and containment
+read at the same size, is the inputs' cached nodes plus one point per arc
+start (``PiecewiseCurve.polyline``).
 
 Tangential contact is rejected rather than perturbed: graded meshes
 degrade at cusps and the kernels downstream assume transversal corners.
@@ -18,10 +23,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GeometryError, TangencyError
-from .curves import PiecewiseCurve, SubArc, _cross, _meet, crossing_pairs
+from .curves import (
+    _POLY_M,
+    PiecewiseCurve,
+    SubArc,
+    _cross,
+    _meet,
+    crossing_pairs,
+)
 from .domain import Domain, _winding_many
 
-_SEED_M = 2048
 _MIN_CROSS_SIN = 1e-3  # reject crossings shallower than ~0.057 degrees
 _MIN_AREA = 1e-10
 _PARAM_EPS = 1e-12
@@ -49,8 +60,8 @@ def curve_pair_intersections(c1, c2):
     ``TangencyError`` on near-tangential contact and ``GeometryError``
     when an odd crossing count signals a missed intersection.
     """
-    p1, z1 = c1.polyline(_SEED_M)
-    p2, z2 = c2.polyline(_SEED_M)
+    p1, z1 = c1.polyline(_POLY_M)
+    p2, z2 = c2.polyline(_POLY_M)
     scale = max(np.max(np.abs(z1)), np.max(np.abs(z2)), 1.0)
     a0, a1 = z1, np.roll(z1, -1)
     b0, b1 = z2, np.roll(z2, -1)
@@ -233,7 +244,7 @@ def _assemble(loops, whole, d1, d2):
         zh = h.point(0.317)
         best = None
         for g in groups:
-            _, poly = g["outer"].polyline(1024)
+            _, poly = g["outer"].polyline(_POLY_M)
             w = _winding_many(poly, np.asarray([zh]))[0][0]
             if w == 1.0:
                 if best is None or g["area"] < best["area"]:

@@ -19,6 +19,14 @@ closed curves run over t in [0, 1) with a ``period``, arcs over u in
 offsets both cut with it).  Each parameter's value is computed from that
 parameter alone, so it has the same bits alone or in any batch.
 
+Polylines are cached per node count; the one fine size, ``_POLY_M``, is
+what containment, distance seeds and boolean tracing read.  A trig curve
+resamples by FFT; a piecewise curve's sub-arcs of closed curves read
+their nodes off those curves' cached polylines, so a boolean result
+evaluates its charts at its arc starts only.  ``polyline_self_intersects``
+drops the runs of consecutive segments that advance along one direction,
+which cannot cross themselves, and tests the rest exactly.
+
 Closed curves are stored counterclockwise (positive signed area).  Hole
 orientation is a bookkeeping concern of ``Domain`` and the mesher, never of
 the curve itself.
@@ -38,6 +46,7 @@ _GL_U = 0.5 * (_GL_X + 1.0)  # Gauss-Legendre nodes on [0, 1]
 _GL_WU = 0.5 * _GL_W
 
 _SERIES_TERMS = 2**16  # series terms per block of TrigCurve._series (1 MB)
+_POLY_M = 2048  # nodes per curve of the one fine polyline (see above)
 
 CurveEval = namedtuple("CurveEval", ["point", "tangent", "normal", "curvature"])
 
@@ -129,15 +138,10 @@ def _chunk_boxes(p0, p1, pad):
     )
 
 
-def crossing_pairs(a0, a1, b0, b1):
-    """Index arrays (i, j) of the segments a0[i]a1[i] and b0[j]b1[j] that
-    properly cross, sorted row-major.
-
-    Both families are cut into runs of ``_CHUNK`` consecutive segments;
-    the exact test runs only on the segment pairs of runs whose bounding
-    boxes, padded by 1e-9 of the coordinate scale, overlap, at most
-    ``_PAIR_BLOCK`` pairs at a time.
-    """
+def _candidate_runs(a0, a1, b0, b1):
+    """Index arrays (ci, cj), row-major, of the runs of ``_CHUNK``
+    consecutive segments of each family whose bounding boxes, padded by
+    1e-9 of the coordinate scale, overlap."""
     scale = max(np.max(np.abs(p)) for p in (a0, a1, b0, b1))
     ax0, ax1, ay0, ay1 = _chunk_boxes(a0, a1, 1e-9 * scale)
     bx0, bx1, by0, by1 = _chunk_boxes(b0, b1, 1e-9 * scale)
@@ -147,34 +151,91 @@ def crossing_pairs(a0, a1, b0, b1):
         & (ay0[:, None] <= by1)
         & (by0 <= ay1[:, None])
     )
-    ci, cj = np.nonzero(meet)
+    return np.nonzero(meet)
+
+
+def _run_pair_hits(a0, a1, b0, b1, ci, cj, keep):
+    """For each block of the run pairs (ci, cj), the index arrays (i, j)
+    of the segment pairs that properly cross, among those where
+    keep(i, j) holds; at most ``_PAIR_BLOCK`` pairs per exact test."""
     k = np.arange(_CHUNK)
     step = _PAIR_BLOCK // _CHUNK**2  # run pairs per block
-    found_i = [np.empty(0, dtype=np.intp)]
-    found_j = [np.empty(0, dtype=np.intp)]
     for s in range(0, ci.size, step):
         i, j = np.broadcast_arrays(
             ci[s:s + step, None, None] * _CHUNK + k[:, None],
             cj[s:s + step, None, None] * _CHUNK + k)
-        # the last run of either family may be short
-        keep = (i < len(a0)) & (j < len(b0))
-        i, j = i[keep], j[keep]
+        sel = keep(i, j)
+        i, j = i[sel], j[sel]
         hit = _segments_properly_cross(a0[i], a1[i], b0[j], b1[j])
-        found_i.append(i[hit])
-        found_j.append(j[hit])
+        yield i[hit], j[hit]
+
+
+def crossing_pairs(a0, a1, b0, b1):
+    """Index arrays (i, j) of the segments a0[i]a1[i] and b0[j]b1[j] that
+    properly cross, sorted row-major.
+
+    Both families are cut into runs of ``_CHUNK`` consecutive segments;
+    the exact test runs only on the segment pairs of runs whose bounding
+    boxes, padded by 1e-9 of the coordinate scale, overlap, at most
+    ``_PAIR_BLOCK`` pairs at a time.
+    """
+    ci, cj = _candidate_runs(a0, a1, b0, b1)
+    found_i = [np.empty(0, dtype=np.intp)]
+    found_j = [np.empty(0, dtype=np.intp)]
+    # the last run of either family may be short
+    for i, j in _run_pair_hits(a0, a1, b0, b1, ci, cj,
+                               lambda i, j: (i < len(a0)) & (j < len(b0))):
+        found_i.append(i)
+        found_j.append(j)
     i, j = np.concatenate(found_i), np.concatenate(found_j)
     order = np.lexsort((j, i))
     return i[order], j[order]
 
 
 def polyline_self_intersects(pts):
-    """True if the closed polyline through ``pts`` has a proper self-crossing."""
+    """True if the closed polyline through ``pts`` has a proper self-crossing.
+
+    The candidates are the run pairs ci <= cj of ``crossing_pairs`` on the
+    polyline against itself.  A pair that is one run, or two cyclically
+    consecutive runs, is dropped when each of its segments has a positive
+    component along its first segment, by more than 1e-9 of their
+    lengths' product (rounding moves it by about 1e-16): the projection
+    on that direction then strictly rises along the pair, so two of its
+    segments that are not adjacent project onto disjoint intervals and
+    cannot meet.  On a smooth curve's polyline that drops nearly every
+    candidate.  The rest are tested on their segment pairs i < j that are
+    not adjacent.
+    """
     m = len(pts)
     a1 = np.roll(pts, -1)
-    i, j = crossing_pairs(pts, a1, pts, a1)
-    # adjacent segments (and self) share endpoints; ignore them
-    diff = (i - j) % m
-    return bool(np.any((diff != 0) & (diff != 1) & (diff != m - 1)))
+    ci, cj = _candidate_runs(pts, a1, pts, a1)
+    upper = ci <= cj
+    ci, cj = ci[upper], cj[upper]
+
+    d = a1 - pts
+    starts = np.arange(0, m, _CHUNK)
+    first = d[starts]
+    run = np.arange(m) // _CHUNK
+
+    def rises(e):
+        """Per run: every segment has a positive component along e."""
+        dot = np.real(np.conj(e) * d)
+        return np.logical_and.reduceat(
+            dot > 1e-9 * np.abs(e) * np.abs(d), starts)
+
+    own = rises(first[run])  # run c along its own first segment
+    # runs c and c + 1 along run c's first segment (index -1 wraps)
+    chain = own & np.roll(rises(first[run - 1]), -1)
+    gap = cj - ci
+    drop = np.where(gap == 0, own[ci],
+                    ((gap == 1) & chain[ci])
+                    | ((gap == starts.size - 1) & chain[cj]))
+
+    def keep(i, j):
+        return (j < m) & (j - i > 1) & ((i > 0) | (j < m - 1))
+
+    return any(i.size for i, _ in _run_pair_hits(
+        pts, a1, pts, a1, ci[~drop], cj[~drop], keep))
 
 
 def _phases(m, hi, lo):
@@ -394,6 +455,14 @@ class _ArcBase(_Chart):
         v = self.velocity(_GL_U)
         return float(0.5 * np.sum(np.imag(np.conj(p) * v) * _GL_WU))
 
+    def polyline_nodes(self, m, width):
+        """(u, points) of this arc's nodes in the m-node polyline of a curve
+        that gives it the share ``width`` of its parameter: the first at
+        u = 0, then uniform in u, max(8, round(m width)) in all."""
+        k = max(8, int(round(m * width)))
+        u = np.arange(k) / k
+        return u, self.point(u)
+
 
 class SubArc(_ArcBase):
     """Chart ``base`` re-parameterized affinely from [t0, t1] onto [0, 1].
@@ -423,6 +492,23 @@ class SubArc(_ArcBase):
         outs = self.base.jet(self._base_params(u), order)
         return [(self.t1 - self.t0) ** k * out if k else out
                 for k, out in enumerate(outs)]
+
+    def polyline_nodes(self, m, width):
+        """Over a closed base: the start point, then the nodes of the
+        base's cached ``polyline(m)`` strictly inside the arc, in the arc's
+        order; a node within a millionth of a node spacing of either end
+        is left to that end's point.  Over an open arc, as any arc."""
+        if not self._wrap:
+            return super().polyline_nodes(m, width)
+        params, pts = self.base.polyline(m)
+        span = self.t1 - self.t0
+        # each node's distance from t0 along the arc, in base parameter
+        s = (np.sign(span) * (params - self.t0)) % 1.0
+        gap = 1e-6 / params.size
+        inside = np.flatnonzero((s > gap) & (s < abs(span) - gap))
+        inside = inside[np.argsort(s[inside], kind="stable")]
+        return (np.concatenate([[0.0], s[inside] / abs(span)]),
+                np.concatenate([[self.point(0.0)], pts[inside]]))
 
     def reversed(self):
         return SubArc(self.base, self.t1, self.t0)
@@ -539,7 +625,7 @@ class PiecewiseCurve(_Chart):
 
         self._area = float(sum(seg.signed_area_integral() for seg in segments))
         self._poly_cache = {}
-        if validate and polyline_self_intersects(self.polyline(1024)[1]):
+        if validate and polyline_self_intersects(self.polyline(_POLY_M)[1]):
             raise GeometryError("piecewise curve is self-intersecting")
 
     # -- chart -------------------------------------------------------------
@@ -587,15 +673,27 @@ class PiecewiseCurve(_Chart):
         return np.concatenate(kappas)
 
     def polyline(self, m):
-        """(params, points) polyline with nodes distributed by arclength."""
+        """(params, points) of the curve's m-node polyline; cached per m.
+
+        Each arc gives its own nodes (``polyline_nodes``), their u mapped
+        affinely into its share [lo, hi) of the parameter.  A sub-arc of a
+        closed curve, as every arc of a boolean result is, reads them off
+        that curve's cached ``polyline(m)``: its start point, then the
+        curve's nodes inside it, so the chart is evaluated at the start
+        alone and the nodes are as fine as the input's.  Circle, offset
+        and open-arc segments take nodes uniform in u, about m per unit
+        of parameter.  Consecutive nodes of a smooth arc advance along
+        its tangent, so the self-crossing check drops nearly all of the
+        runs these nodes make (``polyline_self_intersects``).
+        """
         if m not in self._poly_cache:
-            params = []
-            for i, seg in enumerate(self.segments):
-                mi = max(8, int(round(m * (self.breaks[i + 1] - self.breaks[i]))))
-                lo, hi = self.breaks[i], self.breaks[i + 1]
-                params.append(lo + (hi - lo) * np.arange(mi) / mi)
-            params = np.concatenate(params)
-            self._poly_cache[m] = (params, self.deriv(params, 0))
+            params, pts = [], []
+            for seg, lo, hi in zip(self.segments, self.breaks[:-1],
+                                   self.breaks[1:]):
+                u, z = seg.polyline_nodes(m, hi - lo)
+                params.append(lo + (hi - lo) * u)
+                pts.append(z)
+            self._poly_cache[m] = (np.concatenate(params), np.concatenate(pts))
         return self._poly_cache[m]
 
     def reversed(self):

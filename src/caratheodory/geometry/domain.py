@@ -27,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GeometryError
-
-_POLY_M = 2048  # nodes per curve for winding tests and distance seeds
+from .curves import _POLY_M
 # Newton steps a foot may take, and the parameter step that ends them:
 # from the seed's 1/4096 the quadratic rate needs about three
 _NEWTON_STEPS = 20

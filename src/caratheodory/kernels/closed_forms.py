@@ -98,7 +98,8 @@ class SectorPullback:
 
         lambda_sector(w) = pi / (2 beta |w| sin(pi phi / beta)),
 
-    with phi the angle of w measured from the sector's start edge.
+    with phi the angle of w measured from the nearer of the sector's two
+    edges (the sine is symmetric about the bisector).
     The region density is lambda_sector(M(z)) |M'(z)|.
     """
 
@@ -120,11 +121,12 @@ class SectorPullback:
             s = -1.0 if abs(c + a - p) < abs(c - a - p) else 1.0
             w.append(s * (c + s * a - p) / (c + s * a - q))
         mid, lo, hi = np.angle(w).tolist()
+        rays = [x / abs(x) for x in w[1:]]
         self.opening = (hi - lo) % (2 * np.pi)
-        if (mid - lo) % (2 * np.pi) < self.opening:
-            self.start = lo
-        else:
-            self.start, self.opening = hi, 2 * np.pi - self.opening
+        if (mid - lo) % (2 * np.pi) >= self.opening:
+            rays.reverse()
+            self.opening = 2 * np.pi - self.opening
+        self.rays = tuple(rays)  # unit vectors of the start and end rays
 
     def contains(self, z):
         (c1, r1), (c2, r2) = self.discs
@@ -139,7 +141,12 @@ class SectorPullback:
         w = (z - self.p) / (z - self.q)
         dm = np.abs(self.p - self.q) / np.abs(z - self.q) ** 2
         beta = self.opening
-        phi = np.angle(w * np.exp(-1j * self.start)) % (2 * np.pi)
+        # the angle from the nearer ray, start or end, which the sine
+        # weighs alike: measured from the farther one, its rounding would
+        # be relative to beta, not to the angle itself
+        start, end = self.rays
+        phi = np.minimum(np.angle(w * np.conj(start)) % (2 * np.pi),
+                         np.angle(end * np.conj(w)) % (2 * np.pi))
         lam = np.pi / (2.0 * beta * np.abs(w) * np.sin(np.pi * phi / beta))
         out = lam * dm
         return float(out) if out.ndim == 0 else out

@@ -384,6 +384,73 @@ def test_self_crossing_check_tests_few_pairs(monkeypatch):
     assert sum(tested) < 0.05 * 8192**2
 
 
+@st.composite
+def _closed_polyline(draw):
+    """Vertices of a closed polyline that may or may not cross itself,
+    most of them not a multiple of 16 in number."""
+    n = draw(st.sampled_from((5, 15, 16, 17, 31, 33, 48, 63, 100, 257)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ("walk", "straight", "hairpin", "eight", "collinear")))
+    t = np.arange(n) / n
+    if kind == "walk":
+        z = np.cumsum(rng.normal(size=n) + 1j * rng.normal(size=n))
+    elif kind == "straight":
+        # heading drifts by 1e-12..1e-2 rad per step; the closing
+        # segment runs back along the walk
+        drift = 10.0 ** draw(st.floats(-12.0, -2.0))
+        heading = np.cumsum(drift * rng.normal(size=n))
+        z = np.cumsum(np.exp(1j * heading) * rng.uniform(0.5, 1.5, n))
+    elif kind == "hairpin":
+        # a circle with a spike of 2L + 1 segments that folds back on
+        # itself, the way back offset sideways by a slope that may take
+        # it across the way out
+        z = np.exp(2j * np.pi * t)
+        length = draw(st.integers(1, 6))
+        k = draw(st.integers(0, max(0, n - 2 * length - 2)))
+        e = np.exp(1j * rng.uniform(0, 2 * np.pi)) * 0.5 / n
+        j = np.arange(1, length + 1)
+        side = rng.uniform(-1.0, 1.0) + draw(st.floats(-2.0, 2.0)) * j / length
+        spike = np.concatenate([z[k] + e * j,
+                                z[k] + e * (length + 0.5 - j) + 1j * e * side])
+        z = np.concatenate([z[:k + 1], spike, z[k + 1:]])[:n]
+    elif kind == "eight":
+        # the branches cross at the origin, between segments that a roll
+        # puts at, or next to, a run boundary
+        phase = draw(st.sampled_from((0.0, 0.5, 0.25)))
+        s = (np.arange(n) + phase) / n
+        z = np.sin(2 * np.pi * s) + 0.5j * np.sin(4 * np.pi * s)
+        z = np.roll(z, 16 * draw(st.integers(0, 16)) + draw(st.integers(-1, 1)))
+    else:
+        # out and back along one line, or in random order along it
+        s = rng.uniform(0.0, 1.0, n)
+        if draw(st.booleans()):
+            s = np.sort(s)
+        z = (0.3 + 0.7j) + s * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return scale * z
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_closed_polyline())
+def test_self_crossing_check_matches_every_pair_that_is_not_adjacent(z):
+    m = len(z)
+    a1 = np.roll(z, -1)
+    i, j = all_pairs_crossings(z, a1, z, a1)
+    gap = (i - j) % m
+    want = bool(np.any((gap != 0) & (gap != 1) & (gap != m - 1)))
+    assert polyline_self_intersects(z) == want
+
+
+@pytest.mark.parametrize("roll", [0, 1, 15, 16, 17, 31])
+def test_a_figure_eight_crosses_itself_at_any_run_edge(roll):
+    # the branches cross at the origin, between segments 39 and 79 of
+    # the unrolled polyline
+    s = (np.arange(80) + 0.5) / 80
+    z = np.roll(np.sin(2 * np.pi * s) + 0.5j * np.sin(4 * np.pi * s), roll)
+    assert polyline_self_intersects(z)
+
+
 @pytest.mark.parametrize("s, t", [(0.17, 0.32), (0.84, 0.66), (1.17, -0.68)])
 def test_two_crossing_circles_meet_where_both_points_agree(s, t):
     # B(-0.5, 1) and B(0.5, 1) cross at +-i sqrt(3)/2; a seed past the

@@ -250,6 +250,76 @@ def test_boolean_tracing_tests_few_segment_pairs(monkeypatch):
     assert sum(tested) < 0.05 * 2 * 2048**2
 
 
+def _localization_piece(d1, d2):
+    # what localization_experiment traces: U, a disc of radius 0.5 about
+    # a boundary point, against the domain
+    return boolean_intersect(disc(d1.outer.point(0.25), 0.5), d1)
+
+
+@pytest.mark.parametrize(
+    "make_pair, op",
+    [
+        (blob_disc_pair, lambda d1, d2: [boolean_union(d1, d2)]),
+        (blob_disc_pair, boolean_intersect),
+        (lambda: (ellipse(), None), _localization_piece),
+    ],
+    ids=["union", "intersection", "localization"],
+)
+def test_boolean_results_read_their_polylines_off_their_inputs(
+        make_pair, op, monkeypatch):
+    d1, d2 = make_pair()
+    series = curves.TrigCurve._series
+    counts = {"all": 0, "polyline": 0, "meet": 0}
+    inside = []
+
+    def counting(self, t, orders):
+        for name in ["all"] + inside:
+            counts[name] += np.size(t)
+        return series(self, t, orders)
+
+    def tagged(name, f):
+        def call(*args):
+            inside.append(name)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+        return call
+
+    monkeypatch.setattr(curves.TrigCurve, "_series", counting)
+    monkeypatch.setattr(curves.PiecewiseCurve, "polyline",
+                        tagged("polyline", curves.PiecewiseCurve.polyline))
+    monkeypatch.setattr(boolean, "_meet", tagged("meet", boolean._meet))
+    doms = op(d1, d2)
+    monkeypatch.undo()
+
+    loops = [c for d in doms for c in d.curves
+             if isinstance(c, curves.PiecewiseCurve)]
+    arcs = sum(len(c.segments) for c in loops)
+    assert arcs >= 2
+    # a polyline evaluates each arc at its start alone; the rest is each
+    # arc's 32-node length, 64-node area integral (points and velocities)
+    # and end jets, a membership sample per run and per whole curve, and
+    # the crossings' Newton steps.  Measured: 2 + 201..202 + 10..14; the
+    # series polylines at 1024 and 2048 nodes took 3,072 more
+    assert counts["polyline"] <= arcs
+    assert counts["all"] - counts["meet"] <= arcs * (1 + 32 + 64 + 2) + 8
+
+    tested = count_tested_pairs(monkeypatch)
+    for c in loops:
+        params, pts = c.polyline(curves._POLY_M)
+        assert params[0] >= 0.0 and params[-1] < 1.0
+        assert np.all(np.diff(params) > 0.0)
+        # 1.3e-15 of the scale at most when measured
+        scale = np.max(np.abs(pts))
+        assert np.max(np.abs(c.point(params) - pts)) <= 1e-13 * scale
+        assert not curves.polyline_self_intersects(pts)
+    # only the runs at the corners are tested: 0, 0 and 478 pairs when
+    # measured, against 49,152 for a 1024-node sweep that tested every
+    # run against its neighbours
+    assert sum(tested) < 2048
+
+
 def test_hole_validation():
     with pytest.raises(GeometryError, match="not inside the outer"):
         Domain(unit_disc().outer, [disc(3.0, 0.2).outer])
