@@ -216,7 +216,8 @@ def _collect_loops(d1, d2, op):
 
 
 def _assemble(loops, whole, d1, d2):
-    """Sort traced loops and whole curves into (outer, holes) groups."""
+    """Sort traced loops and whole curves into (outer, holes) groups; a
+    group's "placed" holes are the input holes it keeps whole."""
     outers = []  # (curve, area, inherited_primitive)
     holes = []  # curves, stored ccw
     for lp in loops:
@@ -239,7 +240,8 @@ def _assemble(loops, whole, d1, d2):
 
     groups = []
     for oc, area, prim in sorted(outers, key=lambda r: -r[1]):
-        groups.append({"outer": oc, "area": area, "primitive": prim, "holes": []})
+        groups.append({"outer": oc, "area": area, "primitive": prim,
+                       "holes": [], "placed": []})
     for h in holes:
         zh = h.point(0.317)
         best = None
@@ -252,6 +254,8 @@ def _assemble(loops, whole, d1, d2):
         if best is None:
             raise GeometryError("traced hole lies in no component")
         best["holes"].append(h)
+        if any(h is c for c, _ in whole):
+            best["placed"].append(h)
     return groups
 
 
@@ -285,7 +289,8 @@ def boolean_intersect(d1, d2):
         else:
             prim = g["primitive"]
         label = "(%s & %s)" % (d1.label or "D1", d2.label or "D2")
-        out.append(Domain(g["outer"], g["holes"], label=label, primitive=prim))
+        out.append(Domain(g["outer"], g["holes"], label=label, primitive=prim,
+                          _placed=g["placed"]))
     return out
 
 
@@ -304,4 +309,5 @@ def boolean_union(d1, d2):
     g = groups[0]
     prim = _two_disc_tag("two_disc_union", g, d1, d2)
     label = "(%s | %s)" % (d1.label or "D1", d2.label or "D2")
-    return Domain(g["outer"], g["holes"], label=label, primitive=prim)
+    return Domain(g["outer"], g["holes"], label=label, primitive=prim,
+                  _placed=g["placed"])

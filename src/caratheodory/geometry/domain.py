@@ -144,9 +144,17 @@ class Domain:
     ``primitive`` is an optional tag describing analytic structure, e.g.
     ``("disc", center, radius)``; harness routing uses it to pick closed
     forms over numerical solvers.  It never changes the geometry.
+
+    Each hole is checked to lie inside the outer curve, by a winding pass
+    of its polyline, and apart from the holes before it.  The booleans
+    pass the input holes they keep whole as ``_placed``: such a hole was
+    checked when its input domain was built, crosses none of the curves
+    the result's outer boundary is cut from, and was placed inside it by
+    the winding test of one of its points, so its pass is skipped.
     """
 
-    def __init__(self, outer, holes=(), label="", primitive=None):
+    def __init__(self, outer, holes=(), label="", primitive=None, *,
+                 _placed=()):
         self.outer = outer
         self.holes = tuple(holes)
         self.label = label
@@ -160,9 +168,11 @@ class Domain:
             if h.signed_area <= 0:
                 raise GeometryError("hole curves are stored counterclockwise")
             _, hp = h.polyline(256)
-            w, _ = _winding_many(outer_poly, hp)
-            if not np.all(w == 1.0):
-                raise GeometryError("hole %d is not inside the outer curve" % i)
+            if not any(h is p for p in _placed):
+                w, _ = _winding_many(outer_poly, hp)
+                if not np.all(w == 1.0):
+                    raise GeometryError(
+                        "hole %d is not inside the outer curve" % i)
             for g in self.holes[:i]:
                 _, gp = g.polyline(_POLY_M)
                 w2, _ = _winding_many(gp, hp)

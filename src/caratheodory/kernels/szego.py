@@ -20,9 +20,9 @@ products have cost, or are about to cost, as much as the factorization.
 A block of base points is solved together, its columns past MINRES by
 one pair of block triangular solves (see SzegoSolver).  Only numpy runs
 here.
-Assembling B, a mesh's other cost, runs its tile pairs on one thread
-per core the process may use, with the broadcast formula's bits (see
-kerzman_stein_matrix).
+Assembling B, a mesh's other cost, runs on the calling thread, with
+one division per node pair (see kerzman_stein_matrix); the package
+starts no thread of its own.
 
 Conventions (pinned by the disc oracle S(z,a) = 1/(2 pi (1 - z conj a))):
   * arclength measure ds, c_D(a) = 2 pi S(a, a);
@@ -34,9 +34,6 @@ Conventions (pinned by the disc oracle S(z,a) = 1/(2 pi (1 - z conj a))):
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,8 +55,14 @@ LU_MATVECS = 150
 # misses it falls through to the factorization
 _RESTART = 60
 _RTOL = 1e-14
-# row and column tiles of the in-place assembly and of the factorization
+# row and column tiles of the factorization: its blocks are BLAS
+# products and inverses, whose cost per entry falls with the block
 _TILE = 256
+# row and column tiles of the assembly: its elementwise passes keep two
+# tile buffers in cache at 128 (256 KiB each; 2 MiB of L2 per core on a
+# 2-core x86 box), where at 256 they spill and 256-662 nodes assembled
+# 28-40% slower
+_ASSEMBLY_TILE = 128
 
 
 def _clears(mesh, zs, ds):
@@ -114,70 +117,62 @@ class KernelSolution:
         )
 
 
-def _c_tile(z, t, sw, rows, cols, out):
-    """C[rows, cols] into out, by the broadcast formula's elementwise
-    steps in its order, so every entry is the same bits."""
-    np.subtract(z[None, cols], z[rows, None], out=out)
-    if rows == cols:
-        np.fill_diagonal(out, 1.0)  # dummy; diagonal is zeroed below
-    np.divide(t[None, cols], out, out=out)
-    np.multiply(sw[rows, None] * sw[None, cols], out, out=out)
-    np.divide(out, _TWO_PI_I, out=out)
-    if rows == cols:
-        np.fill_diagonal(out, 0.0)
-
-
 def kerzman_stein_matrix(mesh):
     """The symmetrized discrete kernel B = C^H - C, zero diagonal.
 
     C_jk = sqrt(w_j w_k) T_k / (2 pi i (z_k - z_j)) off the diagonal.
     The continuous kernel extends smoothly by 0 to the diagonal, so the
-    zero diagonal is the consistent quadrature choice, and B^H = -B holds
-    to the last bit because the conjugate transpose is taken literally.
+    zero diagonal is the consistent quadrature choice.
 
-    Built tile pair by tile pair: the C tiles (i, j) and (j, i), j >= i,
-    go into two _TILE x _TILE buffers, and B's tiles (i, j) and (j, i) are
-    written from them once.  The elementwise operations are the broadcast
-    formula's, in its order, so the entries are the same bits.  The tile
-    pairs are shared round robin among threads, one per core this process
-    may use; numpy releases the interpreter lock in each step, and no
-    BLAS runs here to compete for the cores.
+    Each node pair j < k is computed once, with one division: q_jk =
+    sqrt(w_j w_k) / (z_k - z_j), a = (i / 2 pi) T and b = -a give C_jk =
+    b_k q_jk and C_kj = a_j q_jk, so B_jk = conj(a_j q_jk) - b_k q_jk.
+    B_kj = -conj(B_jk) is written from the same tile, so B^H = -B holds
+    to the last bit by construction.  _ASSEMBLY_TILE x _ASSEMBLY_TILE
+    tiles of the upper triangle are computed in two buffers and written
+    to both halves of B.
+
+    It runs on the calling thread.  Inside the benchmark's product-rule
+    suite (6 matrices of 256-662 nodes, 2-core x86 box, three traced
+    runs each), the earlier formula's assembly took 26.3-27.9 ms a
+    repetition on two threads and 23.9-27.1 ms on one: after each matrix
+    product OpenBLAS's idle thread keeps spinning on the second core.
+    In isolation, this one thread is faster than that formula on two
+    threads up to 662 nodes and on par with it, within a noisy 20%, at
+    1024-4096 nodes.
     """
     z = mesh.nodes
-    t = mesh.tangents
     sw = np.sqrt(mesh.weights)
+    a = (0.5j / np.pi) * mesh.tangents
+    b = -a
     n = z.size
-    b = np.empty((n, n), dtype=complex)
-    tiles = [slice(i0, min(i0 + _TILE, n)) for i0 in range(0, n, _TILE)]
-    pairs = [(r, c) for i, r in enumerate(tiles) for c in tiles[i:]]
-
-    def fill(share):
-        c_rc = np.empty((_TILE, _TILE), dtype=complex)
-        c_cr = np.empty((_TILE, _TILE), dtype=complex)
-        for rows, cols in share:
-            nr, nc = rows.stop - rows.start, cols.stop - cols.start
-            ij, ji = c_rc[:nr, :nc], c_cr[:nc, :nr]
-            _c_tile(z, t, sw, rows, cols, ij)
-            # B[rows, cols] = conj(C[cols, rows]).T - C[rows, cols] and
-            # B[cols, rows] = conj(C[rows, cols]).T - C[cols, rows]; the
-            # conjugations are exact, so done in place they cost no buffer
-            if rows == cols:
-                np.conjugate(ij, out=ji)
-                np.subtract(ji.T, ij, out=b[rows, cols])
-                continue
-            _c_tile(z, t, sw, cols, rows, ji)
-            np.conjugate(ji, out=ji)
-            np.subtract(ji.T, ij, out=b[rows, cols])
-            np.conjugate(ji, out=ji)
-            np.conjugate(ij, out=ij)
-            np.subtract(ij.T, ji, out=b[cols, rows])
-
-    workers = min(len(os.sched_getaffinity(0)), len(pairs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for done in [pool.submit(fill, pairs[k::workers])
-                     for k in range(workers)]:
-            done.result()
-    return b
+    out = np.empty((n, n), dtype=complex)
+    q_buf = np.empty((_ASSEMBLY_TILE, _ASSEMBLY_TILE), dtype=complex)
+    p_buf = np.empty_like(q_buf)
+    for r0 in range(0, n, _ASSEMBLY_TILE):
+        rows = slice(r0, min(r0 + _ASSEMBLY_TILE, n))
+        for c0 in range(r0, n, _ASSEMBLY_TILE):
+            cols = slice(c0, min(c0 + _ASSEMBLY_TILE, n))
+            q = q_buf[:rows.stop - r0, :cols.stop - c0]
+            p = p_buf[:rows.stop - r0, :cols.stop - c0]
+            np.subtract(z[None, cols], z[rows, None], out=q)
+            if c0 == r0:
+                np.fill_diagonal(q, 1.0)  # dummy; diagonal is zeroed below
+            np.divide(np.multiply.outer(sw[rows], sw[cols]), q, out=q)
+            np.multiply(a[rows, None], q, out=p)
+            np.conjugate(p, out=p)
+            np.multiply(b[None, cols], q, out=q)
+            np.subtract(p, q, out=p)  # B[rows, cols]
+            np.conjugate(p, out=q)
+            np.negative(q, out=q)  # B[cols, rows], transposed
+            if c0 == r0:
+                # the tile's lower triangle too is taken from its upper
+                np.copyto(p, q.T, where=np.tri(len(p), k=-1, dtype=bool))
+                np.fill_diagonal(p, 0.0)
+            else:
+                out[cols, rows] = q.T
+            out[rows, cols] = p
+    return out
 
 
 class SzegoSolver:
@@ -205,7 +200,9 @@ class SzegoSolver:
     Memory: a solver holds one N x N complex matrix, 16 N^2 bytes with N
     the mesh's node count over all its curves (each hole adds its share
     by arclength, see geometry.mesh), B and then its factors in the same
-    buffer, from construction until it is collected.  Factoring takes at
+    buffer, from construction until it is collected.  Assembly takes two
+    _ASSEMBLY_TILE x _ASSEMBLY_TILE complex tile buffers more, 256 KiB
+    each, on the calling thread.  Factoring takes at
     most one N x _TILE block more, 8 MiB at 2048 nodes, as the Schur
     update runs one column block at a time; updating the whole trailing
     block at once would take 50 MB there.

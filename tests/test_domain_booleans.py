@@ -321,5 +321,26 @@ def test_boolean_results_read_their_polylines_off_their_inputs(
 
 
 def test_hole_validation():
-    with pytest.raises(GeometryError, match="not inside the outer"):
+    with pytest.raises(GeometryError, match="hole 0 is not inside the outer"):
         Domain(unit_disc().outer, [disc(3.0, 0.2).outer])
+    with pytest.raises(GeometryError, match="holes overlap or nest"):
+        Domain(unit_disc().outer, [disc(0.1, 0.2).outer, disc(-0.1, 0.2).outer])
+
+
+def test_a_hole_a_boolean_keeps_whole_is_not_checked_again(monkeypatch):
+    blob, other = blob_disc_pair()
+    passes = []
+    real = domain_module._winding_many
+
+    def counting(poly, z):
+        passes.append(len(z))
+        return real(poly, z)
+
+    monkeypatch.setattr(domain_module, "_winding_many", counting)
+    union = boolean_union(blob, other)
+    assert union.holes == blob.holes
+    # the hole's 256-point pass ran when the blob was built, not again
+    assert 256 not in passes
+    # built by hand from the same curves, the domain checks its hole
+    Domain(union.outer, union.holes)
+    assert passes.count(256) == 1

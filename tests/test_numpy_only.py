@@ -1,4 +1,5 @@
-"""The package imports and runs on numpy alone: no scipy module loads.
+"""The package imports and runs on numpy alone: no scipy module loads,
+and it starts no thread of its own.
 
 scipy stays a test dependency (the tests compare against its
 minimize_scalar and special functions), so the check runs in a fresh
@@ -13,7 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
 sys.path.insert(0, sys.argv[1])
 import caratheodory
 from caratheodory import boolean_intersect, evaluator_for
@@ -42,6 +43,8 @@ piece_value = evaluator_for(piece).value(0.9j)
 bound = LPEvaluator(fourier_blob(), degree=3).value(0.1)
 print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+    "futures": "concurrent.futures" in sys.modules,
+    "threads": threading.active_count(),
     "values": [value, kappa, piece_value, bound],
     "outside": outside,
     "polished": len(polished),
@@ -55,6 +58,8 @@ def test_the_package_loads_no_scipy_module():
                          check=True)
     out = json.loads(run.stdout.splitlines()[-1])
     assert out["scipy"] == []
+    # every value above ran on the calling thread alone
+    assert out["futures"] is False and out["threads"] == 1
     value, kappa, piece_value, bound = out["values"]
     assert value > 0 and abs(kappa + 4.0) < 1e-10
     assert piece_value > 0 and 0 < bound <= value
