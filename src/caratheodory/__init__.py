@@ -32,11 +32,9 @@ from .kernels import (
     LPEvaluator,
     SectorPullbackEvaluator,
     SzegoEvaluator,
-    ahlfors_eval,
     annulus_metric,
     disc_metric,
     evaluator_for,
-    garabedian_boundary,
     kerzman_stein_matrix,
 )
 from .harness import (
@@ -73,7 +71,6 @@ __all__ = [
     "SuitaReport",
     "SzegoEvaluator",
     "TangencyError",
-    "ahlfors_eval",
     "annulus_metric",
     "boolean_intersect",
     "boolean_union",
@@ -82,7 +79,6 @@ __all__ = [
     "curve_from_samples",
     "disc_metric",
     "evaluator_for",
-    "garabedian_boundary",
     "grid_sample",
     "kerzman_stein_matrix",
     "localization_experiment",

@@ -8,8 +8,6 @@ from .closed_forms import (
 from .szego import (
     KernelSolution,
     SzegoSolver,
-    ahlfors_eval,
-    garabedian_boundary,
     kerzman_stein_matrix,
 )
 from .evaluators import (
@@ -29,8 +27,6 @@ __all__ = [
     "poincare_annulus",
     "KernelSolution",
     "SzegoSolver",
-    "ahlfors_eval",
-    "garabedian_boundary",
     "kerzman_stein_matrix",
     "AnnulusPoincareEvaluator",
     "ClosedFormDiscEvaluator",

@@ -150,9 +150,11 @@ class SzegoEvaluator(_EvaluatorBase):
     away from the value the pairs above give, so they start one rung up,
     at 512.
 
-    The finer-mesh solution that settles a point is kept under the
-    point, so a later batch reuses it and its curvature costs one
-    derivative solve more; solution() returns it.
+    What settling keeps of a point is a _Settled record: its value, its
+    curvature once asked for, the finer rung of its pair and its family.
+    No boundary density or mesh outlives its solver, so a later batch
+    reads the value off the record, and curvatures asked after values
+    solve the point again on its settling mesh (see curvatures).
     """
 
     kind = "szego"
@@ -167,7 +169,7 @@ class SzegoEvaluator(_EvaluatorBase):
         self._foot_start = 512 if rough else 256  # see the class docstring
         self._meshes = {}
         self._solvers = {}
-        self._settled = {}  # point -> the finer-mesh solution that settles it
+        self._settled = {}  # point -> its _Settled record
 
     def _mesh(self, n):
         if n not in self._meshes:
@@ -181,11 +183,11 @@ class SzegoEvaluator(_EvaluatorBase):
 
     def _settle(self, zs, kappa=False):
         """Settle the new points of zs (see the class docstring); with
-        kappa, return their curvatures, by point."""
+        kappa, their records take their curvatures too."""
         new = [z for z in dict.fromkeys(zs.tolist()) if z not in self._settled]
         feet = dict(zip(new, self.domain.feet(new)))
         refused = {z: set() for z in new}  # the families z failed on
-        errors, kappas = {}, ({} if kappa else None)
+        errors = {}
         # nearest first, ties broken by the foot (curve, then parameter),
         # so the order of the batch does not choose the leads
         pending = sorted(new, key=lambda z: (feet[z][2],) + feet[z][:2])
@@ -200,17 +202,19 @@ class SzegoEvaluator(_EvaluatorBase):
             solver = self._solver if family is None else (
                 lambda n: SzegoSolver(mesh if n == n1 else
                                       mesh_boundary(self.domain, n, family)))
-            fine, failed = self._climb(group, n1, solver)
+            n2, fine, sols, failed = self._climb(group, n1, solver)
             for z in failed:
                 refused[z].add(family)
             errors.update(failed)
-            done = [z for z in group if z not in failed]
-            if kappas is not None and done:
-                kappas.update(zip(done, fine.kappa(
-                    [self._settled[z] for z in done])))
-            del fine  # an adapted solver goes before the next lead's meshes
+            kappas = (fine.kappa(list(sols.values())).tolist()
+                      if kappa and sols else [None] * len(sols))
+            self._settled.update(
+                (z, _Settled(2.0 * np.pi * sol.diag_value, k, n2, family))
+                for (z, sol), k in zip(sols.items(), kappas))
+            # the densities, and an adapted solver, go before the next
+            # lead's meshes
+            del fine, sols
             pending = [z for z in pending if z not in self._settled]
-        return kappas
 
     def _lead(self, z, foot, refused, error):
         """(family, n1, mesh): the coarse mesh z leads its group on, of the
@@ -241,8 +245,10 @@ class SzegoEvaluator(_EvaluatorBase):
     def _climb(self, zs, n1, solver):
         """Settle the points zs on the first pair from (n1, 2 n1) up to
         the top of _LADDER whose doubling check they all pass; solver(n)
-        gives the solver of the n-node mesh.  Returns the finer solver and
-        a SolveError by point for each point that fails at the top."""
+        gives the solver of the n-node mesh.  Returns the finer rung n2,
+        its solver, the finer solution by point for each point that
+        passes, and a SolveError by point for each that fails at the
+        top."""
         coarse = solver(n1).solve(zs)
         while True:
             n2 = 2 * n1
@@ -253,52 +259,58 @@ class SzegoEvaluator(_EvaluatorBase):
                 n1, coarse = n2, fine  # the whole batch climbs
                 del fine_solver  # an adapted one goes before the next rung
                 continue
-            failed = {}
+            passed, failed = {}, {}
             for z, rel, sol in zip(zs, rels, fine):
                 if rel <= self.tol:
-                    self._settled[z] = sol
+                    passed[z] = sol
                 else:
                     failed[z] = SolveError(
                         "szego value did not settle at %s: n=%d vs %d changed "
                         "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
-            return fine_solver, failed
+            return n2, fine_solver, passed, failed
 
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex).ravel()
         self._settle(zs)
-        return np.array([2.0 * np.pi * self._settled[z].diag_value
-                         for z in zs.tolist()], dtype=float)
+        return np.array([self._settled[z].value for z in zs.tolist()],
+                        dtype=float)
 
     def curvatures(self, zs):
-        """SzegoSolver.kappa of the finer-mesh solutions that settle the
-        values: one derivative solve per point.  The points settled
-        during the call take it from their group's finer solver, in one
-        block; the others solve one block per mesh, on the cached
-        uniform solver of that mesh, or on a new solver of an earlier
-        adapted one."""
+        """SzegoSolver.kappa of each point, kept in its record, so a
+        point's curvature is computed once.  The points settled during
+        the call take it from their group's finer solver, in one block.
+        A point settled earlier without it is solved again on its
+        settling mesh, one block per (family, n2), on the cached uniform
+        solver or on a rebuilt adapted one, then takes its derivative
+        solve there."""
         zs = np.asarray(zs, dtype=complex).ravel()
-        kappas = self._settle(zs, kappa=True)
-        blocks = {}  # id of a settling mesh -> its distinct points
+        self._settle(zs, kappa=True)
+        blocks = {}  # (family, n2) -> its distinct points with no kappa
         for z in dict.fromkeys(zs.tolist()):
-            if z not in kappas:
-                blocks.setdefault(id(self._settled[z].mesh), []).append(z)
-        for block in blocks.values():
-            sols = [self._settled[z] for z in block]
-            mesh = sols[0].mesh
-            # found by its mesh: _solvers is keyed by the outer curve's
-            # nodes, which is not mesh.size on a domain with holes
-            solver = next((s for s in self._solvers.values()
-                           if s.mesh is mesh), None) or SzegoSolver(mesh)
-            kappas.update(zip(block, solver.kappa(sols)))
+            rec = self._settled[z]
+            if rec.kappa is None:
+                blocks.setdefault((rec.family, rec.n2), []).append(z)
+        for (family, n2), block in blocks.items():
+            solver = self._solver(n2) if family is None else SzegoSolver(
+                mesh_boundary(self.domain, n2, family))
+            kappas = solver.kappa(solver.solve(block)).tolist()
+            for z, k in zip(block, kappas):
+                self._settled[z].kappa = k
             del solver  # an adapted one goes before the next is built
-        return np.array([kappas[z] for z in zs.tolist()], dtype=float)
+        return np.array([self._settled[z].kappa for z in zs.tolist()],
+                        dtype=float)
 
-    def solution(self, a):
-        """The kernel solution that settles the value at the base point,
-        for Ahlfors map work; same clearance guard as values."""
-        a = complex(a)
-        self._settle(np.array([a]))
-        return self._settled[a]
+
+class _Settled:
+    """What SzegoEvaluator keeps of a settled point: value, the metric
+    2 pi S(a, a); kappa, its curvature, None until asked for; n2, the
+    finer rung of the pair that settled it; family, None for the uniform
+    ladder, else the foot its meshes are adapted to."""
+
+    __slots__ = ("value", "kappa", "n2", "family")
+
+    def __init__(self, value, kappa, n2, family):
+        self.value, self.kappa, self.n2, self.family = value, kappa, n2, family
 
 
 def _doubling_change(coarse, fine):

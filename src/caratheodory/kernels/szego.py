@@ -26,11 +26,7 @@ starts no thread of its own.
 
 Conventions (pinned by the disc oracle S(z,a) = 1/(2 pi (1 - z conj a))):
   * arclength measure ds, c_D(a) = 2 pi S(a, a);
-  * rhs_j = sqrt(w_j) conj(T_j / (2 pi i (z_j - a)));
-  * Garabedian boundary values L(z,a) = i conj(S(z,a)) conj(T(z)), which
-    makes L(w, a) = 1/(2 pi (w - a)) exact on the unit circle;
-  * L has the simple pole 1/(2 pi (z - a)); its regular part is what the
-    Cauchy quadrature sees when evaluating inside.
+  * rhs_j = sqrt(w_j) conj(T_j / (2 pi i (z_j - a))).
 """
 
 from __future__ import annotations
@@ -363,50 +359,4 @@ class SzegoSolver:
                          - abs(np.vdot(nu, mu)) ** 2) / s**2
             out.append(float(-lap / (2.0 * np.pi * s) ** 2))
         return out[0] if isinstance(sol, KernelSolution) else np.array(out)
-
-
-def garabedian_boundary(sol):
-    """Garabedian kernel values L(w_j, a) from the boundary identity."""
-    return 1j * np.conj(sol.szego_boundary) * np.conj(sol.mesh.tangents)
-
-
-def _cauchy_sums(boundary_values, mesh, z):
-    """Value and derivative at z of the Cauchy integral of boundary data."""
-    dw = mesh.tangents * mesh.weights
-    den = mesh.nodes - z
-    f = np.sum(boundary_values * dw / den) / _TWO_PI_I
-    fp = np.sum(boundary_values * dw / den**2) / _TWO_PI_I
-    return f, fp
-
-
-def ahlfors_eval(sol, z):
-    """The Ahlfors map f_a = S(., a)/L(., a) and its derivative at z.
-
-    Interior values of S and of the regular part of L come from Cauchy
-    quadrature of their boundary values; the 1/(2 pi (z - a)) pole of L
-    is added back analytically.  At z = a the map vanishes and its
-    derivative is c_D(a) = 2 pi S(a,a).
-    """
-    z = complex(z)
-    a = sol.base_point
-    mesh = sol.mesh
-    scale = max(1.0, float(np.max(np.abs(mesh.nodes))))
-    if abs(z - a) < 1e-12 * scale:
-        return 0.0 + 0.0j, complex(2.0 * np.pi * sol.diag_value)
-    if abs(z - a) < 1e-6 * scale:
-        raise GeometryError(
-            "evaluation point is too close to the base point %s" % a
-        )
-    require_clearance(mesh, z, mesh.owner.dist_to_boundary(z))
-
-    s_bnd = sol.szego_boundary
-    l_bnd = garabedian_boundary(sol)
-    g_bnd = l_bnd - 1.0 / (2.0 * np.pi * (mesh.nodes - a))
-    s_val, s_der = _cauchy_sums(s_bnd, mesh, z)
-    g_val, g_der = _cauchy_sums(g_bnd, mesh, z)
-    l_val = g_val + 1.0 / (2.0 * np.pi * (z - a))
-    l_der = g_der - 1.0 / (2.0 * np.pi * (z - a) ** 2)
-    f = s_val / l_val
-    fp = (s_der * l_val - s_val * l_der) / l_val**2
-    return complex(f), complex(fp)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from caratheodory.errors import GeometryError
-from caratheodory.geometry import Domain, boolean_intersect, boolean_union, curve_eval, curve_from_samples, mesh_boundary, thicken
+from caratheodory.geometry import BoundaryMesh, Domain, boolean_intersect, boolean_union, curve_eval, curve_from_samples, grid_sample, mesh_boundary, thicken
 from caratheodory.kernels import (
     AnnulusPoincareEvaluator,
     ClosedFormDiscEvaluator,
@@ -18,8 +18,9 @@ from caratheodory.kernels import (
     poincare_annulus,
 )
 from caratheodory.kernels import evaluators
-from caratheodory.kernels.szego import SzegoSolver
+from caratheodory.kernels.szego import KernelSolution, SzegoSolver
 from caratheodory.harness.reports import TREND_DISTANCES
+from ahlfors_reference import settled_solution
 from kernel_reference import uniform_pair_values
 from solver_lifetimes import solver_lifetimes
 from caratheodory.harness import (
@@ -104,15 +105,11 @@ def _count_work(monkeypatch):
 
 def _pairs(ev):
     """Each settled point with the pair that settled it, in settling
-    order: (z, n1, n2) when the finer mesh is the uniform one of n2 nodes
-    on the outer curve in ev._meshes, (z, "foot") when it is adapted to
-    z's foot."""
-    outer_nodes = {id(mesh): n for n, mesh in ev._meshes.items()}
-    out = []
-    for z, sol in ev._settled.items():
-        n2 = outer_nodes.get(id(sol.mesh))
-        out.append((z, "foot") if n2 is None else (z, n2 // 2, n2))
-    return out
+    order, read off its record: (z, n1, n2) when the finer mesh is the
+    uniform one of n2 nodes on the outer curve, (z, "foot") when it is
+    adapted to a foot."""
+    return [(z, rec.n2 // 2, rec.n2) if rec.family is None else (z, "foot")
+            for z, rec in ev._settled.items()]
 
 
 def test_annulus_poincare_evaluator_wraps_the_closed_form():
@@ -157,15 +154,16 @@ def test_szego_evaluator_rejects_points_hugging_the_boundary():
 
 
 def test_szego_solution_keeps_the_clearance_guard():
-    # the kernel solution is the one that settles the value ...
+    # the kernel solution solved again on the mesh the record names is
+    # the one that settles the value ...
     ev = SzegoEvaluator(ellipse())
-    sol = ev.solution(0.998j)
+    sol = settled_solution(ev, 0.998j)
     assert 2.0 * np.pi * sol.diag_value == ev.value(0.998j)
     # ... and refuses what values refuses: at 0.999j the adapted 1024-node
     # mesh stretches its far-side node at -1j to spacing 0.67, and
     # 3 * 0.67 > 1.999
     with pytest.raises(GeometryError, match="need >"):
-        ev.solution(0.999j)
+        settled_solution(ev, 0.999j)
 
 
 def test_szego_evaluator_climbs_the_mesh_ladder():
@@ -216,9 +214,9 @@ def _localization_piece():
     (_localization_piece, [0.9j, 0.95j]),
 ], ids=["annulus", "cornered_piece"])
 def test_curvatures_after_values_build_no_solver(monkeypatch, make, zs):
-    # the settling solvers are found among the cached uniform ones by
-    # their mesh: _solvers is keyed by the outer curve's nodes, and the
-    # annulus's meshes hold its hole's share more
+    # both batches settle on uniform pairs, so their records name the
+    # cached solver of their finer rung, which solves them again and
+    # takes their derivative solves, to the bits curvatures-first gives
     ev = SzegoEvaluator(make())
     ev.values(zs)
     built = []
@@ -233,6 +231,35 @@ def test_curvatures_after_values_build_no_solver(monkeypatch, make, zs):
     assert built == []
     monkeypatch.undo()
     assert np.array_equal(got, SzegoEvaluator(make()).curvatures(zs))
+
+
+@pytest.mark.parametrize("asks", [["curvatures"], ["values", "curvatures"]],
+                         ids=["curvatures", "values_then_kappa"])
+def test_a_second_curvatures_call_solves_nothing(monkeypatch, asks):
+    # 0.3 settles on the uniform (256, 512) pair and 0.97j on a pair
+    # adapted to its foot; once a record holds kappa, it is read back
+    ev = SzegoEvaluator(ellipse())
+    zs = [0.3, 0.97j]
+    for ask in asks:
+        first = getattr(ev, ask)(zs)
+    _, solved = _count_work(monkeypatch)
+    assert np.array_equal(ev.curvatures(zs), first)
+    assert solved == []
+
+
+def test_records_hold_no_density_and_no_mesh():
+    # a smooth grid and a holed one: each record is a value, a kappa or
+    # None, a rung and a family, the foot or None, and nothing more
+    banned = (KernelSolution, np.ndarray, BoundaryMesh)
+    for dom in (fourier_blob(), blob_with_hole()):
+        ev = SzegoEvaluator(dom)
+        ev.values(grid_sample(dom, 0.15, 0.1))
+        assert ev._settled
+        for rec in ev._settled.values():
+            assert not isinstance(rec, banned)
+            assert type(rec).__slots__ == ("value", "kappa", "n2", "family")
+            fields = [rec.value, rec.kappa, rec.n2, *(rec.family or ())]
+            assert not any(isinstance(f, banned) for f in fields)
 
 
 def test_metric_shrinks_when_the_domain_grows():
@@ -315,7 +342,8 @@ def test_foot_adapted_values_match_the_uniform_2048_pin():
         ev = SzegoEvaluator(dom)
         got = ev.values(zs)
         assert _pairs(ev) == [(complex(z), "foot") for z in zs]
-        assert len({id(ev._settled[z].mesh) for z in zs}) == 1
+        assert len({(ev._settled[z].family, ev._settled[z].n2)
+                    for z in zs}) == 1
         want, kappa = uniform_pair_values(dom, 2048, zs, kappa=True)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
         if not dom.holes:
@@ -347,10 +375,11 @@ def test_a_mixed_batch_settles_alike_in_every_order(make, zs, rel):
         ev = SzegoEvaluator(make())
         got = dict(zip(order, ev.values(order)))
         runs.append(([got[z] for z in zs],
-                     [ev._settled[complex(z)].mesh.nodes for z in zs]))
-    want, nodes = runs[0]
-    for got, meshes in runs[1:]:
-        assert all(np.array_equal(a, b) for a, b in zip(meshes, nodes))
+                     [(ev._settled[complex(z)].family,
+                       ev._settled[complex(z)].n2) for z in zs]))
+    want, pairs = runs[0]
+    for got, settled_on in runs[1:]:
+        assert settled_on == pairs
         assert np.max(np.abs(np.divide(got, want) - 1.0)) <= 1e-14
     pin = uniform_pair_values(make(), 2048, zs)
     assert np.max(np.abs(want / pin - 1.0)) <= rel

@@ -33,7 +33,9 @@ def test_duplicate_policies_are_gone():
     # evaluator (no per-point certificate); SubArc is the one
     # re-parameterized arc and deriv each chart's one evaluator; callers
     # build SzegoSolver and SectorPullback themselves, without wrappers;
-    # SzegoEvaluator has one routing policy, with no pinned mesh
+    # SzegoEvaluator has one routing policy, with no pinned mesh, and
+    # keeps a record per point, not its kernel solution; the Ahlfors map
+    # is a test reference (ahlfors_reference)
     retired = (
         (geometry, ("ClippedArc",)),
         (curves, ("ClippedArc",)),
@@ -60,6 +62,10 @@ def test_duplicate_policies_are_gone():
         (curvature, ("_stencil_logs", "_stencil", "default_step",
                      "log_metric_laplacian")),
         (kernels.SzegoEvaluator, ("_CAP", "_pick_n")),
+        (caratheodory, ("ahlfors_eval", "garabedian_boundary", "_cauchy_sums")),
+        (kernels, ("ahlfors_eval", "garabedian_boundary", "_cauchy_sums")),
+        (szego, ("ahlfors_eval", "garabedian_boundary", "_cauchy_sums")),
+        (kernels.SzegoEvaluator, ("solution",)),
     )
     for owner, names in retired:
         for name in names:

@@ -18,8 +18,6 @@ from caratheodory.kernels import SzegoEvaluator, szego
 from caratheodory.kernels.szego import (
     LU_MATVECS,
     SzegoSolver,
-    ahlfors_eval,
-    garabedian_boundary,
     kerzman_stein_matrix,
 )
 from caratheodory.harness import (
@@ -30,6 +28,11 @@ from caratheodory.harness import (
     fourier_blob,
     two_disc_pair,
     unit_disc,
+)
+from ahlfors_reference import (
+    ahlfors_eval,
+    garabedian_boundary,
+    settled_solution,
 )
 from curvature_reference import annulus_kappa, annulus_series
 from kernel_reference import (
@@ -209,7 +212,7 @@ def test_ahlfors_map_stays_inside_the_disc_ellipse():
 
 def test_ahlfors_map_stays_inside_the_disc_lens():
     lens = _symmetric_lens()
-    sol = SzegoEvaluator(lens).solution(0.0)
+    sol = settled_solution(SzegoEvaluator(lens), 0.0)
     pts = grid_sample(lens, 3.2 * sol.mesh.h_max, 0.024)
     vals = np.array([ahlfors_eval(sol, z)[0] for z in pts if abs(z) > 1e-4])
     assert vals.size > 1000
@@ -261,11 +264,12 @@ def test_doubling_rejects_an_unresolved_boundary():
     p = dom.outer.point(0.1)
     ev = SzegoEvaluator(dom)
     assert ev.value(0.999 * p) == pytest.approx(482.99512, rel=1e-7)
-    sol = ev.solution(0.999 * p)
     assert list(ev._settled) == [0.999 * p]
-    # its finer mesh is no uniform one
-    assert all(sol.mesh is not mesh for mesh in ev._meshes.values())
-    assert sol.mesh.size == 2048
+    # its finer mesh is no uniform one: the 2048-node rung adapted to
+    # its foot
+    rec = ev._settled[0.999 * p]
+    assert rec.family == dom.foot(0.999 * p)
+    assert rec.n2 == 2048
     # 0.9999 p, 1.04e-4 away, is past the clearance of the last adapted pair
     with pytest.raises((GeometryError, SolveError)):
         ev.value(0.9999 * p)
