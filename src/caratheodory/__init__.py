@@ -9,7 +9,6 @@ command line tool.
 """
 
 from .curvature import (
-    CurvatureEstimate,
     CurvatureScan,
     curvature_at,
     scan_curvature,
@@ -28,7 +27,6 @@ from .geometry import (
 from .kernels import (
     AnnulusPoincareEvaluator,
     ClosedFormDiscEvaluator,
-    KernelSolution,
     LPEvaluator,
     SectorPullbackEvaluator,
     SzegoEvaluator,
@@ -57,12 +55,10 @@ __all__ = [
     "BoundaryMesh",
     "ClosedFormDiscEvaluator",
     "ConvergenceReport",
-    "CurvatureEstimate",
     "CurvatureScan",
     "Domain",
     "ExtremalError",
     "GeometryError",
-    "KernelSolution",
     "LPEvaluator",
     "PairReport",
     "SectorPullbackEvaluator",

@@ -4,13 +4,11 @@ Every evaluator gives kappa itself through curvatures(zs): the closed
 forms are normalized to -4, the Szego solver differentiates the kernel
 in its base point, and certificates (LPEvaluator), being lower bounds
 from a finite orthonormal basis, refuse.
-This module reads it at one point and scans it over an interior grid,
-which the evaluator takes as one batch.
+This module reads the pair (kappa, c) at one point, and scans both over
+an interior grid as arrays, each from one batch of the evaluator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,22 +16,15 @@ from .errors import GeometryError
 from .geometry.sampling import grid_sample
 
 
-@dataclass
-class CurvatureEstimate:
-    """One curvature reading and the metric value at its point."""
-
-    point: complex
-    kappa: float
-    metric_value: float
-
-
 class CurvatureScan:
-    def __init__(self, domain, grid, estimates):
+    """The grid of a scan with kappas and values, the curvature and the
+    metric at each of its points."""
+
+    def __init__(self, domain, grid, kappas, values):
         self.domain = domain
-        self.grid = list(grid)
-        self.estimates = list(estimates)
-        self.kappa_min = min(e.kappa for e in self.estimates)
-        self.kappa_max = max(e.kappa for e in self.estimates)
+        self.grid, self.kappas, self.values = grid, kappas, values
+        self.kappa_min = float(np.min(kappas))
+        self.kappa_max = float(np.max(kappas))
 
     @property
     def c_hat(self):
@@ -46,10 +37,11 @@ class CurvatureScan:
 
 
 def curvature_at(evaluator, z):
-    """Curvature of the evaluator's metric at z."""
+    """(kappa, c): the curvature of the evaluator's metric at z and the
+    metric there."""
     zs = np.array([z], dtype=complex)
     kappa = float(evaluator.curvatures(zs)[0])
-    return CurvatureEstimate(complex(z), kappa, float(evaluator.values(zs)[0]))
+    return kappa, float(evaluator.values(zs)[0])
 
 
 def scan_curvature(domain, evaluator, delta, spacing):
@@ -62,7 +54,4 @@ def scan_curvature(domain, evaluator, delta, spacing):
     if len(grid) == 0:
         raise GeometryError("no grid points at clearance %g" % delta)
     kappas = evaluator.curvatures(grid)
-    values = evaluator.values(grid)
-    estimates = [CurvatureEstimate(complex(z), float(k), float(v))
-                 for z, k, v in zip(grid, kappas, values)]
-    return CurvatureScan(domain, grid, estimates)
+    return CurvatureScan(domain, grid, kappas, evaluator.values(grid))

@@ -102,9 +102,9 @@ def _cmd_curvature(args):
     spacing = args.delta if args.spacing is None else args.spacing
     scan = scan_curvature(dom, evaluator_for(dom), args.delta, spacing)
     _dump(args.out, ("re", "im", "kappa"),
-          [(e.point.real, e.point.imag, e.kappa) for e in scan.estimates])
+          [(z.real, z.imag, k) for z, k in zip(scan.grid, scan.kappas)])
     print("kappa in [%.6f, %.6f] over %d points"
-          % (scan.kappa_min, scan.kappa_max, len(scan.estimates)))
+          % (scan.kappa_min, scan.kappa_max, len(scan.grid)))
     return 0
 
 

@@ -6,7 +6,6 @@ from .closed_forms import (
     poincare_annulus,
 )
 from .szego import (
-    KernelSolution,
     SzegoSolver,
     kerzman_stein_matrix,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "circle_intersection",
     "disc_metric",
     "poincare_annulus",
-    "KernelSolution",
     "SzegoSolver",
     "kerzman_stein_matrix",
     "AnnulusPoincareEvaluator",

@@ -131,7 +131,8 @@ class SzegoEvaluator(_EvaluatorBase):
     that coarse mesh clears and that has not failed on that family, in
     the batch's order; the group climbs once, and its curvatures come
     from the finer solver.  A member failing at the top stays pending
-    with that family refused; a lead with no family left raises.
+    with that family refused; a lead with no family left is dropped, and
+    once the rest have settled the first such lead's error is raised.
     Uniform meshes and solvers are cached per node count for the
     evaluator's life (a solver turns from MINRES to one LU once its mesh
     has served, or is about to serve, enough solves), so a later batch,
@@ -183,18 +184,25 @@ class SzegoEvaluator(_EvaluatorBase):
 
     def _settle(self, zs, kappa=False):
         """Settle the new points of zs (see the class docstring); with
-        kappa, their records take their curvatures too."""
+        kappa, their records take their curvatures too.  A lead with no
+        family left is dropped and the rest settle; then the first such
+        lead's error is raised."""
         new = [z for z in dict.fromkeys(zs.tolist()) if z not in self._settled]
         feet = dict(zip(new, self.domain.feet(new)))
         refused = {z: set() for z in new}  # the families z failed on
-        errors = {}
+        errors, unsettled = {}, []
         # nearest first, ties broken by the foot (curve, then parameter),
         # so the order of the batch does not choose the leads
         pending = sorted(new, key=lambda z: (feet[z][2],) + feet[z][:2])
         while pending:
             lead = pending[0]
-            family, n1, mesh = self._lead(lead, feet[lead], refused[lead],
-                                          errors.get(lead))
+            try:
+                family, n1, mesh = self._lead(lead, feet[lead], refused[lead],
+                                              errors.get(lead))
+            except (GeometryError, SolveError) as exc:
+                unsettled.append(exc)
+                pending = pending[1:]
+                continue
             clear = _clears(mesh, pending, [feet[z][2] for z in pending])
             members = {z for z, ok in zip(pending, clear)
                        if ok and family not in refused[z]}
@@ -202,19 +210,23 @@ class SzegoEvaluator(_EvaluatorBase):
             solver = self._solver if family is None else (
                 lambda n: SzegoSolver(mesh if n == n1 else
                                       mesh_boundary(self.domain, n, family)))
-            n2, fine, sols, failed = self._climb(group, n1, solver)
+            n2, fine, values, nus, failed = self._climb(group, n1, solver)
             for z in failed:
                 refused[z].add(family)
             errors.update(failed)
-            kappas = (fine.kappa(list(sols.values())).tolist()
-                      if kappa and sols else [None] * len(sols))
+            ok = np.array([z not in failed for z in group])
+            passed = [z for z in group if z not in failed]
+            kappas = (fine.kappa(passed, nus[ok]).tolist() if kappa
+                      else [None] * len(passed))
             self._settled.update(
-                (z, _Settled(2.0 * np.pi * sol.diag_value, k, n2, family))
-                for (z, sol), k in zip(sols.items(), kappas))
+                (z, _Settled(v, k, n2, family))
+                for z, v, k in zip(passed, values[ok].tolist(), kappas))
             # the densities, and an adapted solver, go before the next
             # lead's meshes
-            del fine, sols
+            del fine, nus
             pending = [z for z in pending if z not in self._settled]
+        if unsettled:
+            raise unsettled[0]
 
     def _lead(self, z, foot, refused, error):
         """(family, n1, mesh): the coarse mesh z leads its group on, of the
@@ -245,29 +257,27 @@ class SzegoEvaluator(_EvaluatorBase):
     def _climb(self, zs, n1, solver):
         """Settle the points zs on the first pair from (n1, 2 n1) up to
         the top of _LADDER whose doubling check they all pass; solver(n)
-        gives the solver of the n-node mesh.  Returns the finer rung n2,
-        its solver, the finer solution by point for each point that
-        passes, and a SolveError by point for each that fails at the
-        top."""
-        coarse = solver(n1).solve(zs)
+        gives the solver of the n-node mesh.  Returns (n2, fine, values,
+        nus, failed): the finer rung n2 and its solver, the metric
+        2 pi S(a, a) of each point of zs on it and the rows nu its solve
+        gave them (see SzegoSolver.solve), and a SolveError by point for
+        each that fails at the top."""
+        coarse = 2.0 * np.pi * solver(n1).solve(zs)[0]
         while True:
             n2 = 2 * n1
-            fine_solver = solver(n2)
-            fine = fine_solver.solve(zs)
-            rels = [_doubling_change(c, f) for c, f in zip(coarse, fine)]
-            if n1 < self._LADDER[-1] and any(rel > self.tol for rel in rels):
-                n1, coarse = n2, fine  # the whole batch climbs
-                del fine_solver  # an adapted one goes before the next rung
+            fine = solver(n2)
+            s, nus = fine.solve(zs)
+            values = 2.0 * np.pi * s
+            rels = np.abs(values - coarse) / np.abs(values)
+            if n1 < self._LADDER[-1] and np.any(rels > self.tol):
+                n1, coarse = n2, values  # the whole batch climbs
+                del fine, nus  # an adapted solver goes before the next rung
                 continue
-            passed, failed = {}, {}
-            for z, rel, sol in zip(zs, rels, fine):
-                if rel <= self.tol:
-                    passed[z] = sol
-                else:
-                    failed[z] = SolveError(
-                        "szego value did not settle at %s: n=%d vs %d changed "
-                        "by %.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
-            return n2, fine_solver, passed, failed
+            failed = {z: SolveError(
+                "szego value did not settle at %s: n=%d vs %d changed by "
+                "%.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
+                for z, rel in zip(zs, rels) if not rel <= self.tol}
+            return n2, fine, values, nus, failed
 
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex).ravel()
@@ -293,7 +303,7 @@ class SzegoEvaluator(_EvaluatorBase):
         for (family, n2), block in blocks.items():
             solver = self._solver(n2) if family is None else SzegoSolver(
                 mesh_boundary(self.domain, n2, family))
-            kappas = solver.kappa(solver.solve(block)).tolist()
+            kappas = solver.kappa(block, solver.solve(block)[1]).tolist()
             for z, k in zip(block, kappas):
                 self._settled[z].kappa = k
             del solver  # an adapted one goes before the next is built
@@ -311,13 +321,6 @@ class _Settled:
 
     def __init__(self, value, kappa, n2, family):
         self.value, self.kappa, self.n2, self.family = value, kappa, n2, family
-
-
-def _doubling_change(coarse, fine):
-    """Relative change of the metric value from the coarse solution to
-    the fine one."""
-    v1, v2 = (2.0 * np.pi * sol.diag_value for sol in (coarse, fine))
-    return abs(v2 - v1) / abs(v2)
 
 
 class LPEvaluator(_EvaluatorBase):

@@ -18,8 +18,9 @@ Saunders).  A mesh that serves a few base points is solved by MINRES;
 one that serves many is LU-factored once, by blocks, when its MINRES
 products have cost, or are about to cost, as much as the factorization.
 A block of base points is solved together, its columns past MINRES by
-one pair of block triangular solves (see SzegoSolver).  Only numpy runs
-here.
+one pair of block triangular solves, into arrays: S(a, a) for each a
+and the rows nu = sqrt(w) S(., a), which the curvature reads as they
+are (see SzegoSolver).  Only numpy runs here.
 Assembling B, a mesh's other cost, runs on the calling thread, with
 one division per node pair (see kerzman_stein_matrix); the package
 starts no thread of its own.
@@ -88,29 +89,6 @@ def require_clearance(mesh, z, d):
             "%d, need > %g node spacings (%.3g) of the %d-node mesh"
             % (complex(z), gap[j], j, CLEARANCE, CLEARANCE * mesh.spacing[j],
                mesh.size))
-
-
-class KernelSolution:
-    """Boundary data of S(., a) for one interior base point.
-
-    diag_value is S(a, a) recovered from the reproducing identity
-    S(a,a) = integral |S(w,a)|^2 ds(w), i.e. the squared norm of the
-    symmetrized solution vector.
-    """
-
-    def __init__(self, base_point, mesh, szego_boundary, diag_value):
-        self.base_point = complex(base_point)
-        self.mesh = mesh
-        self.szego_boundary = szego_boundary
-        self.diag_value = float(diag_value)
-        szego_boundary.flags.writeable = False
-
-    def __repr__(self):
-        return "KernelSolution(a=%s, n=%d, S(a,a)=%.6g)" % (
-            self.base_point,
-            self.mesh.size,
-            self.diag_value,
-        )
 
 
 def kerzman_stein_matrix(mesh):
@@ -203,12 +181,13 @@ class SzegoSolver:
     update runs one column block at a time; updating the whole trailing
     block at once would take 50 MB there.
 
-    solve and kappa also take a block of base points.  Its right-hand
-    sides run MINRES one by one, as contiguous vectors with the bits a
-    single solve gives them, until the budget is spent or the ones left,
-    priced at the last one's products, would spend it anyway; the rest
-    take the triangular solves together.  The rule counts products,
-    never time, so reruns are identical.
+    solve and kappa take a 1-D block of base points and return arrays,
+    one entry or row per point.  The block's right-hand sides run MINRES
+    one by one, as contiguous vectors with the bits a block of one gives
+    them, until the budget is spent or the ones left, priced at the last
+    one's products, would spend it anyway; the rest take the triangular
+    solves together.  The rule counts products, never time, so reruns
+    are identical.
     """
 
     def __init__(self, mesh):
@@ -327,36 +306,30 @@ class SzegoSolver:
         return self._sw * np.conj(m.tangents / den)
 
     def solve(self, a):
-        """The KernelSolution at base point a; for a 1-D block of base
-        points, the list of theirs, solved together."""
-        pts = np.asarray(a, dtype=complex)
-        nus = self._solve_rows(self._rhs(pts.reshape(-1), 1))
-        sols = []
-        for b, nu in zip(pts.reshape(-1), nus):
-            diag = float(np.sum(np.abs(nu) ** 2))
-            if not np.isfinite(diag) or diag <= 0.0:
-                raise SolveError("solver returned a nonpositive diagonal value")
-            sols.append(KernelSolution(b, self.mesh, nu / self._sw, diag))
-        return sols if pts.ndim else sols[0]
+        """(s, nus) at the 1-D block of base points a, solved together:
+        row i of nus is sqrt(w) S(., a_i) at the nodes, and s[i] =
+        S(a_i, a_i) = |nus[i]|^2 by the reproducing identity."""
+        nus = self._solve_rows(self._rhs(np.asarray(a, dtype=complex), 1))
+        s = np.sum(np.abs(nus) ** 2, axis=1)
+        if not np.all((0.0 < s) & (s < np.inf)):
+            raise SolveError("solver returned a nonpositive diagonal value")
+        return s, nus
 
-    def kappa(self, sol):
+    def kappa(self, a, nus):
         """Gaussian curvature -Delta log s / (2 pi s)^2 of the metric
-        c = 2 pi s, s = S(a, a) = |nu|^2, at the base point a of sol, a
-        solution this solver returned; for a list of them, the array of
-        their curvatures, with one block of derivative solves.
+        c = 2 pi s, s = S(a, a) = |nu|^2, at each base point of the 1-D
+        block a, whose rows nus this solver's solve returned; the array
+        of them, from one block of derivative solves.
 
         mu, the a-bar derivative of nu, solves the same system for the
         a-bar derivative of the rhs: Delta log s = 4 (s |mu|^2 -
         |<nu, mu>|^2) / s^2.
         """
-        sols = [sol] if isinstance(sol, KernelSolution) else list(sol)
-        pts = np.array([x.base_point for x in sols], dtype=complex)
-        mus = self._solve_rows(self._rhs(pts, 2))
+        mus = self._solve_rows(self._rhs(np.asarray(a, dtype=complex), 2))
         out = []
-        for x, mu in zip(sols, mus):
-            nu, s = x.szego_boundary * self._sw, x.diag_value
+        for nu, mu in zip(nus, mus):
+            s = float(np.sum(np.abs(nu) ** 2))
             lap = 4.0 * (s * np.vdot(mu, mu).real
                          - abs(np.vdot(nu, mu)) ** 2) / s**2
-            out.append(float(-lap / (2.0 * np.pi * s) ** 2))
-        return out[0] if isinstance(sol, KernelSolution) else np.array(out)
-
+            out.append(-lap / (2.0 * np.pi * s) ** 2)
+        return np.array(out, dtype=float)

@@ -54,11 +54,10 @@ def uniform_pair_values(domain, n, zs, kappa=False):
     climb does, so a value has the bits of a group that settles on this
     pair."""
     zs = [complex(z) for z in np.ravel(zs)]
-    coarse = SzegoSolver(mesh_boundary(domain, n)).solve(zs)
+    coarse, _ = SzegoSolver(mesh_boundary(domain, n)).solve(zs)
     solver = SzegoSolver(mesh_boundary(domain, 2 * n))
-    fine = solver.solve(zs)
-    v1, v2 = (2.0 * np.pi * np.array([s.diag_value for s in sols])
-              for sols in (coarse, fine))
+    fine, nus = solver.solve(zs)
+    v1, v2 = 2.0 * np.pi * coarse, 2.0 * np.pi * fine
     change = np.max(np.abs(v2 - v1) / np.abs(v2))
     assert change <= SzegoEvaluator(domain).tol, change
-    return (v2, solver.kappa(fine)) if kappa else v2
+    return (v2, solver.kappa(zs, nus)) if kappa else v2

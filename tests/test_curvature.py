@@ -5,9 +5,9 @@ refusal."""
 import numpy as np
 import pytest
 
-from caratheodory.curvature import CurvatureEstimate, curvature_at, scan_curvature
+from caratheodory.curvature import curvature_at, scan_curvature
 from caratheodory.errors import GeometryError
-from caratheodory.geometry import boolean_intersect
+from caratheodory.geometry import boolean_intersect, grid_sample
 from caratheodory.kernels import (
     AnnulusPoincareEvaluator,
     LPEvaluator,
@@ -66,11 +66,11 @@ def test_laplacian_of_the_annulus_density():
 
 
 def test_disc_curvature_is_minus_four():
-    est = curvature_at(evaluator_for(unit_disc()), 0.3)
-    assert isinstance(est, CurvatureEstimate)
-    assert est.metric_value == pytest.approx(disc_metric(0.0, 1.0, 0.3), rel=1e-12)
+    kappa, value = curvature_at(evaluator_for(unit_disc()), 0.3)
+    assert type(kappa) is float and type(value) is float
+    assert value == pytest.approx(disc_metric(0.0, 1.0, 0.3), rel=1e-12)
     # the closed forms are normalized to -4 exactly
-    assert est.kappa == -4.0
+    assert kappa == -4.0
 
 
 def test_closed_form_curvature_refuses_points_outside():
@@ -90,15 +90,15 @@ def test_richardson_refinement_gains_two_orders():
 
 def test_solver_backed_curvature_on_the_ellipse():
     # simply connected, so kappa is -4 exactly (Suita)
-    est = curvature_at(SzegoEvaluator(ellipse()), 0.3 + 0.2j)
-    assert abs(est.kappa + 4.0) < 1e-9
+    kappa, _ = curvature_at(SzegoEvaluator(ellipse()), 0.3 + 0.2j)
+    assert abs(kappa + 4.0) < 1e-9
 
 
 def test_solver_backed_curvature_on_the_annulus():
     # exact value from the annulus series, -4.0000417365 at |z| = 0.7
-    est = curvature_at(SzegoEvaluator(annulus()), 0.7)
-    assert est.kappa == pytest.approx(annulus_kappa(0.5, 0.7), abs=1e-10)
-    assert est.kappa <= -4.0 + 1e-3
+    kappa, _ = curvature_at(SzegoEvaluator(annulus()), 0.7)
+    assert kappa == pytest.approx(annulus_kappa(0.5, 0.7), abs=1e-10)
+    assert kappa <= -4.0 + 1e-3
 
 
 @pytest.mark.parametrize("dom, pts", [
@@ -126,7 +126,7 @@ def test_lp_evaluator_refuses_curvature_before_any_certificate(monkeypatch):
 
 def test_scan_brackets_kappa_on_the_disc():
     scan = scan_curvature(unit_disc(), evaluator_for(unit_disc()), 0.2, 0.5)
-    assert len(scan.grid) == len(scan.estimates) > 0
+    assert len(scan.grid) == len(scan.kappas) == len(scan.values) > 0
     assert scan.kappa_min == scan.kappa_max == -4.0
     assert scan.c_hat == 4.0
 
@@ -136,6 +136,20 @@ def test_scan_on_the_blob_solver():
     assert scan.kappa_min >= -4.001
     assert scan.kappa_max <= -3.999
     assert scan.c_hat < 100.0
+
+
+def test_a_scan_holds_the_evaluator_arrays_bit_for_bit():
+    # the holed blob, whose kappa is not -4: the scan's arrays are a fresh
+    # evaluator's curvatures and values of its grid, curvatures asked first
+    dom = blob_with_hole()
+    scan = scan_curvature(dom, SzegoEvaluator(dom), 0.15, 0.1)
+    grid = grid_sample(blob_with_hole(), 0.15, 0.1)
+    ev = SzegoEvaluator(blob_with_hole())
+    kappas, values = ev.curvatures(grid), ev.values(grid)
+    assert np.array_equal(scan.grid, grid)
+    assert scan.kappas.tobytes() == kappas.tobytes()
+    assert scan.values.tobytes() == values.tobytes()
+    assert scan.kappa_min == np.min(kappas) < scan.kappa_max == np.max(kappas)
 
 
 def test_lp_log_density_stays_subharmonic_on_the_lens():

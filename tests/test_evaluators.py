@@ -18,7 +18,7 @@ from caratheodory.kernels import (
     poincare_annulus,
 )
 from caratheodory.kernels import evaluators
-from caratheodory.kernels.szego import KernelSolution, SzegoSolver
+from caratheodory.kernels.szego import SzegoSolver
 from caratheodory.harness.reports import TREND_DISTANCES
 from ahlfors_reference import settled_solution
 from kernel_reference import uniform_pair_values
@@ -157,8 +157,8 @@ def test_szego_solution_keeps_the_clearance_guard():
     # the kernel solution solved again on the mesh the record names is
     # the one that settles the value ...
     ev = SzegoEvaluator(ellipse())
-    sol = settled_solution(ev, 0.998j)
-    assert 2.0 * np.pi * sol.diag_value == ev.value(0.998j)
+    _, s, _ = settled_solution(ev, 0.998j)
+    assert 2.0 * np.pi * s == ev.value(0.998j)
     # ... and refuses what values refuses: at 0.999j the adapted 1024-node
     # mesh stretches its far-side node at -1j to spacing 0.67, and
     # 3 * 0.67 > 1.999
@@ -250,7 +250,7 @@ def test_a_second_curvatures_call_solves_nothing(monkeypatch, asks):
 def test_records_hold_no_density_and_no_mesh():
     # a smooth grid and a holed one: each record is a value, a kappa or
     # None, a rung and a family, the foot or None, and nothing more
-    banned = (KernelSolution, np.ndarray, BoundaryMesh)
+    banned = (np.ndarray, BoundaryMesh)
     for dom in (fourier_blob(), blob_with_hole()):
         ev = SzegoEvaluator(dom)
         ev.values(grid_sample(dom, 0.15, 0.1))
@@ -443,7 +443,7 @@ def test_a_point_the_foot_mesh_cannot_clear_keeps_its_uniform_pair(far, pair):
     got = ev.values(zs)
     assert _pairs(ev) == [(0.95j, "foot"), (0.98j, "foot"), (far,) + pair]
     solver = SzegoSolver(mesh_boundary(ellipse(), pair[1]))
-    assert got[0] == 2.0 * np.pi * solver.solve(far).diag_value
+    assert got[0] == 2.0 * np.pi * solver.solve([far])[0][0]
 
 
 def test_a_batch_the_adapted_mesh_clears_settles_on_its_pair():
@@ -460,7 +460,7 @@ def test_a_batch_the_adapted_mesh_clears_settles_on_its_pair():
     dom = ellipse()
     solver = SzegoSolver(mesh_boundary(dom, 512, dom.foot(0.97j)))
     assert np.array_equal(
-        got, [2.0 * np.pi * solver.solve(z).diag_value for z in zs])
+        got, [2.0 * np.pi * solver.solve([z])[0][0] for z in zs])
     assert got[2] == SzegoEvaluator(ellipse()).value(0.97j)
 
 
@@ -571,7 +571,7 @@ def test_a_point_its_foot_cannot_clear_falls_back_to_the_top_pair(
     got = ev.value(0.96j)
     assert _pairs(ev) == [(0.96j, 1024, 2048)]
     solver = SzegoSolver(real(ellipse(), 2048))
-    assert got == 2.0 * np.pi * solver.solve(0.96j).diag_value
+    assert got == 2.0 * np.pi * solver.solve([0.96j])[0][0]
     # 0.98j is past the 1024 rung's clearance too, so it is refused
     with pytest.raises(GeometryError, match="need >"):
         ev.value(0.98j)
@@ -611,5 +611,5 @@ def test_uniform_rung_batches_keep_their_keys_and_bits(make, zs, pair):
     got = ev.values(zs)
     assert _pairs(ev) == [(complex(z),) + pair for z in zs]
     solver = SzegoSolver(mesh_boundary(make(), pair[1]))
-    want = [2.0 * np.pi * solver.solve(z).diag_value for z in zs]
+    want = [2.0 * np.pi * solver.solve([z])[0][0] for z in zs]
     assert np.array_equal(got, want)

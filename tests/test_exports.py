@@ -35,7 +35,9 @@ def test_duplicate_policies_are_gone():
     # build SzegoSolver and SectorPullback themselves, without wrappers;
     # SzegoEvaluator has one routing policy, with no pinned mesh, and
     # keeps a record per point, not its kernel solution; the Ahlfors map
-    # is a test reference (ahlfors_reference)
+    # is a test reference (ahlfors_reference); the solver and the
+    # curvature scan hand back arrays, with no object per point, and the
+    # climb compares the arrays itself
     retired = (
         (geometry, ("ClippedArc",)),
         (curves, ("ClippedArc",)),
@@ -66,6 +68,11 @@ def test_duplicate_policies_are_gone():
         (kernels, ("ahlfors_eval", "garabedian_boundary", "_cauchy_sums")),
         (szego, ("ahlfors_eval", "garabedian_boundary", "_cauchy_sums")),
         (kernels.SzegoEvaluator, ("solution",)),
+        (caratheodory, ("KernelSolution", "CurvatureEstimate")),
+        (kernels, ("KernelSolution",)),
+        (szego, ("KernelSolution",)),
+        (curvature, ("CurvatureEstimate",)),
+        (kernels.evaluators, ("_doubling_change",)),
     )
     for owner, names in retired:
         for name in names:

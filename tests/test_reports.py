@@ -6,11 +6,12 @@ import logging
 import numpy as np
 import pytest
 
-from caratheodory.errors import GeometryError
-from caratheodory.geometry import boolean_intersect, boolean_union
+from caratheodory.errors import GeometryError, SolveError
+from caratheodory.geometry import boolean_intersect, boolean_union, curve_eval
 from caratheodory.harness import (
     annulus,
     blob_disc_pair,
+    blob_with_hole,
     converge_thickening,
     disc,
     ellipse,
@@ -253,6 +254,42 @@ def test_the_pointwise_curvature_retry_asks_no_values():
     got = reports._kappa_or_nan(OneBadPoint(), np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(got, [-4.0, np.nan, -4.0], equal_nan=True)
     assert asked == [[1.0, 2.0, 3.0], [1.0], [2.0], [3.0]]
+
+
+def _just_inside_the_outer_curve(dom):
+    # 1e-4 inward of the outer curve at t = 0.3, past every mesh's clearance
+    return dom.outer.point(0.3) - 1e-4 * curve_eval(dom.outer, 0.3).normal
+
+
+@pytest.mark.parametrize("make, delta, spacing, bad", [
+    (ellipse, 0.15, 0.1, lambda dom: 0.999j),
+    (blob_with_hole, 0.02, 0.05, _just_inside_the_outer_curve),
+], ids=["ellipse", "blob_with_hole"])
+def test_a_point_that_cannot_settle_leaves_the_batch_whole(
+        monkeypatch, make, delta, spacing, bad):
+    # the refused point is the nearest, so it leads first; it is dropped,
+    # the rest settle as the clean batch does, in as many climbs and to
+    # the same bits, and the retry settles nothing again
+    climbs = []
+    real = SzegoEvaluator._climb
+
+    def counting(self, zs, n1, solver):
+        climbs.append(len(zs))
+        return real(self, zs, n1, solver)
+
+    monkeypatch.setattr(SzegoEvaluator, "_climb", counting)
+    grid = grid_sample(make(), delta, spacing)
+    want = reports._values_or_nan(SzegoEvaluator(make()), grid)
+    clean, climbs[:] = list(climbs), []
+    dom = make()
+    ev = SzegoEvaluator(dom)
+    with pytest.raises((GeometryError, SolveError), match="too close"):
+        ev.values(np.append(grid, bad(dom)))
+    assert len(ev._settled) == grid.size
+    got = reports._values_or_nan(ev, np.append(grid, bad(dom)))
+    assert got[:-1].tobytes() == want.tobytes()
+    assert np.isnan(got[-1])
+    assert climbs == clean
 
 
 def test_a_sweep_over_two_components_matches_each_domain_evaluated_alone():

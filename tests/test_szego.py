@@ -33,6 +33,7 @@ from ahlfors_reference import (
     ahlfors_eval,
     garabedian_boundary,
     settled_solution,
+    szego_boundary,
 )
 from curvature_reference import annulus_kappa, annulus_series
 from kernel_reference import (
@@ -63,7 +64,7 @@ def _spent(mesh, a):
     solve factors."""
     solver = SzegoSolver(mesh)
     while solver.matvecs < LU_MATVECS:
-        solver.solve(a)
+        solver.solve([a])
     return solver
 
 
@@ -92,10 +93,11 @@ def test_disc_boundary_values_match_the_exact_kernel():
     mesh = mesh_boundary(unit_disc(), 256)
     solver = SzegoSolver(mesh)
     for a in (0.0, 0.5, 0.3 - 0.2j):
-        sol = solver.solve(a)
-        assert np.max(np.abs(sol.szego_boundary - _disc_kernel(mesh.nodes, a))) < 1e-13
+        (s,), (nu,) = solver.solve([a])
+        bnd = nu / np.sqrt(mesh.weights)
+        assert np.max(np.abs(bnd - _disc_kernel(mesh.nodes, a))) < 1e-13
         want = 1.0 / (2 * np.pi * (1.0 - abs(a) ** 2))
-        assert sol.diag_value == pytest.approx(want, rel=1e-12)
+        assert s == pytest.approx(want, rel=1e-12)
 
 
 def test_warped_parameterization_changes_nothing():
@@ -104,8 +106,8 @@ def test_warped_parameterization_changes_nothing():
     warp = t + 0.12 * np.sin(2 * np.pi * t) / (2 * np.pi)
     dom = Domain(curve_from_samples(np.exp(2j * np.pi * warp)), label="warped circle")
     mesh = mesh_boundary(dom, 256)
-    sol = SzegoSolver(mesh).solve(0.3)
-    assert np.max(np.abs(sol.szego_boundary - _disc_kernel(mesh.nodes, 0.3))) < 1e-12
+    _, bnd = szego_boundary(mesh, 0.3)
+    assert np.max(np.abs(bnd - _disc_kernel(mesh.nodes, 0.3))) < 1e-12
 
 
 def test_reproducing_identity_on_smooth_domains():
@@ -114,36 +116,35 @@ def test_reproducing_identity_on_smooth_domains():
     fs = (lambda z: np.ones_like(z), lambda z: z**2, lambda z: 1.0 / (z - 4.0))
     for dom, a in cases:
         mesh = mesh_boundary(dom, 256)
-        sol = SzegoSolver(mesh).solve(a)
+        s, bnd = szego_boundary(mesh, a)
         for f in fs:
-            got = np.sum(f(mesh.nodes) * np.conj(sol.szego_boundary) * mesh.weights)
+            got = np.sum(f(mesh.nodes) * np.conj(bnd) * mesh.weights)
             assert abs(got - f(complex(a))) < 1e-12
         # the diagonal is the squared norm of the boundary values
-        norm = np.sum(np.abs(sol.szego_boundary) ** 2 * mesh.weights)
-        assert norm == pytest.approx(sol.diag_value, rel=1e-14)
+        norm = np.sum(np.abs(bnd) ** 2 * mesh.weights)
+        assert norm == pytest.approx(s, rel=1e-14)
 
 
 def test_boundary_values_are_holomorphic_data():
     # Cauchy integral from outside annihilates Hardy-space boundary values
     for dom, a in ((ellipse(), 0.25 + 0.1j), (fourier_blob(), 0.1)):
         mesh = mesh_boundary(dom, 256)
-        sol = SzegoSolver(mesh).solve(a)
+        _, bnd = szego_boundary(mesh, a)
         out = np.sum(
-            sol.szego_boundary * mesh.tangents * mesh.weights / (mesh.nodes - (3.0 + 1.0j))
+            bnd * mesh.tangents * mesh.weights / (mesh.nodes - (3.0 + 1.0j))
         ) / (2j * np.pi)
         assert abs(out) < 1e-12
 
 
 def test_garabedian_boundary_identities():
     mesh = mesh_boundary(unit_disc(), 256)
-    sol = SzegoSolver(mesh).solve(0.5)
-    lab = garabedian_boundary(sol)
+    lab = garabedian_boundary(mesh, szego_boundary(mesh, 0.5)[1])
     assert np.max(np.abs(lab - 1.0 / (2 * np.pi * (mesh.nodes - 0.5)))) < 1e-13
     # |L| = |S| pointwise on any boundary
     meshb = mesh_boundary(fourier_blob(), 256)
-    solb = SzegoSolver(meshb).solve(0.1)
-    labb = garabedian_boundary(solb)
-    assert np.max(np.abs(np.abs(labb) - np.abs(solb.szego_boundary))) < 1e-14
+    _, bndb = szego_boundary(meshb, 0.1)
+    labb = garabedian_boundary(meshb, bndb)
+    assert np.max(np.abs(np.abs(labb) - np.abs(bndb))) < 1e-14
 
 
 def test_base_point_clearance_guard():
@@ -154,18 +155,18 @@ def test_base_point_clearance_guard():
 
 def test_ahlfors_map_on_discs_is_the_mobius_map():
     mesh = mesh_boundary(unit_disc(), 256)
-    sol = SzegoSolver(mesh).solve(0.3)
+    _, bnd = szego_boundary(mesh, 0.3)
     mob = lambda z: (z - 0.3) / (1.0 - 0.3 * z)
     for z in (0.0, 0.4 + 0.2j, -0.5j):
-        v, vp = ahlfors_eval(sol, z)
+        v, vp = ahlfors_eval(mesh, 0.3, bnd, z)
         assert abs(v - mob(z)) < 1e-12
     # off-center disc: normalized mobius map, unique up to the f'(a) > 0 gauge,
     # so only the moduli of the map and its derivative are pinned
     d = disc(-0.5, 0.75)
     a2, z2 = -0.5 + 0.2j, -0.5 - 0.1j
     m2 = mesh_boundary(d, 256)
-    s2 = SzegoSolver(m2).solve(a2)
-    v, vp = ahlfors_eval(s2, z2)
+    _, bnd2 = szego_boundary(m2, a2)
+    v, vp = ahlfors_eval(m2, a2, bnd2, z2)
     w = lambda z: (z + 0.5) / 0.75
     u0 = w(a2)
     mob2 = lambda z: (w(z) - u0) / (1.0 - np.conj(u0) * w(z))
@@ -176,33 +177,34 @@ def test_ahlfors_map_on_discs_is_the_mobius_map():
 
 def test_ahlfors_map_at_the_base_point():
     mesh = mesh_boundary(unit_disc(), 256)
-    sol = SzegoSolver(mesh).solve(0.5)
-    v, vp = ahlfors_eval(sol, 0.5)
+    _, bnd = szego_boundary(mesh, 0.5)
+    v, vp = ahlfors_eval(mesh, 0.5, bnd, 0.5)
     assert v == 0.0
     assert vp == pytest.approx(4.0 / 3.0, rel=1e-12)  # c at 0.5
     with pytest.raises(GeometryError, match="too close to the base point"):
-        ahlfors_eval(sol, 0.5 + 1e-9)
+        ahlfors_eval(mesh, 0.5, bnd, 0.5 + 1e-9)
     with pytest.raises(GeometryError, match="too close to the boundary"):
-        ahlfors_eval(sol, 0.95)
+        ahlfors_eval(mesh, 0.5, bnd, 0.95)
 
 
 def test_ahlfors_interior_values_agree_with_direct_cauchy():
     mesh = mesh_boundary(ellipse(), 256)
-    sol = SzegoSolver(mesh).solve(0.25 + 0.1j)
-    fb = sol.szego_boundary / garabedian_boundary(sol)
+    _, bnd = szego_boundary(mesh, 0.25 + 0.1j)
+    fb = bnd / garabedian_boundary(mesh, bnd)
     dw = mesh.tangents * mesh.weights
     z0 = 0.6 - 0.2j
     direct = np.sum(fb * dw / (mesh.nodes - z0)) / (2j * np.pi)
-    v, _ = ahlfors_eval(sol, z0)
+    v, _ = ahlfors_eval(mesh, 0.25 + 0.1j, bnd, z0)
     assert abs(v - direct) < 1e-9
 
 
 def test_ahlfors_map_stays_inside_the_disc_ellipse():
     mesh = mesh_boundary(ellipse(), 256)
-    sol = SzegoSolver(mesh).solve(0.25 + 0.1j)
+    _, bnd = szego_boundary(mesh, 0.25 + 0.1j)
     pts = grid_sample(ellipse(), 0.16, 0.1)
     vals = np.array(
-        [ahlfors_eval(sol, z)[0] for z in pts if abs(z - (0.25 + 0.1j)) > 1e-4]
+        [ahlfors_eval(mesh, 0.25 + 0.1j, bnd, z)[0] for z in pts
+         if abs(z - (0.25 + 0.1j)) > 1e-4]
     )
     assert vals.size == 485
     top = np.max(np.abs(vals))
@@ -212,9 +214,10 @@ def test_ahlfors_map_stays_inside_the_disc_ellipse():
 
 def test_ahlfors_map_stays_inside_the_disc_lens():
     lens = _symmetric_lens()
-    sol = settled_solution(SzegoEvaluator(lens), 0.0)
-    pts = grid_sample(lens, 3.2 * sol.mesh.h_max, 0.024)
-    vals = np.array([ahlfors_eval(sol, z)[0] for z in pts if abs(z) > 1e-4])
+    mesh, _, bnd = settled_solution(SzegoEvaluator(lens), 0.0)
+    pts = grid_sample(lens, 3.2 * mesh.h_max, 0.024)
+    vals = np.array([ahlfors_eval(mesh, 0.0, bnd, z)[0] for z in pts
+                     if abs(z) > 1e-4])
     assert vals.size > 1000
     top = np.max(np.abs(vals))
     assert top < 1.0
@@ -338,12 +341,12 @@ def test_minres_and_lu_paths_agree(dom, pts):
     spent = _spent(mesh, pts[0])
     for a in pts:
         fresh = SzegoSolver(mesh)
-        sol = fresh.solve(a)
-        v, k = sol.diag_value, fresh.kappa(sol)
+        (v,), nus = fresh.solve([a])
+        (k,) = fresh.kappa([a], nus)
         assert fresh.matvecs < LU_MATVECS  # never left MINRES
         before = spent.matvecs
-        sol_lu = spent.solve(a)
-        v_lu, k_lu = sol_lu.diag_value, spent.kappa(sol_lu)
+        (v_lu,), nus_lu = spent.solve([a])
+        (k_lu,) = spent.kappa([a], nus_lu)
         assert spent.matvecs == before  # no MINRES past the budget
         assert abs(v - v_lu) <= 1e-13 * v_lu
         assert abs(k - k_lu) <= 1e-12 * abs(k_lu)
@@ -354,17 +357,17 @@ def test_a_spent_solver_factors_exactly_once(monkeypatch):
     solver = _spent(mesh_boundary(ellipse(), 256), 0.3)
     assert sizes == []
     for a in (0.3, 0.5j, -0.4 + 0.2j):
-        solver.kappa(solver.solve(a))
+        solver.kappa([a], solver.solve([a])[1])
     assert sizes == [256]
 
 
 def test_a_minres_miss_falls_through_to_lu(monkeypatch):
     # the cornered piece needs about 20 products; two miss the tolerance
     mesh = mesh_boundary(_localization_piece(), 256)
-    want = _spent(mesh, 0.9j).solve(0.9j).diag_value
+    want = _spent(mesh, 0.9j).solve([0.9j])[0][0]
     monkeypatch.setattr(szego, "_RESTART", 2)
     solver = SzegoSolver(mesh)
-    assert solver.solve(0.9j).diag_value == want
+    assert solver.solve([0.9j])[0][0] == want
     assert solver.matvecs == 2 and solver._lu is not None
 
 
@@ -386,7 +389,7 @@ def test_a_nan_in_the_system_raises_on_the_lu_path():
     solver = SzegoSolver(mesh_boundary(ellipse(), 256))
     solver._b[3, 5] = np.nan
     with pytest.raises(SolveError, match="non-finite"):
-        solver.solve(0.3)
+        solver.solve([0.3])
     assert solver._lu is None
 
 
@@ -411,9 +414,9 @@ def test_curvature_solves_once_past_the_values(monkeypatch):
     mesh = mesh_boundary(ev.domain, 512)
     for a, k, v in zip(pts, kappas, values):
         solver = SzegoSolver(mesh)
-        sol = solver.solve(a)
-        assert v == 2.0 * np.pi * sol.diag_value
-        assert k == solver.kappa(sol)
+        s, nus = solver.solve([a])
+        assert v == 2.0 * np.pi * s[0]
+        assert k == solver.kappa([a], nus)[0]
 
 
 def test_few_point_meshes_never_factor(monkeypatch):
@@ -462,15 +465,15 @@ def test_a_block_of_three_on_a_fresh_solver_keeps_the_minres_bits():
     mesh = mesh_boundary(fourier_blob(), 256)
     pts = [0.1, 0.2j, -0.3 + 0.1j]
     block = SzegoSolver(mesh)
-    sols = block.solve(pts)
-    kappas = block.kappa(sols)
+    s, nus = block.solve(pts)
+    kappas = block.kappa(pts, nus)
     assert block._lu is None and block.matvecs < LU_MATVECS
     single = SzegoSolver(mesh)
-    for a, sol, k in zip(pts, sols, kappas):
-        want = single.solve(a)
-        assert np.array_equal(sol.szego_boundary, want.szego_boundary)
-        assert sol.diag_value == want.diag_value
-        assert k == single.kappa(want)
+    for a, s_a, nu, k in zip(pts, s, nus, kappas):
+        want_s, want_nus = single.solve([a])
+        assert np.array_equal(nu, want_nus[0])
+        assert s_a == want_s[0]
+        assert k == single.kappa([a], want_nus)[0]
 
 
 def test_the_factorization_needs_one_tile_column_beyond_the_matrix():
