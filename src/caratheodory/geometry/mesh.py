@@ -8,7 +8,12 @@ nearest singularity (Trefethen and Weideman, SIAM Rev. 2014), so the
 system is sized by the boundary's length, not by its number of curves.
 The floor grows with n so that a short hole's nodes still double with
 the outer curve's: with a fixed floor both meshes of a doubling pair
-would share one hole mesh, and the check would not see its error.
+would share one hole mesh, and the pair check would not see its error.
+The pair still settles values on rough boundaries, on meshes adapted to
+a foot and where curves nearly touch; on the other uniform meshes of
+smooth boundaries the Fourier tail of the density on each curve, the
+hole's included, settles a value on one mesh (see
+kernels.szego._resolved).
 
 Smooth curves get the uniform trapezoid rule in the curve parameter,
 which is spectrally accurate for periodic integrands; on a trig curve

@@ -9,12 +9,15 @@ boundary basis per domain and degree, built with the evaluator, with no
 Szego solve.
 
 The Szego evaluator settles a batch nearest point first: the nearest
-point still pending leads a group of every pending point its coarse mesh
-clears, and each mesh of the group's climb solves them as one block,
-values and curvatures alike.  An interior grid so costs one
-factorization per mesh and a few triangular solves with many right-hand
-sides, and a march toward the boundary one pair adapted to its nearest
-point.
+point still pending leads a group of every pending point its first mesh
+clears, and each rung of the group's climb solves them as one block,
+values and curvatures alike.  On a uniform mesh of a smooth boundary
+whose curves keep apart, a rung settles the group alone once the
+Fourier tails of its densities show them resolved; elsewhere a rung
+settles it once its values agree with the rung below's.  An interior
+grid on a smooth domain so costs one factorization and a few triangular
+solves with many right-hand sides, and a march toward the boundary one
+pair adapted to its nearest point.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from ..extremal.lp import ExtremalProblem, lp_caratheodory_lower
 from ..geometry.curves import TrigCurve
 from ..geometry.mesh import mesh_boundary
 from .closed_forms import SectorPullback, annulus_metric, disc_metric
-from .szego import CLEARANCE, SzegoSolver, _clears, require_clearance
+from .szego import (CLEARANCE, SzegoSolver, _clears, _resolved,
+                    require_clearance)
 
 
 class _EvaluatorBase:
@@ -108,37 +112,48 @@ class SectorPullbackEvaluator(_ClosedFormEvaluator):
 class SzegoEvaluator(_EvaluatorBase):
     """Caratheodory metric 2*pi*S(a,a) from the Kerzman-Stein solve.
 
-    Each value is accepted only after a mesh-doubling agreement check
-    (1e-8 relative on smooth boundaries, 1e-5 with corners) between a
-    mesh pair (n, 2n), and every pair comes from one doubling ladder,
-    _climb: each mesh solves its points as one block, a failure moves
-    them all up one rung, the finer solutions becoming the coarser
-    ones, and the climb stops at (1024, 2048).  A rung counts the outer
-    curve's nodes; each hole is meshed at the outer spacing, so a holed
-    domain's system is sized by its boundary's length, and a mesh
-    adapted to a foot gives the foot's curve all the rung's nodes (see
-    geometry.mesh).
+    Each value settles, to tol (1e-8 relative on smooth boundaries, 1e-5
+    with corners), on one rung of a mesh-doubling ladder, _climb: each
+    rung solves its group's points as one block, and settles a point
+    whose value agrees with the rung below's within tol or, on a
+    uniform mesh of a smooth boundary (every curve a TrigCurve), that
+    it resolves alone: the Fourier tail of the point's density
+    sqrt(w) nu meets TAIL_FACTOR tail^2 <= tol and every curve keeps
+    CLEARANCE node spacings of the others (szego._resolved).  While a
+    member is unsettled the whole group moves up one rung, its values
+    becoming the ones the next rung's are checked against, and the
+    climb stops at 2048, twice _LADDER's top.  So an interior grid on a
+    smooth domain usually settles on its first rung; curves that nearly
+    touch, meshes adapted to a foot (whose tails understate the error
+    more, see szego.TAIL_FACTOR) and rough boundaries settle on the
+    finer rung of the first pair (n, 2n) that agrees; and a group
+    settles on one rung, whose solver gives its curvatures.  A rung
+    counts the outer curve's nodes; each hole is meshed at the outer
+    spacing, so a holed domain's system is sized by its boundary's
+    length, and a mesh adapted to a foot gives the foot's curve all the
+    rung's nodes (see geometry.mesh).
 
     A batch settles in one loop, nearest point first, equal distances
     in the order of their feet (curve, then parameter), so the leads do
     not depend on the batch's order.  The nearest pending point leads,
-    on the coarse mesh of the first mesh family it
+    on the first mesh of the first mesh family it
     has not failed on that clears it (CLEARANCE local node spacings, see
     require_clearance): its uniform rung of _LADDER (the first below the
     top whose h_max keeps clearance), the first rung adapted to its
     nearest boundary point, its foot (mesh_boundary's foot), that keeps
     clearance, or the uniform top rung.  Its group is every pending point
-    that coarse mesh clears and that has not failed on that family, in
+    that first mesh clears and that has not failed on that family, in
     the batch's order; the group climbs once, and its curvatures come
-    from the finer solver.  A member failing at the top stays pending
-    with that family refused; a lead with no family left is dropped, and
-    once the rest have settled the first such lead's error is raised.
+    from the solver of the rung that settles it.  A member failing at
+    the top stays pending with that family refused; a lead with no
+    family left is dropped, and once the rest have settled the first
+    such lead's error is raised.
     Uniform meshes and solvers are cached per node count for the
     evaluator's life (a solver turns from MINRES to one LU once its mesh
     has served, or is about to serve, enough solves), so a later batch,
     or the pointwise retry of a failed one, assembles none of them again.
     An adapted solver lives only while its group needs it: a climbing
-    group drops each finer solver before it builds the next rung's, and
+    group drops each rung's solver before it builds the next one's, and
     the last one goes once the group's curvatures are taken, before the
     next lead builds its meshes.  So at most one adapted solver is alive,
     besides the cached uniform ones.
@@ -149,10 +164,11 @@ class SzegoEvaluator(_EvaluatorBase):
     ones (corners or C1 joins) the graded rule converges only
     algebraically, and a (256, 512) start can pass the 1e-5 check 1e-8
     away from the value the pairs above give, so they start one rung up,
-    at 512.
+    at 512.  Their densities' tails say nothing there, so rough
+    boundaries settle by the pair alone.
 
     What settling keeps of a point is a _Settled record: its value, its
-    curvature once asked for, the finer rung of its pair and its family.
+    curvature once asked for, the rung that settled it and its family.
     No boundary density or mesh outlives its solver, so a later batch
     reads the value off the record, and curvatures asked after values
     solve the point again on its settling mesh (see curvatures).
@@ -167,6 +183,7 @@ class SzegoEvaluator(_EvaluatorBase):
         # Nystrom solve its spectral rate; ask only 1e-5 agreement there
         rough = any(not isinstance(c, TrigCurve) for c in domain.curves)
         self.tol = 1e-5 if rough else 1e-8
+        self._smooth = not rough  # tails settle its uniform rungs
         self._foot_start = 512 if rough else 256  # see the class docstring
         self._meshes = {}
         self._solvers = {}
@@ -210,7 +227,8 @@ class SzegoEvaluator(_EvaluatorBase):
             solver = self._solver if family is None else (
                 lambda n: SzegoSolver(mesh if n == n1 else
                                       mesh_boundary(self.domain, n, family)))
-            n2, fine, values, nus, failed = self._climb(group, n1, solver)
+            n, fine, values, nus, failed = self._climb(
+                group, n1, solver, self._smooth and family is None)
             for z in failed:
                 refused[z].add(family)
             errors.update(failed)
@@ -219,7 +237,7 @@ class SzegoEvaluator(_EvaluatorBase):
             kappas = (fine.kappa(passed, nus[ok]).tolist() if kappa
                       else [None] * len(passed))
             self._settled.update(
-                (z, _Settled(v, k, n2, family))
+                (z, _Settled(v, k, n, family))
                 for z, v, k in zip(passed, values[ok].tolist(), kappas))
             # the densities, and an adapted solver, go before the next
             # lead's meshes
@@ -229,7 +247,7 @@ class SzegoEvaluator(_EvaluatorBase):
             raise unsettled[0]
 
     def _lead(self, z, foot, refused, error):
-        """(family, n1, mesh): the coarse mesh z leads its group on, of the
+        """(family, n1, mesh): the first mesh z leads its group on, of the
         first family it has not refused whose mesh clears it: its uniform
         rung (the first of _LADDER below the top whose h_max keeps
         CLEARANCE at its distance), the first rung from _foot_start up
@@ -254,30 +272,34 @@ class SzegoEvaluator(_EvaluatorBase):
             return None, self._LADDER[-1], mesh
         raise error
 
-    def _climb(self, zs, n1, solver):
-        """Settle the points zs on the first pair from (n1, 2 n1) up to
-        the top of _LADDER whose doubling check they all pass; solver(n)
-        gives the solver of the n-node mesh.  Returns (n2, fine, values,
-        nus, failed): the finer rung n2 and its solver, the metric
+    def _climb(self, zs, n, solver, by_tail):
+        """Settle the points zs on the first rung from n up to twice the
+        top of _LADDER that settles them all; solver(n) gives the solver
+        of the n-node mesh.  A rung settles a point whose value agrees
+        with the rung below's within tol or, with by_tail, whose row the
+        rung resolves alone (see szego._resolved).  Returns (n,
+        fine, values, nus, failed): the rung n and its solver, the metric
         2 pi S(a, a) of each point of zs on it and the rows nu its solve
         gave them (see SzegoSolver.solve), and a SolveError by point for
-        each that fails at the top."""
-        coarse = 2.0 * np.pi * solver(n1).solve(zs)[0]
+        each that the top rung does not settle."""
+        coarse = np.nan  # no rung below, so no value agrees with it
         while True:
-            n2 = 2 * n1
-            fine = solver(n2)
+            fine = solver(n)
             s, nus = fine.solve(zs)
             values = 2.0 * np.pi * s
             rels = np.abs(values - coarse) / np.abs(values)
-            if n1 < self._LADDER[-1] and np.any(rels > self.tol):
-                n1, coarse = n2, values  # the whole batch climbs
-                del fine, nus  # an adapted solver goes before the next rung
-                continue
-            failed = {z: SolveError(
-                "szego value did not settle at %s: n=%d vs %d changed by "
-                "%.3g (tol %.1g)" % (z, n1, n2, rel, self.tol))
-                for z, rel in zip(zs, rels) if not rel <= self.tol}
-            return n2, fine, values, nus, failed
+            ok = rels <= self.tol
+            if by_tail:
+                ok |= _resolved(fine.mesh, nus, self.tol)
+            if ok.all() or n >= 2 * self._LADDER[-1]:
+                break
+            n, coarse = 2 * n, values  # the whole group climbs
+            del fine, nus  # an adapted solver goes before the next rung
+        failed = {z: SolveError(
+            "szego value did not settle at %s: n=%d vs %d changed by "
+            "%.3g (tol %.1g)" % (z, n // 2, n, rel, self.tol))
+            for z, rel, good in zip(zs, rels, ok) if not good}
+        return n, fine, values, nus, failed
 
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex).ravel()
@@ -288,21 +310,21 @@ class SzegoEvaluator(_EvaluatorBase):
     def curvatures(self, zs):
         """SzegoSolver.kappa of each point, kept in its record, so a
         point's curvature is computed once.  The points settled during
-        the call take it from their group's finer solver, in one block.
+        the call take it from their group's settling solver, in one block.
         A point settled earlier without it is solved again on its
-        settling mesh, one block per (family, n2), on the cached uniform
+        settling mesh, one block per (family, n), on the cached uniform
         solver or on a rebuilt adapted one, then takes its derivative
         solve there."""
         zs = np.asarray(zs, dtype=complex).ravel()
         self._settle(zs, kappa=True)
-        blocks = {}  # (family, n2) -> its distinct points with no kappa
+        blocks = {}  # (family, n) -> its distinct points with no kappa
         for z in dict.fromkeys(zs.tolist()):
             rec = self._settled[z]
             if rec.kappa is None:
-                blocks.setdefault((rec.family, rec.n2), []).append(z)
-        for (family, n2), block in blocks.items():
-            solver = self._solver(n2) if family is None else SzegoSolver(
-                mesh_boundary(self.domain, n2, family))
+                blocks.setdefault((rec.family, rec.n), []).append(z)
+        for (family, n), block in blocks.items():
+            solver = self._solver(n) if family is None else SzegoSolver(
+                mesh_boundary(self.domain, n, family))
             kappas = solver.kappa(block, solver.solve(block)[1]).tolist()
             for z, k in zip(block, kappas):
                 self._settled[z].kappa = k
@@ -313,14 +335,14 @@ class SzegoEvaluator(_EvaluatorBase):
 
 class _Settled:
     """What SzegoEvaluator keeps of a settled point: value, the metric
-    2 pi S(a, a); kappa, its curvature, None until asked for; n2, the
-    finer rung of the pair that settled it; family, None for the uniform
-    ladder, else the foot its meshes are adapted to."""
+    2 pi S(a, a); kappa, its curvature, None until asked for; n, the
+    rung that settled it; family, None for the uniform ladder, else the
+    foot its meshes are adapted to."""
 
-    __slots__ = ("value", "kappa", "n2", "family")
+    __slots__ = ("value", "kappa", "n", "family")
 
-    def __init__(self, value, kappa, n2, family):
-        self.value, self.kappa, self.n2, self.family = value, kappa, n2, family
+    def __init__(self, value, kappa, n, family):
+        self.value, self.kappa, self.n, self.family = value, kappa, n, family
 
 
 class LPEvaluator(_EvaluatorBase):

@@ -43,6 +43,22 @@ _TWO_PI_I = 2j * np.pi
 # near-singular Cauchy data poisons the quadrature
 CLEARANCE = 3.0
 
+# a uniform mesh of smooth curves resolves a value 2 pi |nu|^2 to tol
+# once TAIL_FACTOR tail^2 <= tol, tail the share of the rows sqrt(w) nu
+# in their DFT coefficients with |k| >= _TAIL_BAND m on a curve of m
+# nodes (see _resolved).  The value is quadratic in nu, so its error is
+# second order in nu's: against 2048-node solves, on uniform meshes of
+# 128-1024 nodes of every smooth fixture (grids 0.05 from the boundary
+# on seven domains, curves CLEARANCE spacings apart), the relative
+# error stayed under 0.067 tail^2 wherever it rose above rounding.  A
+# value so settled must stay as near the fine solves as the finer mesh
+# of a passing doubling pair does, within 1e-12, so the factor is that
+# worst excess scaled from tol to 1e-12, 670, rounded up.  Meshes
+# adapted to a foot showed up to 12-20 tail^2, and a group settled on
+# one by a factor of 100 landed 1.7e-12 off, so they keep the pair
+TAIL_FACTOR = 1000.0
+_TAIL_BAND = 0.4
+
 # matrix-vector products one factorization costs: its time over a
 # product's was 90-350 at 256-2048 nodes, or 75-155 MINRES steps with
 # their vector work (2-core x86 box, numpy's OpenBLAS on both cores);
@@ -62,20 +78,56 @@ _TILE = 256
 _ASSEMBLY_TILE = 128
 
 
-def _clears(mesh, zs, ds):
+def _clears(mesh, zs, ds, curve=None):
     """Mask of the points zs, at distances ds from the boundary, that are
     farther than CLEARANCE local spacings (mesh.spacing) from every node,
-    1024 points at a time; nan fails.
+    or from every node off curve number curve when it is given, 1024
+    points at a time; nan fails.
 
     No node is nearer than d, so d > CLEARANCE * h_max always passes.
     """
+    nodes, spacing = mesh.nodes, mesh.spacing
+    if curve is not None:
+        off = np.ones(mesh.size, dtype=bool)
+        off[slice(*mesh.curve_slices[curve])] = False
+        nodes, spacing = nodes[off], spacing[off]
     ds = np.asarray(ds, dtype=float)
     clear = np.ones(len(zs), dtype=bool)
     for i in range(0, len(zs), 1024):
         rows = np.array(zs[i:i + 1024], dtype=complex)[:, None]
-        gaps = np.maximum(np.abs(mesh.nodes - rows), ds[i:i + 1024, None])
-        clear[i:i + 1024] = np.all(gaps > CLEARANCE * mesh.spacing, axis=1)
+        gaps = np.maximum(np.abs(nodes - rows), ds[i:i + 1024, None])
+        clear[i:i + 1024] = np.all(gaps > CLEARANCE * spacing, axis=1)
     return clear
+
+
+def _resolved(mesh, nus, tol):
+    """Mask of the rows nus of a solve on mesh (see SzegoSolver.solve)
+    whose values 2 pi |nu|^2 the mesh alone resolves to the relative tol,
+    for a mesh of smooth curves, each by the uniform trapezoid rule.
+
+    There a row is periodic and analytic in the mesh parameter on each
+    curve, so its DFT coefficients decay geometrically (Trefethen and
+    Weideman, SIAM Rev. 2014), and the share past the band is a chopping
+    test of resolution (Aurentz and Trefethen, ACM TOMS 2017): a row's
+    tail is the norm of its coefficients with |k| >= _TAIL_BAND m on each
+    curve of m nodes, over the norm of the whole row, at the worst curve,
+    and the rule is TAIL_FACTOR tail^2 <= tol.  Curves that nearly touch
+    break it (the tail read 30x under the error with a 0.02 gap), so no
+    row passes unless _clears passes every curve's nodes, at distance 0,
+    against the other curves' nodes.
+    """
+    apart = all(_clears(mesh, mesh.nodes[lo:hi], np.zeros(hi - lo), k).all()
+                for k, (lo, hi) in enumerate(mesh.curve_slices))
+    if not apart:
+        return np.zeros(len(nus), dtype=bool)
+    tails = np.zeros(len(nus))
+    for lo, hi in mesh.curve_slices:
+        m = hi - lo
+        band = np.abs(np.fft.fftfreq(m, 1.0 / m)) >= _TAIL_BAND * m
+        coef = np.fft.fft(nus[:, lo:hi], axis=1, norm="ortho")[:, band]
+        np.maximum(tails, np.linalg.norm(coef, axis=1), out=tails)
+    tails /= np.linalg.norm(nus, axis=1)
+    return TAIL_FACTOR * tails**2 <= tol
 
 
 def require_clearance(mesh, z, d):
@@ -326,10 +378,8 @@ class SzegoSolver:
         |<nu, mu>|^2) / s^2.
         """
         mus = self._solve_rows(self._rhs(np.asarray(a, dtype=complex), 2))
-        out = []
-        for nu, mu in zip(nus, mus):
-            s = float(np.sum(np.abs(nu) ** 2))
-            lap = 4.0 * (s * np.vdot(mu, mu).real
-                         - abs(np.vdot(nu, mu)) ** 2) / s**2
-            out.append(-lap / (2.0 * np.pi * s) ** 2)
-        return np.array(out, dtype=float)
+        s = np.sum(np.abs(nus) ** 2, axis=1)
+        mm = np.sum(np.abs(mus) ** 2, axis=1)
+        nm = np.einsum("ij,ij->i", nus.conj(), mus)
+        lap = 4.0 * (s * mm - np.abs(nm) ** 2) / s**2
+        return -lap / (2.0 * np.pi * s) ** 2

@@ -14,9 +14,9 @@ Conventions (pinned by the disc oracle S(z,a) = 1/(2 pi (1 - z conj a))):
 
 szego_boundary solves one base point alone on a fresh solver and gives
 S(a, a) with the boundary values S(., a), nus[0] / sqrt(w) of
-SzegoSolver.solve's rows; settled_solution does so on the finer mesh
-that settles an evaluator's value, since SzegoEvaluator keeps only a
-small record per point.
+SzegoSolver.solve's rows; settled_solution does so on the mesh that
+settles an evaluator's value, since SzegoEvaluator keeps only a small
+record per point.
 """
 
 import numpy as np
@@ -35,13 +35,13 @@ def szego_boundary(mesh, a):
 
 def settled_solution(ev, a):
     """(mesh, S(a, a), S(., a) at its nodes) for the SzegoEvaluator ev
-    at a: mesh is the finer one of the pair that settles ev's value
-    there, and a is solved on it alone (a lone point's climb solves it
-    so too); values' clearance guard holds."""
+    at a: mesh is the rung that settles ev's value there, and a is solved
+    on it alone (a lone point's climb solves it so too); values'
+    clearance guard holds."""
     a = complex(a)
     ev.values([a])
     rec = ev._settled[a]
-    mesh = mesh_boundary(ev.domain, rec.n2, rec.family)
+    mesh = mesh_boundary(ev.domain, rec.n, rec.family)
     return (mesh,) + szego_boundary(mesh, a)
 
 

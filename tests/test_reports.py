@@ -273,9 +273,9 @@ def test_a_point_that_cannot_settle_leaves_the_batch_whole(
     climbs = []
     real = SzegoEvaluator._climb
 
-    def counting(self, zs, n1, solver):
+    def counting(self, zs, *rest):
         climbs.append(len(zs))
-        return real(self, zs, n1, solver)
+        return real(self, zs, *rest)
 
     monkeypatch.setattr(SzegoEvaluator, "_climb", counting)
     grid = grid_sample(make(), delta, spacing)
@@ -316,15 +316,17 @@ def test_a_sweep_over_two_components_matches_each_domain_evaluated_alone():
 
 
 def test_the_product_sweep_holds_one_domains_solvers_at_a_time():
-    # the union's and the blob's uniform (256, 512) pairs are never
-    # alive together: each evaluator goes before the next is built.  The
-    # peak is the blob's pair: its hole is 0.29 of its outer length, so
-    # its meshes hold 256 + 76 and 512 + 150 nodes
+    # the union's uniform (256, 512) pair and the blob's solvers are
+    # never alive together: each evaluator goes before the next is
+    # built.  The peak is the union's pair, 316 and 632 nodes: the union
+    # has corners, so its point settles by the pair, while the blob's
+    # 256 rung, 256 + 76 nodes (its hole is 0.29 of its outer length),
+    # settles its point by the density's tail and builds no 512 rung
     with solver_lifetimes() as live:
         rep = verify_submult(*blob_disc_pair(), spacing=0.5)
     assert len(rep.rows) == 1
-    assert live.peak_sizes == [332, 662]
-    assert live.peak_bytes == 16 * (332**2 + 662**2) == 8_775_488
+    assert live.peak_sizes == [316, 632]
+    assert live.peak_bytes == 16 * (316**2 + 632**2) == 7_988_480
 
 
 def test_submult_needs_an_overlap():
