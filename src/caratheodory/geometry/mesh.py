@@ -13,7 +13,7 @@ The pair still settles values on rough boundaries, on meshes adapted to
 a foot and where curves nearly touch; on the other uniform meshes of
 smooth boundaries the Fourier tail of the density on each curve, the
 hole's included, settles a value on one mesh (see
-kernels.szego._resolved).
+kernels.szego.SzegoSolver.resolved).
 
 Smooth curves get the uniform trapezoid rule in the curve parameter,
 which is spectrally accurate for periodic integrands; on a trig curve

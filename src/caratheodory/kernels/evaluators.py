@@ -15,9 +15,10 @@ values and curvatures alike.  On a uniform mesh of a smooth boundary
 whose curves keep apart, a rung settles the group alone once the
 Fourier tails of its densities show them resolved; elsewhere a rung
 settles it once its values agree with the rung below's.  An interior
-grid on a smooth domain so costs one factorization and a few triangular
-solves with many right-hand sides, and a march toward the boundary one
-pair adapted to its nearest point.
+grid on a smooth domain so costs one LAPACK solve with many right-hand
+sides, and a march toward the boundary one pair adapted to its nearest
+point, each of whose rungs solves its few points by conjugate
+gradients.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from ..extremal.lp import ExtremalProblem, lp_caratheodory_lower
 from ..geometry.curves import TrigCurve
 from ..geometry.mesh import mesh_boundary
 from .closed_forms import SectorPullback, annulus_metric, disc_metric
-from .szego import (CLEARANCE, SzegoSolver, _clears, _resolved,
-                    require_clearance)
+from .szego import CLEARANCE, SzegoSolver, _clears, require_clearance
 
 
 class _EvaluatorBase:
@@ -119,7 +119,7 @@ class SzegoEvaluator(_EvaluatorBase):
     uniform mesh of a smooth boundary (every curve a TrigCurve), that
     it resolves alone: the Fourier tail of the point's density
     sqrt(w) nu meets TAIL_FACTOR tail^2 <= tol and every curve keeps
-    CLEARANCE node spacings of the others (szego._resolved).  While a
+    CLEARANCE node spacings of the others (SzegoSolver.resolved).  While a
     member is unsettled the whole group moves up one rung, its values
     becoming the ones the next rung's are checked against, and the
     climb stops at 2048, twice _LADDER's top.  So an interior grid on a
@@ -127,7 +127,7 @@ class SzegoEvaluator(_EvaluatorBase):
     touch, meshes adapted to a foot (whose tails understate the error
     more, see szego.TAIL_FACTOR) and rough boundaries settle on the
     finer rung of the first pair (n, 2n) that agrees; and a group
-    settles on one rung, whose solver gives its curvatures.  A rung
+    settles on one rung, whose solve gives its curvatures.  A rung
     counts the outer curve's nodes; each hole is meshed at the outer
     spacing, so a holed domain's system is sized by its boundary's
     length, and a mesh adapted to a foot gives the foot's curve all the
@@ -144,17 +144,16 @@ class SzegoEvaluator(_EvaluatorBase):
     clearance, or the uniform top rung.  Its group is every pending point
     that first mesh clears and that has not failed on that family, in
     the batch's order; the group climbs once, and its curvatures come
-    from the solver of the rung that settles it.  A member failing at
+    from the solve of the rung that settles it.  A member failing at
     the top stays pending with that family refused; a lead with no
     family left is dropped, and once the rest have settled the first
     such lead's error is raised.
     Uniform meshes and solvers are cached per node count for the
-    evaluator's life (a solver turns from MINRES to one LU once its mesh
-    has served, or is about to serve, enough solves), so a later batch,
-    or the pointwise retry of a failed one, assembles none of them again.
-    An adapted solver lives only while its group needs it: a climbing
-    group drops each rung's solver before it builds the next one's, and
-    the last one goes once the group's curvatures are taken, before the
+    evaluator's life (a solver keeps only its matrix between calls), so
+    a later batch, or the pointwise retry of a failed one, assembles
+    none of them again.  An adapted solver lives only while its group
+    needs it: a climbing group drops each rung's solver before it builds
+    the next one's, and the last one goes with the climb, before the
     next lead builds its meshes.  So at most one adapted solver is alive,
     besides the cached uniform ones.
 
@@ -227,21 +226,15 @@ class SzegoEvaluator(_EvaluatorBase):
             solver = self._solver if family is None else (
                 lambda n: SzegoSolver(mesh if n == n1 else
                                       mesh_boundary(self.domain, n, family)))
-            n, fine, values, nus, failed = self._climb(
-                group, n1, solver, self._smooth and family is None)
+            n, values, kappas, failed = self._climb(
+                group, n1, solver, self._smooth and family is None, kappa)
             for z in failed:
                 refused[z].add(family)
             errors.update(failed)
-            ok = np.array([z not in failed for z in group])
-            passed = [z for z in group if z not in failed]
-            kappas = (fine.kappa(passed, nus[ok]).tolist() if kappa
-                      else [None] * len(passed))
             self._settled.update(
                 (z, _Settled(v, k, n, family))
-                for z, v, k in zip(passed, values[ok].tolist(), kappas))
-            # the densities, and an adapted solver, go before the next
-            # lead's meshes
-            del fine, nus
+                for z, v, k in zip(group, values.tolist(), kappas)
+                if z not in failed)
             pending = [z for z in pending if z not in self._settled]
         if unsettled:
             raise unsettled[0]
@@ -272,25 +265,25 @@ class SzegoEvaluator(_EvaluatorBase):
             return None, self._LADDER[-1], mesh
         raise error
 
-    def _climb(self, zs, n, solver, by_tail):
+    def _climb(self, zs, n, solver, by_tail, kappa):
         """Settle the points zs on the first rung from n up to twice the
         top of _LADDER that settles them all; solver(n) gives the solver
         of the n-node mesh.  A rung settles a point whose value agrees
         with the rung below's within tol or, with by_tail, whose row the
-        rung resolves alone (see szego._resolved).  Returns (n,
-        fine, values, nus, failed): the rung n and its solver, the metric
-        2 pi S(a, a) of each point of zs on it and the rows nu its solve
-        gave them (see SzegoSolver.solve), and a SolveError by point for
+        rung resolves alone (see SzegoSolver.resolved).  Returns (n,
+        values, kappas, failed): the rung n, the metric 2 pi S(a, a) of
+        each point of zs on it and, with kappa, its curvature from the
+        same solve (else None), and a SolveError by point for
         each that the top rung does not settle."""
         coarse = np.nan  # no rung below, so no value agrees with it
         while True:
             fine = solver(n)
-            s, nus = fine.solve(zs)
+            s, nus, *kappas = fine.solve(zs, kappa)
             values = 2.0 * np.pi * s
             rels = np.abs(values - coarse) / np.abs(values)
             ok = rels <= self.tol
             if by_tail:
-                ok |= _resolved(fine.mesh, nus, self.tol)
+                ok |= fine.resolved(nus, self.tol)
             if ok.all() or n >= 2 * self._LADDER[-1]:
                 break
             n, coarse = 2 * n, values  # the whole group climbs
@@ -299,7 +292,8 @@ class SzegoEvaluator(_EvaluatorBase):
             "szego value did not settle at %s: n=%d vs %d changed by "
             "%.3g (tol %.1g)" % (z, n // 2, n, rel, self.tol))
             for z, rel, good in zip(zs, rels, ok) if not good}
-        return n, fine, values, nus, failed
+        kappas = kappas[0].tolist() if kappa else [None] * len(zs)
+        return n, values, kappas, failed
 
     def values(self, zs):
         zs = np.asarray(zs, dtype=complex).ravel()
@@ -308,13 +302,12 @@ class SzegoEvaluator(_EvaluatorBase):
                         dtype=float)
 
     def curvatures(self, zs):
-        """SzegoSolver.kappa of each point, kept in its record, so a
-        point's curvature is computed once.  The points settled during
-        the call take it from their group's settling solver, in one block.
-        A point settled earlier without it is solved again on its
-        settling mesh, one block per (family, n), on the cached uniform
-        solver or on a rebuilt adapted one, then takes its derivative
-        solve there."""
+        """The curvature SzegoSolver.solve gives each point with kappa,
+        kept in its record, so a point's curvature is computed once.  The
+        points settled during the call take it from their group's
+        settling solve.  A point settled earlier without it is solved
+        again on its settling mesh, one block per (family, n), on the
+        cached uniform solver or on a rebuilt adapted one."""
         zs = np.asarray(zs, dtype=complex).ravel()
         self._settle(zs, kappa=True)
         blocks = {}  # (family, n) -> its distinct points with no kappa
@@ -325,7 +318,7 @@ class SzegoEvaluator(_EvaluatorBase):
         for (family, n), block in blocks.items():
             solver = self._solver(n) if family is None else SzegoSolver(
                 mesh_boundary(self.domain, n, family))
-            kappas = solver.kappa(block, solver.solve(block)[1]).tolist()
+            kappas = solver.solve(block, kappa=True)[2].tolist()
             for z, k in zip(block, kappas):
                 self._settled[z].kappa = k
             del solver  # an adapted one goes before the next is built

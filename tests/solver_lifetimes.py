@@ -2,7 +2,7 @@
 
 solver_lifetimes() counts every SzegoSolver built inside it from its
 construction until it is collected (weakref.finalize), at 16 n^2 bytes,
-its complex n x n matrix, which the factorization keeps in place.  It
+its complex n x n matrix B, the one thing a solver keeps.  It
 records the peak of their sum and the node counts alive at that peak,
 as the benchmark's traced kernels.szego.factor_bytes does.
 """

@@ -90,18 +90,18 @@ def _count_work(monkeypatch):
     """Node counts of the meshes built and of the systems solved, one
     entry per right-hand side."""
     built, solved = [], []
-    real_mesh, real_solve = evaluators.mesh_boundary, SzegoSolver._solve_rows
+    real_mesh, real_solve = evaluators.mesh_boundary, SzegoSolver.solve
 
     def meshing(domain, n, foot=None):
         built.append(n)
         return real_mesh(domain, n, foot)
 
-    def solving(self, rhs):
-        solved.extend([self.mesh.size] * len(rhs))
-        return real_solve(self, rhs)
+    def solving(self, a, kappa=False):
+        solved.extend([self.mesh.size] * len(a) * (2 if kappa else 1))
+        return real_solve(self, a, kappa)
 
     monkeypatch.setattr(evaluators, "mesh_boundary", meshing)
-    monkeypatch.setattr(SzegoSolver, "_solve_rows", solving)
+    monkeypatch.setattr(SzegoSolver, "solve", solving)
     return built, solved
 
 
@@ -456,7 +456,8 @@ def test_a_batch_the_adapted_mesh_clears_settles_on_its_pair():
     # does not split by uniform rung (the one adapted to 0.98j's foot
     # clears no point the 256 rung clears).  Each point has the bits of
     # a lone solve on the group's finer mesh (its block's right-hand
-    # sides run MINRES one by one), and 0.97j the value it has alone
+    # sides run conjugate gradients one by one), and 0.97j the value it
+    # has alone
     zs = [0.5j, 0.95j, 0.97j]
     ev = SzegoEvaluator(ellipse())
     got = ev.values(zs)

@@ -15,11 +15,7 @@ from caratheodory.geometry import (
     mesh_boundary,
 )
 from caratheodory.kernels import SzegoEvaluator, szego
-from caratheodory.kernels.szego import (
-    LU_MATVECS,
-    SzegoSolver,
-    kerzman_stein_matrix,
-)
+from caratheodory.kernels.szego import SzegoSolver, kerzman_stein_matrix
 from caratheodory.harness import (
     annulus,
     blob_with_hole,
@@ -36,11 +32,7 @@ from ahlfors_reference import (
     szego_boundary,
 )
 from curvature_reference import annulus_kappa, annulus_series
-from kernel_reference import (
-    broadcast_kerzman_stein,
-    square_update_lu,
-    uniform_pair_values,
-)
+from kernel_reference import broadcast_kerzman_stein, uniform_pair_values
 
 
 def _disc_kernel(z, a):
@@ -59,26 +51,16 @@ def _localization_piece():
     return boolean_intersect(disc(dom.outer.point(0.25), 0.5), dom)[0]
 
 
-def _spent(mesh, a):
-    """A solver that has spent its MINRES budget solving at a; its next
-    solve factors."""
-    solver = SzegoSolver(mesh)
-    while solver.matvecs < LU_MATVECS:
-        solver.solve([a])
-    return solver
-
-
-def _count_factorizations(monkeypatch):
-    """Node counts of the systems LU-factored from now on."""
+def _count_dense(monkeypatch):
+    """Node counts of the systems given to a LAPACK solve from now on."""
     sizes = []
-    real = SzegoSolver._factor
+    real = SzegoSolver._dense
 
-    def counting(self):
-        if self._lu is None:
-            sizes.append(self.mesh.size)
-        return real(self)
+    def counting(self, rhs):
+        sizes.append(self.mesh.size)
+        return real(self, rhs)
 
-    monkeypatch.setattr(SzegoSolver, "_factor", counting)
+    monkeypatch.setattr(SzegoSolver, "_dense", counting)
     return sizes
 
 
@@ -280,11 +262,10 @@ def test_doubling_rejects_an_unresolved_boundary():
 
 def _off_tile_meshes():
     """Two-curve and graded cornered meshes whose node counts leave
-    partial tiles."""
+    partial assembly tiles."""
     meshes = [mesh_boundary(dom, n) for dom in (annulus(), _localization_piece())
               for n in (300, 700)]
-    assert all(mesh.size % tile != 0 for mesh in meshes
-               for tile in (szego._TILE, szego._ASSEMBLY_TILE))
+    assert all(mesh.size % szego._ASSEMBLY_TILE != 0 for mesh in meshes)
     return meshes
 
 
@@ -336,75 +317,76 @@ def test_assembly_is_skew_hermitian_and_near_the_broadcast_formula():
     [(_localization_piece(), (0.9j, 0.95j, 0.2 + 0.8j)),
      (annulus(), (0.6, 0.75j, -0.8 + 0.1j))],
     ids=["cornered", "annulus"])
-def test_minres_and_lu_paths_agree(dom, pts):
+def test_cg_and_dense_paths_agree(monkeypatch, dom, pts):
     mesh = mesh_boundary(dom, 512)
-    spent = _spent(mesh, pts[0])
-    for a in pts:
-        fresh = SzegoSolver(mesh)
-        (v,), nus = fresh.solve([a])
-        (k,) = fresh.kappa([a], nus)
-        assert fresh.matvecs < LU_MATVECS  # never left MINRES
-        before = spent.matvecs
-        (v_lu,), nus_lu = spent.solve([a])
-        (k_lu,) = spent.kappa([a], nus_lu)
-        assert spent.matvecs == before  # no MINRES past the budget
+    solver = SzegoSolver(mesh)
+    sizes = _count_dense(monkeypatch)
+    cg = [solver.solve([a], kappa=True) for a in pts]
+    assert sizes == []  # conjugate gradients alone
+    monkeypatch.setattr(szego, "LU_MATVECS", 0)  # no product to spend
+    for a, ((v,), _, (k,)) in zip(pts, cg):
+        (v_lu,), _, (k_lu,) = solver.solve([a], kappa=True)
         assert abs(v - v_lu) <= 1e-13 * v_lu
         assert abs(k - k_lu) <= 1e-12 * abs(k_lu)
+    assert sizes == [mesh.size] * len(pts)
 
 
-def test_a_spent_solver_factors_exactly_once(monkeypatch):
-    sizes = _count_factorizations(monkeypatch)
-    solver = _spent(mesh_boundary(ellipse(), 256), 0.3)
-    assert sizes == []
-    for a in (0.3, 0.5j, -0.4 + 0.2j):
-        solver.kappa([a], solver.solve([a])[1])
-    assert sizes == [256]
-
-
-def test_a_minres_miss_falls_through_to_lu(monkeypatch):
-    # the cornered piece needs about 20 products; two miss the tolerance
-    mesh = mesh_boundary(_localization_piece(), 256)
-    want = _spent(mesh, 0.9j).solve([0.9j])[0][0]
-    monkeypatch.setattr(szego, "_RESTART", 2)
+def test_a_dense_solve_leaves_b_unchanged(monkeypatch):
+    # a wide block goes to LAPACK at once; B, all a solver keeps, comes
+    # back to the bit, so the next narrow call has a fresh solver's bits
+    mesh = mesh_boundary(ellipse(), 256)
     solver = SzegoSolver(mesh)
-    assert solver.solve([0.9j])[0][0] == want
-    assert solver.matvecs == 2 and solver._lu is not None
+    before = solver._b.copy()
+    sizes = _count_dense(monkeypatch)
+    solver.solve(grid_sample(ellipse(), 0.15, 0.1), kappa=True)
+    assert sizes == [256]
+    assert solver._b.tobytes() == before.tobytes()
+    got = solver.solve([0.3, 0.5j], kappa=True)
+    want = SzegoSolver(mesh).solve([0.3, 0.5j], kappa=True)
+    assert sizes == [256]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-def test_the_block_lu_matches_a_dense_solve_on_partial_tiles():
-    # two-curve and cornered systems whose blocks end in a partial tile;
-    # no pivoting is needed (see SzegoSolver)
-    rng = np.random.default_rng(0)
-    for mesh in _off_tile_meshes():
-        solver = SzegoSolver(mesh)
-        a_sys = solver._b + np.eye(mesh.size)
-        rhs = rng.standard_normal((3, mesh.size, 2)) @ np.array([1.0, 1j])
-        solver._factor()
-        want = np.linalg.solve(a_sys, rhs.T).T
-        got = solver._lu_solve(rhs)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+def test_a_cg_miss_falls_through_to_the_dense_solve(monkeypatch):
+    # the cornered piece's columns need 22 products; 10 miss
+    mesh = mesh_boundary(_localization_piece(), 256)
+    (want,), _ = SzegoSolver(mesh).solve([0.9j])
+    misses, sizes = [], _count_dense(monkeypatch)
+    real = SzegoSolver._cg
+
+    def tracking(self, rhs, products):
+        x = real(self, rhs, products)
+        misses.append(x is None)
+        return x
+
+    monkeypatch.setattr(SzegoSolver, "_cg", tracking)
+    monkeypatch.setattr(szego, "LU_MATVECS", 10)
+    (got,), _ = SzegoSolver(mesh).solve([0.9j])
+    assert misses == [True] and sizes == [256]
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_a_nan_in_the_system_raises_on_the_lu_path():
+    # conjugate gradients meet the nan and miss; the LAPACK solve
+    # refuses it before it touches B
     solver = SzegoSolver(mesh_boundary(ellipse(), 256))
     solver._b[3, 5] = np.nan
     with pytest.raises(SolveError, match="non-finite"):
         solver.solve([0.3])
-    assert solver._lu is None
+    assert np.all(solver._b.diagonal() == 0.0)
 
 
 def test_curvature_solves_once_past_the_values(monkeypatch):
-    # a point whose tail settles it on the 256 rung costs that solve and
-    # the derivative solve there; kappa reuses the settled solution, and
-    # later values solve nothing
+    # a point whose tail settles it on the 256 rung costs that one solve,
+    # its value and derivative rows stacked; later values solve nothing
     solved = []
-    real = SzegoSolver._solve_rows
+    real = SzegoSolver.solve
 
-    def counting(self, rhs):
-        solved.extend([self.mesh.size] * len(rhs))
-        return real(self, rhs)
+    def counting(self, a, kappa=False):
+        solved.extend([self.mesh.size] * len(a) * (2 if kappa else 1))
+        return real(self, a, kappa)
 
-    monkeypatch.setattr(SzegoSolver, "_solve_rows", counting)
+    monkeypatch.setattr(SzegoSolver, "solve", counting)
     pts = [0.1, 0.2j, -0.3 + 0.1j]
     ev = SzegoEvaluator(fourier_blob())
     kappas = ev.curvatures(pts)
@@ -413,42 +395,31 @@ def test_curvature_solves_once_past_the_values(monkeypatch):
     assert len(solved) == 6
     mesh = mesh_boundary(ev.domain, 256)
     for a, k, v in zip(pts, kappas, values):
-        solver = SzegoSolver(mesh)
-        s, nus = solver.solve([a])
+        s, _, kappa = SzegoSolver(mesh).solve([a], kappa=True)
         assert v == 2.0 * np.pi * s[0]
-        assert k == solver.kappa([a], nus)[0]
+        assert k == kappa[0]
 
 
 def test_few_point_meshes_never_factor(monkeypatch):
-    # three points on each of four meshes: MINRES alone serves them
-    sizes = _count_factorizations(monkeypatch)
+    # three points on each of four meshes: conjugate gradients alone
+    # serve them
+    sizes = _count_dense(monkeypatch)
     localization_experiment(ellipse(), 0.25, 0.5, [0.1, 0.05, 0.02])
     assert sizes == []
 
 
 def test_the_suita_grid_meshes_factor_once_each(monkeypatch):
     # the grid batch settles on its 256 rung, whose tails resolve every
-    # point, so no 512-node uniform mesh is solved; the trend points'
-    # adapted meshes serve a few solves each and stay on MINRES
-    sizes = _count_factorizations(monkeypatch)
-    # MINRES runs per solver; a grid mesh prices its block after the first
-    runs = {}
-    real = SzegoSolver._minres
-
-    def counting(self, rhs):
-        runs[self] = runs.get(self, 0) + 1
-        return real(self, rhs)
-
-    monkeypatch.setattr(SzegoSolver, "_minres", counting)
+    # point, so no 512-node uniform mesh is solved, and its 226 points
+    # take one LAPACK solve; the trend points' adapted meshes serve a
+    # few points each by conjugate gradients
+    sizes = _count_dense(monkeypatch)
     verify_suita(fourier_blob(), 0.15, spacing=0.1)
     assert sizes == [256]
-    factored = [solver for solver in runs if solver._lu is not None]
-    assert [solver.mesh.size for solver in factored] == [256]
-    assert all(runs[solver] == 1 for solver in factored)
 
 
 def test_a_grid_block_matches_point_by_point_solves():
-    # one block per mesh, past MINRES one pair of triangular solves,
+    # one block per mesh, past conjugate gradients one LAPACK solve,
     # against each point settled and differentiated on its own
     blob = fourier_blob()
     grid = grid_sample(blob, 0.15, 0.1)
@@ -462,33 +433,47 @@ def test_a_grid_block_matches_point_by_point_solves():
     assert np.max(np.abs(kappas + 4.0)) <= 1e-12
 
 
-def test_a_block_of_three_on_a_fresh_solver_keeps_the_minres_bits():
+@pytest.mark.parametrize(
+    "make", [lambda: annulus(0.2), blob_with_hole, ellipse],
+    ids=["annulus", "blob_with_hole", "ellipse"])
+def test_values_then_curvatures_give_the_bits_of_curvatures_first(make):
+    # the re-solve of points settled without kappa runs the block's
+    # values and derivative rows in one call, down the path its points
+    # choose, as the settling call did
+    dom = make()
+    grid = grid_sample(dom, 0.05, 0.05)
+    first = SzegoEvaluator(dom)
+    values, kappas = first.values(grid), first.curvatures(grid)
+    later = SzegoEvaluator(dom)
+    want_k, want_v = later.curvatures(grid), later.values(grid)
+    assert np.array_equal(values, want_v)
+    assert np.array_equal(kappas, want_k)
+
+def test_a_block_of_three_on_a_fresh_solver_keeps_the_cg_bits(monkeypatch):
     mesh = mesh_boundary(fourier_blob(), 256)
     pts = [0.1, 0.2j, -0.3 + 0.1j]
-    block = SzegoSolver(mesh)
-    s, nus = block.solve(pts)
-    kappas = block.kappa(pts, nus)
-    assert block._lu is None and block.matvecs < LU_MATVECS
+    sizes = _count_dense(monkeypatch)
+    s, nus, kappas = SzegoSolver(mesh).solve(pts, kappa=True)
+    assert sizes == []
     single = SzegoSolver(mesh)
     for a, s_a, nu, k in zip(pts, s, nus, kappas):
-        want_s, want_nus = single.solve([a])
-        assert np.array_equal(nu, want_nus[0])
-        assert s_a == want_s[0]
-        assert k == single.kappa([a], want_nus)[0]
+        (want_s,), (want_nu,), (want_k,) = single.solve([a], kappa=True)
+        assert np.array_equal(nu, want_nu)
+        assert s_a == want_s
+        assert k == want_k
 
 
-def test_the_factorization_needs_one_tile_column_beyond_the_matrix():
-    # the Schur update runs one column block at a time, so past B's own
-    # buffer, which it factors in place, it allocates at most one
-    # n x _TILE block; a square update would take (n - _TILE)^2 entries
-    mesh = mesh_boundary(ellipse(), 2048)
+def test_a_dense_solve_copies_no_matrix_in_numpy():
+    # I + B is set up in B's buffer, so past LAPACK's own copy (outside
+    # numpy's allocator) the solve allocates B's finiteness mask, n^2
+    # bytes, and its right-hand sides; np.eye(n) + B would take 24 n^2
+    mesh = mesh_boundary(ellipse(), 1024)
     solver = SzegoSolver(mesh)
-    want = square_update_lu(solver._b)
+    rhs = solver._rhs(np.array([0.1, 0.5j, -0.3]), 1)
     tracemalloc.start()
     try:
-        solver._factor()
+        solver._dense(rhs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * mesh.size * szego._TILE
-    assert np.array_equal(solver._lu, want)
+    assert peak <= 2 * mesh.size**2
